@@ -65,9 +65,10 @@ pub fn build_trigger(
     let grid = ch.scale().temperatures();
     let pattern = ch.wcdp();
     let hammers = rh_core::metrics::BER_HAMMERS;
-    // (row, byte, bit) -> temps where it flips.
-    let mut observed: std::collections::HashMap<(u32, u32, u8), Vec<f64>> =
-        std::collections::HashMap::new();
+    // (row, byte, bit) -> temps where it flips. Ordered, so a tie
+    // between equally narrow cells goes to the smallest (row, byte, bit).
+    let mut observed: std::collections::BTreeMap<(u32, u32, u8), Vec<f64>> =
+        std::collections::BTreeMap::new();
     for &t in &grid {
         ch.set_temperature(t)?;
         for &row in candidates {

@@ -15,8 +15,9 @@ use rh_dram::{ddr4_modules_of, BankId, Manufacturer, RowAddr};
 use rh_softmc::{CancelToken, FaultPlan, Program, TestBench};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
+use std::any::Any;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use rh_obs::names;
 
@@ -57,6 +58,11 @@ pub struct RunConfig {
     /// the `/progress` endpoint and `repro top` see a run spanning
     /// several targets as one aggregate (`None` = no tracking).
     pub progress: Option<Arc<ProgressTracker>>,
+    /// Clean campaigns already run under this config, shared by all its
+    /// clones, so targets that render one experiment (table3/fig3,
+    /// fig7–10, fig12/13, fig14/15) run its campaign once. A fresh
+    /// config starts empty.
+    pub experiments: ExperimentRegistry,
 }
 
 impl Default for RunConfig {
@@ -73,6 +79,7 @@ impl Default for RunConfig {
             fail_fast: false,
             cancel: CancelToken::new(),
             progress: None,
+            experiments: ExperimentRegistry::default(),
         }
     }
 }
@@ -358,15 +365,15 @@ pub(crate) fn module_identity(mfr: Manufacturer, cfg: &RunConfig, index: usize) 
     modules[index % modules.len()].seed() ^ cfg.seed.rotate_left(17)
 }
 
-fn characterizer(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> Result<Characterizer, CharError> {
+/// The unarmed bench of module `index` of `mfr` under `cfg`'s seed.
+fn module_bench(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> TestBench {
     let modules = ddr4_modules_of(mfr);
     let module = &modules[index % modules.len()];
-    let bench = TestBench::with_config(
-        module.module_config(),
-        mfr,
-        module.seed() ^ cfg.seed.rotate_left(17),
-    );
-    Characterizer::new(bench, cfg.scale)
+    TestBench::with_config(module.module_config(), mfr, module_identity(mfr, cfg, index))
+}
+
+fn characterizer(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> Result<Characterizer, CharError> {
+    Characterizer::new(module_bench(mfr, cfg, index), cfg.scale)
 }
 
 /// Builds a fresh, fault-armed characterizer for one campaign attempt.
@@ -381,13 +388,7 @@ pub(crate) fn characterizer_armed(
     attempt: u32,
     cancel: &CancelToken,
 ) -> Result<Characterizer, CharError> {
-    let modules = ddr4_modules_of(mfr);
-    let module = &modules[index % modules.len()];
-    let mut bench = TestBench::with_config(
-        module.module_config(),
-        mfr,
-        module.seed() ^ cfg.seed.rotate_left(17),
-    );
+    let mut bench = module_bench(mfr, cfg, index);
     bench.set_cancel_token(cancel.clone());
     if let Some(plan) = &cfg.faults {
         bench.install_faults(&plan.for_attempt(attempt));
@@ -453,48 +454,120 @@ fn campaign_text(report: &CampaignReport) -> String {
     s
 }
 
-/// Wraps a target's results together with its campaign report.
-fn campaign_data(results: Value, report: &CampaignReport) -> Value {
-    json!({
-        "results": results,
+/// The tail of every campaign-backed target: the resilience footer
+/// after `text`, and `results` wrapped together with the report.
+fn campaign_output(
+    target: &'static str,
+    mut text: String,
+    results: impl Serialize,
+    report: &CampaignReport,
+) -> RunOutput {
+    text.push_str(&campaign_text(report));
+    let data = json!({
+        "results": serde_json::to_value(results).unwrap_or(Value::Null),
         "campaign": serde_json::to_value(report).unwrap_or(Value::Null),
-    })
+    });
+    RunOutput { target, text, data, report: Some(report.clone()) }
 }
 
-fn per_mfr<T>(
+/// Everything that can change a campaign's result.
+#[derive(Debug, PartialEq)]
+struct ExperimentKey {
+    experiment: &'static str,
+    scale: Scale,
+    seed: u64,
+    /// Modules per manufacturer the campaign actually runs.
+    modules_per_mfr: usize,
+    faults: Option<FaultPlan>,
+    retry: RetryPolicy,
+    deadline_ms: Option<u64>,
+}
+
+/// One experiment's campaign: `(mfr, module index, result)` in module
+/// order, plus the resilience report.
+type Campaign<T> = (Vec<(Manufacturer, usize, T)>, CampaignReport);
+
+/// The in-process experiment registry of a [`RunConfig`] and its
+/// clones. It holds only clean campaigns: a quarantined, timed-out or
+/// cancelled one is recomputed by the next target that needs it.
+#[derive(Clone, Default)]
+pub struct ExperimentRegistry(Arc<Mutex<Vec<(ExperimentKey, StoredCampaign)>>>);
+
+/// A [`Campaign`] of any result type, downcast on the way out.
+type StoredCampaign = Arc<dyn Any + Send + Sync>;
+
+impl std::fmt::Debug for ExperimentRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.0.lock().unwrap_or_else(PoisonError::into_inner).len();
+        write!(f, "ExperimentRegistry({held} campaign(s))")
+    }
+}
+
+/// Runs `experiment` over `modules_per_mfr` modules of every
+/// manufacturer as one campaign, or hands back the clean campaign an
+/// earlier target of this config already ran. A cancelled config skips
+/// the registry, so it reports the cancellation as a fresh one would.
+fn run_campaign<T>(
     cfg: &RunConfig,
     target: &str,
+    experiment: &'static str,
+    modules_per_mfr: usize,
     f: impl Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-) -> Result<(Vec<(Manufacturer, T)>, CampaignReport), CharError>
+) -> Result<Arc<Campaign<T>>, CharError>
 where
-    T: Send + Serialize + Deserialize,
+    T: Send + Sync + Serialize + Deserialize + 'static,
 {
-    let ids: Vec<(String, Manufacturer)> = Manufacturer::ALL
-        .into_iter()
-        .map(|m| (campaign_module_id(m, cfg, 0), m))
-        .collect();
-    let tasks: Vec<ModuleTask<'_>> = Manufacturer::ALL
-        .into_iter()
-        .map(|m| {
-            ModuleTask::new(campaign_module_id(m, cfg, 0), move |attempt, cancel| {
-                characterizer_armed(m, cfg, 0, attempt, cancel)
-            })
-        })
-        .collect();
+    let key = ExperimentKey {
+        experiment,
+        scale: cfg.scale,
+        seed: cfg.seed,
+        modules_per_mfr,
+        faults: cfg.faults.clone(),
+        retry: cfg.retry.clone(),
+        deadline_ms: cfg.deadline_ms,
+    };
+    let registry = &cfg.experiments.0;
+    if !cfg.cancel.is_cancelled() {
+        let held = registry.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = held.iter().find(|(k, _)| *k == key);
+        if let Some(hit) = hit.and_then(|(_, c)| Arc::clone(c).downcast().ok()) {
+            return Ok(hit);
+        }
+    }
+    let mut meta: Vec<(String, Manufacturer, usize)> = Vec::new();
+    let mut tasks: Vec<ModuleTask<'_>> = Vec::new();
+    for mfr in Manufacturer::ALL {
+        for i in 0..modules_per_mfr {
+            let id = campaign_module_id(mfr, cfg, i);
+            meta.push((id.clone(), mfr, i));
+            tasks.push(ModuleTask::new(id, move |attempt, cancel| {
+                characterizer_armed(mfr, cfg, i, attempt, cancel)
+            }));
+        }
+    }
     let out = campaign_runner(cfg, target).run(tasks, f)?;
     let results = out
         .results
         .into_iter()
         .map(|(id, t)| {
-            ids.iter()
-                .find(|(i, _)| *i == id)
-                .map(|(_, m)| (*m, t))
+            meta.iter()
+                .find(|(mid, _, _)| *mid == id)
+                .map(|(_, mfr, i)| (*mfr, *i, t))
                 .ok_or_else(|| CharError::Checkpoint {
                     detail: format!("campaign returned unknown module id '{id}'"),
                 })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((results, out.report))
+    let ran = Arc::new((results, out.report));
+    if ran.1.is_clean() {
+        registry.lock().unwrap_or_else(PoisonError::into_inner).push((key, ran.clone()));
+    }
+    Ok(ran)
+}
+
+/// The `data` shape of one-module-per-manufacturer targets.
+fn by_mfr<T>(results: &[(Manufacturer, usize, T)]) -> Vec<(String, &T)> {
+    results.iter().map(|(m, _, t)| (m.to_string(), t)).collect()
 }
 
 fn run_table1() -> RunOutput {
@@ -507,62 +580,51 @@ fn run_table2() -> RunOutput {
 }
 
 fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, temperature::cell_temp_ranges)?;
+    let ran = run_campaign(cfg, target, "cell_temp_ranges", 1, temperature::cell_temp_ranges)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
     if target == "table3" {
         let rows: Vec<(&str, &temperature::TempRangeAnalysis)> = results
             .iter()
-            .map(|(m, a)| (["Mfr. A", "Mfr. B", "Mfr. C", "Mfr. D"][m.index()], a))
+            .map(|(m, _, a)| (["Mfr. A", "Mfr. B", "Mfr. C", "Mfr. D"][m.index()], a))
             .collect();
         text = report::table3(&rows);
         text.push_str("paper: 99.1% / 98.9% / 98.0% / 99.2%\n");
     } else {
-        for (m, a) in &results {
+        for (m, _, a) in results {
             text.push_str(&report::fig3(&m.to_string(), a));
             text.push('\n');
         }
         text.push_str("paper all-temps corner: 14.2% / 17.4% / 9.6% / 29.8%\n");
     }
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, a)| (m.to_string(), a)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target, text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    Ok(campaign_output(target, text, by_mfr(results), campaign))
 }
 
 fn run_fig4(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "fig4", temperature::ber_vs_temperature)?;
+    let ran = run_campaign(cfg, "fig4", "ber_vs_temperature", 1, temperature::ber_vs_temperature)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
-    for (m, f) in &results {
+    for (m, _, f) in results {
         text.push_str(&report::fig4(&m.to_string(), f));
         text.push('\n');
     }
     text.push_str(
         "paper trend 50->90C (victim): A up ~+100%, B down ~-20%, C up ~+40%, D up ~+200%\n",
     );
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, f)| (m.to_string(), f)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "fig4", text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    Ok(campaign_output("fig4", text, by_mfr(results), campaign))
 }
 
 fn run_fig5(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "fig5", temperature::hcfirst_vs_temperature)?;
+    let ran =
+        run_campaign(cfg, "fig5", "hcfirst_vs_temperature", 1, temperature::hcfirst_vs_temperature)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
-    for (m, f) in &results {
+    for (m, _, f) in results {
         text.push_str(&report::fig5(&m.to_string(), f));
         text.push('\n');
     }
     text.push_str("paper crossings at 50->90C: A P45, B P67, C P71, D P40; magnitude ratio ~4x\n");
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, f)| (m.to_string(), f)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "fig5", text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    Ok(campaign_output("fig5", text, by_mfr(results), campaign))
 }
 
 fn run_fig6() -> Result<RunOutput, CharError> {
@@ -586,9 +648,10 @@ fn run_fig6() -> Result<RunOutput, CharError> {
 }
 
 fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, rowactive::row_active_analysis)?;
+    let ran = run_campaign(cfg, target, "row_active_analysis", 1, rowactive::row_active_analysis)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
-    for (m, a) in &results {
+    for (m, _, a) in results {
         let label = m.to_string();
         match target {
             "fig7" => text.push_str(&report::fig_ber_sweep("Fig. 7", &label, a, true)),
@@ -604,122 +667,63 @@ fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Cha
         "fig9" => text.push_str("paper BER drop at 40.5ns: 6.3x / 2.9x / 4.9x / 5.0x\n"),
         _ => text.push_str("paper HCfirst increase: 33.8% / 24.7% / 50.1% / 33.7%\n"),
     }
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, a)| (m.to_string(), a)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target, text, data: campaign_data(data, &campaign), report: Some(campaign) })
-}
-
-/// Runs one experiment over `modules_per_mfr` modules of every
-/// manufacturer as a single campaign, returning `(mfr, index, result)`
-/// triples in module order plus the resilience report.
-#[allow(clippy::type_complexity)]
-fn spatial_campaign<T>(
-    cfg: &RunConfig,
-    target: &str,
-    f: impl Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-) -> Result<(Vec<(Manufacturer, usize, T)>, CampaignReport), CharError>
-where
-    T: Send + Serialize + Deserialize,
-{
-    let mut meta: Vec<(String, Manufacturer, usize)> = Vec::new();
-    let mut tasks: Vec<ModuleTask<'_>> = Vec::new();
-    for mfr in Manufacturer::ALL {
-        for i in 0..cfg.modules_per_mfr {
-            let id = campaign_module_id(mfr, cfg, i);
-            meta.push((id.clone(), mfr, i));
-            tasks.push(ModuleTask::new(id, move |attempt, cancel| {
-                characterizer_armed(mfr, cfg, i, attempt, cancel)
-            }));
-        }
-    }
-    let out = campaign_runner(cfg, target).run(tasks, f)?;
-    let results = out
-        .results
-        .into_iter()
-        .map(|(id, t)| {
-            meta.iter()
-                .find(|(mid, _, _)| *mid == id)
-                .map(|(_, mfr, i)| (*mfr, *i, t))
-                .ok_or_else(|| CharError::Checkpoint {
-                    detail: format!("campaign returned unknown module id '{id}'"),
-                })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((results, out.report))
+    Ok(campaign_output(target, text, by_mfr(results), campaign))
 }
 
 fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = spatial_campaign(cfg, "fig11", spatial::row_variation)?;
+    let ran =
+        run_campaign(cfg, "fig11", "row_variation", cfg.modules_per_mfr, spatial::row_variation)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
     let mut data = Vec::new();
     let mut last_mfr = None;
-    for (mfr, i, rv) in &results {
+    for (mfr, i, rv) in results {
         if last_mfr.is_some() && last_mfr != Some(*mfr) {
             text.push('\n');
         }
         last_mfr = Some(*mfr);
         text.push_str(&report::fig11(&format!("{mfr} module {i}"), rv));
-        data.push((mfr.to_string(), *i, rv.clone()));
+        data.push((mfr.to_string(), *i, rv));
     }
     text.push('\n');
     text.push_str("paper: P99 >= 1.6x, P95 >= 2.0x, P90 >= 2.2x the most vulnerable row\n");
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target: "fig11",
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
+    Ok(campaign_output("fig11", text, data, campaign))
 }
 
 fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, spatial::column_map)?;
+    let ran = run_campaign(cfg, target, "column_map", 1, spatial::column_map)?;
+    let (results, campaign) = &*ran;
     let mut text = String::new();
     let mut data = Vec::new();
-    for (m, cm) in &results {
-        if target == "fig12" {
-            text.push_str(&report::fig12(&m.to_string(), cm));
+    for (m, _, cm) in results {
+        let label = m.to_string();
+        let row = if target == "fig12" {
+            text.push_str(&report::fig12(&label, cm));
+            serde_json::to_value((label, cm.zero_fraction(), cm.max_count()))
         } else {
             let cv = spatial::column_variation(cm);
-            text.push_str(&report::fig13(&m.to_string(), &cv));
-            data.push((m.to_string(), serde_json::to_value(&cv).unwrap_or(Value::Null)));
-        }
+            text.push_str(&report::fig13(&label, &cv));
+            serde_json::to_value((label, &cv))
+        };
+        data.push(row.unwrap_or(Value::Null));
         text.push('\n');
     }
-    if target == "fig12" {
-        text.push_str("paper zero-flip columns: 27.8% / 0% / 31.1% / 9.96%\n");
-        text.push_str(&campaign_text(&campaign));
-        let d = results
-            .iter()
-            .map(|(m, cm)| (m.to_string(), cm.zero_fraction(), cm.max_count()))
-            .collect::<Vec<_>>();
-        return Ok(RunOutput {
-            target,
-            text,
-            data: campaign_data(serde_json::to_value(d).unwrap_or(Value::Null), &campaign),
-            report: Some(campaign),
-        });
-    }
-    text.push_str("paper CV=0 share: Mfr. B 50.9%, Mfr. C 16.6%; CV=1 share: A 59.8%, C 30.6%, D 29.1%\n");
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target,
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
+    text.push_str(if target == "fig12" {
+        "paper zero-flip columns: 27.8% / 0% / 31.1% / 9.96%\n"
+    } else {
+        "paper CV=0 share: Mfr. B 50.9%, Mfr. C 16.6%; CV=1 share: A 59.8%, C 30.6%, D 29.1%\n"
+    });
+    Ok(campaign_output(target, text, data, campaign))
 }
 
 fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let mut text = String::new();
-    let mut data = Vec::new();
     // The subarray regression and similarity studies need several
     // modules per manufacturer for a stable picture.
-    let cfg = &RunConfig { modules_per_mfr: cfg.modules_per_mfr.max(3), ..cfg.clone() };
-    let (results, campaign) = spatial_campaign(cfg, target, spatial::subarray_hcfirst)?;
+    let modules = cfg.modules_per_mfr.max(3);
+    let ran = run_campaign(cfg, target, "subarray_hcfirst", modules, spatial::subarray_hcfirst)?;
+    let (results, campaign) = &*ran;
+    let mut text = String::new();
+    let mut data = Vec::new();
     for mfr in Manufacturer::ALL {
         let per_module: Vec<Vec<spatial::SubarrayPoint>> = results
             .iter()
@@ -749,13 +753,7 @@ fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Char
     } else {
         text.push_str("paper: same-module P5 ~0.975 (Mfr. C); cross-module P5 down to 0.66\n");
     }
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target,
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
+    Ok(campaign_output(target, text, data, campaign))
 }
 
 fn run_observations(cfg: &RunConfig) -> Result<RunOutput, CharError> {
@@ -1239,9 +1237,10 @@ fn run_memctl() -> Result<RunOutput, CharError> {
 /// BER-vs-hammer-count dose response (the basis of the paper's 150 K
 /// choice, §4.2 footnote 3).
 fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "hcsweep", dose::dose_response)?;
+    let ran = run_campaign(cfg, "hcsweep", "dose_response", 1, dose::dose_response)?;
+    let (results, campaign) = &*ran;
     let mut text = String::from("BER vs hammer count (75C, WCDP)\n");
-    for (m, d) in &results {
+    for (m, _, d) in results {
         text.push_str(&format!("{m}:\n"));
         for p in &d.points {
             text.push_str(&format!(
@@ -1253,12 +1252,7 @@ fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         }
     }
     text.push_str("paper: 150K chosen as attack-realistic and sufficient on every module\n");
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, d)| (m.to_string(), d)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "hcsweep", text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    Ok(campaign_output("hcsweep", text, by_mfr(results), campaign))
 }
 
 /// Benign-workload overhead of the defense roster (the performance
@@ -1451,6 +1445,98 @@ mod tests {
         let out = run_target("fig7", &smoke()).unwrap();
         assert!(out.text.contains("BER gain"));
         assert!(out.text.contains("Mfr. D"));
+    }
+
+    /// Targets that render one experiment, in `repro all` order.
+    const SHARING_GROUPS: [&[&str]; 4] = [
+        &["table3", "fig3"],
+        &["fig7", "fig8", "fig9", "fig10"],
+        &["fig12", "fig13"],
+        &["fig14", "fig15"],
+    ];
+
+    fn held_campaigns(cfg: &RunConfig) -> usize {
+        cfg.experiments.0.lock().unwrap().len()
+    }
+
+    #[test]
+    fn shared_experiments_render_like_fresh_runs() {
+        for group in SHARING_GROUPS {
+            let shared = smoke();
+            for &target in group {
+                let reused = run_target(target, &shared).unwrap();
+                let fresh = run_target(target, &smoke()).unwrap();
+                assert_eq!(reused.text, fresh.text, "{target} text");
+                assert_eq!(reused.data, fresh.data, "{target} data");
+            }
+            assert_eq!(held_campaigns(&shared), 1, "{group:?} ran its campaign once");
+        }
+    }
+
+    #[test]
+    fn registry_key_separates_seeds_and_fault_plans() {
+        let fig7 = |cfg: &RunConfig| {
+            let out = run_target("fig7", cfg).unwrap();
+            (out.text, out.data)
+        };
+        let shared = smoke();
+        assert_eq!(fig7(&shared), fig7(&smoke()));
+        let seed6 = RunConfig { seed: 6, ..shared.clone() };
+        assert_eq!(fig7(&seed6), fig7(&RunConfig { seed: 6, ..smoke() }));
+        assert_eq!(held_campaigns(&shared), 2, "seeds 5 and 6 are separate campaigns");
+
+        let clean = RunConfig { faults: None, ..faulty_cfg() };
+        let faulty = RunConfig { experiments: clean.experiments.clone(), ..faulty_cfg() };
+        let clean_out = fig7(&clean);
+        let faulty_out = fig7(&faulty);
+        assert_ne!(clean_out, faulty_out, "the plan must perturb fig7");
+        assert_eq!(faulty_out, fig7(&faulty_cfg()));
+    }
+
+    #[test]
+    fn only_clean_campaigns_are_reused() {
+        let cfg = smoke();
+        let cancelled = RunConfig { cancel: CancelToken::new(), ..cfg.clone() };
+        cancelled.cancel.cancel();
+        let report = run_target("fig7", &cancelled).unwrap().report.unwrap();
+        assert_eq!(report.cancelled, 4);
+        assert_eq!(held_campaigns(&cfg), 0, "a cancelled campaign is not stored");
+        let resumed = run_target("fig7", &cfg).unwrap();
+        assert!(resumed.report.unwrap().is_clean());
+        assert_eq!(resumed.data, run_target("fig7", &smoke()).unwrap().data);
+        // A cancelled config skips the registry and reports cancellation.
+        let report = run_target("fig8", &cancelled).unwrap().report.unwrap();
+        assert_eq!(report.cancelled, 4);
+    }
+
+    #[test]
+    fn registry_hits_admit_no_progress_work() {
+        let tracker = Arc::new(ProgressTracker::new());
+        let cfg = RunConfig { progress: Some(Arc::clone(&tracker)), ..smoke() };
+        run_target("fig7", &cfg).unwrap();
+        run_target("fig8", &cfg).unwrap();
+        let progress = tracker.snapshot();
+        assert_eq!(progress.total, 4, "fig8 reused fig7's campaign");
+        assert_eq!(progress.completed(), 4);
+    }
+
+    #[test]
+    fn attack2_is_deterministic_across_runs_and_widths() {
+        let attack2 = |workers| {
+            let cfg = RunConfig {
+                scale: Scale::Smoke,
+                max_workers: Some(workers),
+                ..RunConfig::default()
+            };
+            run_target("attack2", &cfg).unwrap()
+        };
+        let first = attack2(1);
+        let trigger = first.data.field("trigger");
+        assert!(trigger.field("row").as_u64().is_some(), "a trigger cell is chosen: {trigger:?}");
+        for again in [attack2(1), attack2(2)] {
+            assert_eq!(first.data, again.data);
+            assert_eq!(first.text, again.text);
+        }
     }
 
     #[test]

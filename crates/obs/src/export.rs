@@ -334,10 +334,10 @@ pub fn federate(own: &str, workers: &[(String, String)]) -> String {
     }
     let mut order: Vec<String> = Vec::new();
     let mut kinds: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
-    let mut scalars: std::collections::BTreeMap<
-        String,
-        Vec<(Option<String>, Vec<(String, String)>, String)>,
-    > = std::collections::BTreeMap::new();
+    /// One scalar sample: source worker, labels, value.
+    type Sample = (Option<String>, Vec<(String, String)>, String);
+    let mut scalars: std::collections::BTreeMap<String, Vec<Sample>> =
+        std::collections::BTreeMap::new();
     let mut hists: std::collections::BTreeMap<String, MergedHist> =
         std::collections::BTreeMap::new();
 

@@ -116,6 +116,10 @@ pub struct MemController {
     module: DramModule,
     policy: RowPolicy,
     queues: Vec<VecDeque<MemRequest>>,
+    /// Per bank: whether its queue is in arrival order, so that `pick`
+    /// can stop at the first request that has not arrived yet instead
+    /// of scanning the whole queue on every miss.
+    in_order: Vec<bool>,
     banks: Vec<BankState>,
     hook: Option<ActivationHook>,
     now: Picos,
@@ -142,6 +146,7 @@ impl MemController {
             module,
             policy,
             queues: vec![VecDeque::new(); banks],
+            in_order: vec![true; banks],
             banks: vec![BankState { open_row: None, opened_at: 0, ready_at: 0 }; banks],
             hook: None,
             now: 0,
@@ -183,7 +188,10 @@ impl MemController {
                 banks: self.queues.len() as u32,
             }));
         }
-        self.queues[idx].push_back(req);
+        let q = &mut self.queues[idx];
+        self.in_order[idx] =
+            q.back().is_none_or(|last| self.in_order[idx] && last.arrival <= req.arrival);
+        q.push_back(req);
         Ok(())
     }
 
@@ -196,8 +204,11 @@ impl MemController {
         let front = q.front()?;
         let horizon = self.banks[bank].ready_at.max(front.arrival);
         if let Some(open) = self.banks[bank].open_row {
-            if let Some(pos) =
-                q.iter().position(|r| r.row == open && r.arrival <= horizon)
+            let in_order = self.in_order[bank];
+            if let Some(pos) = q
+                .iter()
+                .take_while(|r| !in_order || r.arrival <= horizon)
+                .position(|r| r.row == open && r.arrival <= horizon)
             {
                 return Some(pos);
             }
@@ -361,6 +372,26 @@ mod tests {
         // A strict FCFS order would miss on every request; FR-FCFS
         // serves each row as a batch: only 2 misses.
         assert_eq!(s.row_misses, 2, "hits {} misses {}", s.row_hits, s.row_misses);
+    }
+
+    #[test]
+    fn out_of_order_arrivals_still_batch_row_hits() {
+        let mut c = controller(RowPolicy::OpenPage);
+        // Row 7 opens first. The pending row-7 request queued behind a
+        // far-future one must still be served as a hit.
+        for (row, arrival) in [(7, 0), (5, 0), (5, 1_000_000_000), (7, 0)] {
+            c.submit(MemRequest {
+                id: 0,
+                bank: BankId(0),
+                row: RowAddr(row),
+                column: 0,
+                is_write: false,
+                arrival,
+            })
+            .unwrap();
+        }
+        let s = c.drain();
+        assert_eq!((s.row_hits, s.row_misses), (2, 2));
     }
 
     #[test]
