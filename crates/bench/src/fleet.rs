@@ -10,7 +10,7 @@
 use crate::worker::{event_from_value, fleet_module_id, job_payload};
 use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
-    FleetReport, JobTable,
+    FleetReport, JobGrant, JobTable,
 };
 use rh_core::{CharError, ModuleStatus, ProgressTracker, RetryPolicy, Scale};
 use rh_dram::Manufacturer;
@@ -191,6 +191,42 @@ fn fleet_jobs(cfg: &FleetConfig) -> Vec<(String, Value)> {
     jobs
 }
 
+/// [`JobTable::grant`] plus the fleet's dispatch telemetry: the
+/// `fleet.dispatch` (and `fleet.redispatch`) counters and a
+/// `fleet.grant` event.
+fn grant(
+    table: &mut JobTable,
+    module: &str,
+    worker: &str,
+    now: u64,
+) -> Result<JobGrant, CharError> {
+    let grant = table.grant(module, worker, now)?;
+    rh_obs::counter(names::FLEET_DISPATCH, 1);
+    if grant.generation > 1 {
+        rh_obs::counter(names::FLEET_REDISPATCH, 1);
+    }
+    rh_obs::event!(
+        names::FLEET_GRANT_EVENT,
+        module = module.to_string(),
+        worker = worker.to_string(),
+        lease = grant.lease_id,
+        generation = grant.generation
+    );
+    Ok(grant)
+}
+
+/// [`JobTable::commit`], counted as `fleet.commit` or, for a stale or
+/// repeated reply, `fleet.duplicate`.
+fn commit(table: &mut JobTable, lease_id: u64, result: Value) -> CommitOutcome {
+    let outcome = table.commit(lease_id, result);
+    let counter = match outcome {
+        CommitOutcome::Committed => names::FLEET_COMMIT,
+        CommitOutcome::Duplicate | CommitOutcome::Stale => names::FLEET_DUPLICATE,
+    };
+    rh_obs::counter(counter, 1);
+    outcome
+}
+
 /// Runs the same job set as [`run_fleet`] in this process, without
 /// any workers — the determinism oracle: a fleet run (with any amount
 /// of worker death) must produce a bit-identical report.
@@ -208,15 +244,19 @@ pub fn run_fleet_local(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         table.add_job(id, payload);
     }
     while let Some(module) = table.next_ready(0) {
-        let grant = table.grant(&module, "local", 0)?;
+        let grant = grant(&mut table, &module, "local", 0)?;
         match crate::worker::execute_payload(&grant.payload, &cfg.cancel) {
             Ok(result) => {
-                table.commit(grant.lease_id, result);
+                commit(&mut table, grant.lease_id, result);
             }
             Err(e) if e.is_cancelled() => return Err(e),
             Err(e) => {
                 let transient = e.is_transient();
-                table.fail(grant.lease_id, &e.to_string(), transient, 0);
+                if table.fail(grant.lease_id, &e.to_string(), transient, 0)
+                    == FailOutcome::Quarantined
+                {
+                    rh_obs::counter(names::FLEET_QUARANTINED, 1);
+                }
             }
         }
     }
@@ -680,7 +720,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             lease_worker.remove(&expired.lease_id);
             if !expired.quarantined {
                 orphans.insert(expired.lease_id, expired.worker.clone());
-            } else if let Some(progress) = &cfg.progress {
+                continue;
+            }
+            rh_obs::counter(names::FLEET_QUARANTINED, 1);
+            if let Some(progress) = &cfg.progress {
                 progress.record_status(&ModuleStatus::Quarantined {
                     attempts: cfg.retry.max_attempts,
                     error: "lease expired; attempt budget exhausted".to_string(),
@@ -703,7 +746,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                 break; // breakers open / advice backoff; try next tick
             };
             rr_cursor = slot + 1;
-            let grant = table.grant(&module, &workers[slot].addr, now)?;
+            let grant = grant(&mut table, &module, &workers[slot].addr, now)?;
             table.bind_trace(grant.lease_id, trace_id);
             let body = serde_json::to_string(&grant.to_json_value()).map_err(|e| {
                 CharError::Checkpoint { detail: format!("fleet: serialize grant: {e}") }
@@ -779,7 +822,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                         journal.ingest_one(&addr, ev);
                     }
                     let attempts = table.lease_generation(lease_id).unwrap_or(1);
-                    if table.commit(lease_id, result) == CommitOutcome::Committed {
+                    if commit(&mut table, lease_id, result) == CommitOutcome::Committed {
                         if let (Some(c), Some(trace)) = (capture.as_ref(), trace.as_ref()) {
                             c.write_segment(lease_id, &addr, trace, bracket, false);
                         }
@@ -801,6 +844,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     if table.fail(lease_id, &error, transient, now_ms(origin))
                         == FailOutcome::Quarantined
                     {
+                        rh_obs::counter(names::FLEET_QUARANTINED, 1);
                         if let Some(progress) = &cfg.progress {
                             progress.record_status(&ModuleStatus::Quarantined {
                                 attempts: cfg.retry.max_attempts,
@@ -829,7 +873,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         orphans.retain(|&lease_id, addr| match poll_lease(addr, lease_id, io_timeout) {
             PollVerdict::Done { result, trace, event } => {
                 // Stale by construction: the lease no longer owns its
-                // job. Counted as fleet.duplicate inside commit(). Its
+                // job, so commit() counts it as fleet.duplicate. Its
                 // trace segment is still kept — flagged, not dropped —
                 // so the stitched tree shows what the zombie executed.
                 if let (Some(c), Some(trace)) = (capture.as_ref(), trace.as_ref()) {
@@ -838,7 +882,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                 if let (Some(journal), Some(ev)) = (journal.as_mut(), event.as_ref()) {
                     journal.ingest_one(addr, ev);
                 }
-                let _ = table.commit(lease_id, result);
+                commit(&mut table, lease_id, result);
                 false
             }
             PollVerdict::Alive => true,

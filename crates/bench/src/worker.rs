@@ -31,10 +31,10 @@
 //! any worker, which is what lets the coordinator re-dispatch freely
 //! and still match a single-process run.
 
-use crate::runners::{characterizer_armed, module_identity, RunConfig};
+use crate::runners::{campaign_module_id, characterizer_armed, RunConfig};
 use rh_core::experiments::{spatial, temperature};
 use rh_core::fleet::JobGrant;
-use rh_core::{module_id, CharError, Scale};
+use rh_core::{CharError, Scale};
 use rh_dram::Manufacturer;
 use rh_obs::names;
 use rh_obs::{EventKind, EventRing, HttpRequest, HttpResponse, JobEvent, TelemetrySource};
@@ -98,8 +98,7 @@ pub fn job_payload(mfr: Manufacturer, index: usize, seed: u64, scale: Scale, wor
 /// single-process reports line up key-for-key.
 #[must_use]
 pub fn fleet_module_id(mfr: Manufacturer, index: usize, seed: u64) -> String {
-    let cfg = RunConfig { seed, ..RunConfig::default() };
-    format!("{}#{index}", module_id(mfr, module_identity(mfr, &cfg, index)))
+    campaign_module_id(mfr, &RunConfig { seed, ..RunConfig::default() }, index)
 }
 
 /// Workload names [`execute_payload`] understands.

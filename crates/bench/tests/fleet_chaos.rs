@@ -12,7 +12,7 @@
 //!   report.
 
 use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
-use rh_core::{verify_fleet_checkpoint, Scale};
+use rh_core::{verify_checkpoint, Scale};
 use rh_obs::http_get;
 use rh_softmc::CancelToken;
 use serde::Value;
@@ -171,7 +171,7 @@ fn coordinator_resumes_from_checkpoint_rerunning_only_unfinished_leases() {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         assert!(Instant::now() < deadline, "no module ever committed to the checkpoint");
-        if verify_fleet_checkpoint(&ckpt).map(|n| n >= 1).unwrap_or(false) {
+        if verify_checkpoint(&ckpt).map(|n| n >= 1).unwrap_or(false) {
             cancel.cancel();
             break;
         }
@@ -180,7 +180,7 @@ fn coordinator_resumes_from_checkpoint_rerunning_only_unfinished_leases() {
     let first = fleet.join().expect("fleet thread");
     assert!(first.is_err(), "a cancelled coordinator must not report success");
 
-    let committed_before = verify_fleet_checkpoint(&ckpt).expect("checkpoint stays loadable");
+    let committed_before = verify_checkpoint(&ckpt).expect("checkpoint stays loadable");
     assert!(
         (1..4).contains(&committed_before),
         "want a genuinely partial checkpoint, got {committed_before}/4"

@@ -13,26 +13,31 @@
 //! so a recovered module's results are bit-for-bit identical to a
 //! fault-free run.
 //!
-//! Campaigns can persist a JSON checkpoint after each module completes;
-//! resuming from it skips finished modules and reproduces the same
-//! final report.
+//! The runner is the in-process transport of the
+//! [`JobTable`](crate::fleet::JobTable): each module is one job, and
+//! every attempt is a lease granted from one shared table and answered
+//! with a commit or a failure report. The table alone decides retry,
+//! backoff, quarantine and timeout, and reads and writes the
+//! checkpoint, so a campaign and a fleet resume from the same file
+//! format; resuming skips finished modules and reproduces the same
+//! final report. The runner keeps the executor slots, the `campaign.*`
+//! telemetry, progress and fail-fast.
 
 use crate::error::CharError;
-use crate::executor::{self, ExecutorConfig};
+use crate::executor::{self, lock, ExecutorConfig};
 use crate::experiments::panic_detail;
+use crate::fleet::{fnv1a64, splitmix64, CommitOutcome, FailOutcome, FleetPolicy, JobTable};
 use crate::progress::ProgressTracker;
 use crate::Characterizer;
 use rh_softmc::CancelToken;
 use serde::{Deserialize, Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 use rh_obs::names;
 
-/// Current checkpoint schema version. Version 1 (PR 1) lacked the
-/// `TimedOut` status; its entries still decode, so we accept any
-/// version ≤ this and reject anything newer with a clear error.
-const CHECKPOINT_VERSION: u32 = 2;
+pub use crate::fleet::verify_checkpoint;
 
 /// Bounded-retry policy with deterministic exponential backoff.
 ///
@@ -77,27 +82,13 @@ impl RetryPolicy {
             .saturating_mul(1u64 << shift)
             .min(self.max_backoff_ms);
         let jitter_frac = self.jitter_frac.clamp(0.0, 1.0);
-        let z = splitmix(self.seed ^ fnv1a(module_id) ^ u64::from(retry).rotate_left(40));
+        let z = splitmix64(
+            self.seed ^ fnv1a64(module_id.as_bytes()) ^ u64::from(retry).rotate_left(40),
+        );
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + jitter_frac * (2.0 * unit - 1.0);
         (exp as f64 * factor).round() as u64
     }
-}
-
-fn splitmix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// How one module's characterization ended.
@@ -271,20 +262,6 @@ pub fn module_id(mfr: rh_dram::Manufacturer, module_seed: u64) -> String {
     format!("{mfr:?}-{module_seed:016x}")
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointEntry {
-    id: String,
-    outcome: ModuleOutcome,
-    /// The serialized result for successful modules.
-    result: Option<Value>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Checkpoint {
-    version: u32,
-    entries: Vec<CheckpointEntry>,
-}
-
 /// Runs module tasks on the supervised worker pool with bounded retry,
 /// quarantine, deadlines, cooperative cancellation, and optional
 /// checkpoint/resume. See the [module docs](self).
@@ -382,17 +359,15 @@ impl CampaignRunner {
         T: Send + Serialize + Deserialize,
         F: Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
     {
+        let policy = FleetPolicy { retry: self.policy.clone(), ..FleetPolicy::default() };
+        let mut table = JobTable::new(policy);
+        for task in &tasks {
+            table.add_job(task.id.clone(), Value::Null);
+        }
         if let Some(path) = &self.checkpoint {
-            clean_stale_tmp(path);
+            table.with_checkpoint(path)?;
         }
-        let prior = match &self.checkpoint {
-            Some(path) => load_checkpoint(path)?,
-            None => Vec::new(),
-        };
-        if !prior.is_empty() {
-            rh_obs::event!(names::CAMPAIGN_CHECKPOINT_LOADED, entries = prior.len());
-        }
-        let store = Mutex::new(prior);
+        let table = Mutex::new(table);
 
         if let Some(progress) = &self.progress {
             progress.add_modules(tasks.len());
@@ -405,106 +380,72 @@ impl CampaignRunner {
         let deadline_ms =
             self.executor.module_deadline.map_or(0, |d| d.as_millis() as u64);
 
-        let slots: Vec<(ModuleOutcome, Option<Value>)> = executor::supervise(
+        // A slot's decision is `Some(elapsed)` when the watchdog timed
+        // the module out; the table records everything else.
+        executor::supervise(
             &self.executor,
             &campaign_token,
             tasks.len(),
-            // Normal path: resume from the checkpoint or run the
-            // bounded-retry loop under the task's own token.
+            // Normal path: skip a module the checkpoint already
+            // finished, or run its attempts under the task's own token.
             |idx, token| {
                 let task = &tasks[idx];
                 let _running = self.progress.as_ref().map(ProgressTracker::running_guard);
-                let resumed = {
-                    let guard = store.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.iter().find(|e| e.id == task.id).cloned()
-                };
-                if let Some(entry) = resumed {
-                    rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = entry.id.as_str());
-                    return (entry.outcome, entry.result);
+                // The table states an unfinished job as `Cancelled`.
+                if matches!(lock(&table).status(&task.id), ModuleStatus::Cancelled { .. }) {
+                    self.run_one(task, &f, token, &table);
+                } else {
+                    rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = task.id.as_str());
                 }
-                self.run_one(task, &f, token)
+                None
             },
             // Watchdog path: the module overran its deadline.
-            |idx, elapsed| {
-                let task = &tasks[idx];
-                rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_TIMEOUT,
-                    module = task.id.as_str(),
-                    elapsed_ms = elapsed.as_millis() as u64,
-                    deadline_ms = deadline_ms,
-                );
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::TimedOut {
-                        elapsed_ms: elapsed.as_millis() as u64,
-                        deadline_ms,
-                    },
-                    errors: Vec::new(),
-                    backoffs_ms: Vec::new(),
-                };
-                (outcome, None)
-            },
+            |_idx, elapsed| Some(elapsed),
             // Cancelled while still queued: never ran at all.
             |idx| {
-                let task = &tasks[idx];
                 rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
                 rh_obs::event!(
                     names::CAMPAIGN_CANCELLED,
-                    module = task.id.as_str(),
+                    module = tasks[idx].id.as_str(),
                     ran = false,
                 );
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Cancelled { attempts: 0 },
-                    errors: Vec::new(),
-                    backoffs_ms: Vec::new(),
-                };
-                (outcome, None)
+                None
             },
             // Commit hook: runs exactly once per module on the deciding
-            // thread — persist the checkpoint and trip fail-fast.
-            |_idx, (outcome, value): &(ModuleOutcome, Option<Value>)| {
-                // Cancelled modules are deliberately *not* persisted:
-                // `--resume` must re-run exactly the unfinished work.
-                let persistable = !matches!(outcome.status, ModuleStatus::Cancelled { .. });
-                if persistable && self.checkpoint.is_some() {
-                    let mut guard = store.lock().unwrap_or_else(|e| e.into_inner());
-                    if !guard.iter().any(|e| e.id == outcome.id) {
-                        guard.push(CheckpointEntry {
-                            id: outcome.id.clone(),
-                            outcome: outcome.clone(),
-                            result: value.clone(),
-                        });
-                        if let Some(path) = &self.checkpoint {
-                            // Persist eagerly; a failed write only
-                            // degrades resumability, so don't kill
-                            // the in-flight campaign over it.
-                            let saved = save_checkpoint(path, &guard).is_ok();
+            // thread — apply a timeout, then report progress and trip
+            // fail-fast.
+            |idx, timed_out: &Option<Duration>| {
+                let id = tasks[idx].id.as_str();
+                let status = {
+                    let mut table = lock(&table);
+                    if let Some(elapsed) = timed_out {
+                        let elapsed_ms = elapsed.as_millis() as u64;
+                        if table.time_out(id, elapsed_ms, deadline_ms) {
+                            rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
                             rh_obs::event!(
-                                names::CAMPAIGN_CHECKPOINT_SAVED,
-                                entries = guard.len(),
-                                ok = saved,
+                                names::CAMPAIGN_TIMEOUT,
+                                module = id,
+                                elapsed_ms = elapsed_ms,
+                                deadline_ms = deadline_ms,
                             );
                         }
                     }
-                }
+                    table.status(id)
+                };
                 if let Some(progress) = &self.progress {
-                    progress.record_status(&outcome.status);
+                    progress.record_status(&status);
                 }
-                if self.fail_fast && !outcome.status.is_success() {
+                if self.fail_fast && !status.is_success() {
                     campaign_token.cancel();
                 }
             },
         );
 
-        let mut outcomes = Vec::with_capacity(slots.len());
+        let mut outcomes = Vec::with_capacity(tasks.len());
         let mut results = Vec::new();
-        for (outcome, value) in slots {
-            if outcome.status.is_success() {
-                let v = value.ok_or_else(|| CharError::Checkpoint {
-                    detail: format!("checkpoint entry for {} has no result", outcome.id),
-                })?;
+        let table = table.into_inner().unwrap_or_else(PoisonError::into_inner);
+        for (outcome, value) in table.outcomes() {
+            if let Some(v) = value {
                 let t = T::from_json_value(&v).map_err(|e| CharError::Checkpoint {
                     detail: format!("result for {} does not decode: {e}", outcome.id),
                 })?;
@@ -515,25 +456,26 @@ impl CampaignRunner {
         Ok(CampaignOutput { results, report: CampaignReport::from_outcomes(outcomes) })
     }
 
-    /// The bounded-retry loop for one module. Returns the outcome plus
-    /// the serialized result when successful.
+    /// One module over the in-process transport: every attempt is a
+    /// lease granted from `table`, answered with a commit or a failure
+    /// whose [`FailOutcome`] decides retry or quarantine. Stops early
+    /// when the token is cancelled or the watchdog has already decided
+    /// the module (its lease turned stale).
     fn run_one<T, F>(
         &self,
         task: &ModuleTask<'_>,
         f: &F,
         token: &CancelToken,
-    ) -> (ModuleOutcome, Option<Value>)
-    where
+        table: &Mutex<JobTable>,
+    ) where
         T: Serialize,
         F: Fn(&mut Characterizer) -> Result<T, CharError>,
     {
-        let max_attempts = self.policy.max_attempts.max(1);
         let mut span = rh_obs::span(names::CAMPAIGN_MODULE);
         let _module_timer = rh_obs::timer!(names::CAMPAIGN_MODULE_NS);
         span.set("module", task.id.as_str());
-        let mut errors = Vec::new();
-        let mut backoffs_ms = Vec::new();
-        for attempt in 1..=max_attempts {
+        let mut attempt = 0;
+        let status = loop {
             if token.is_cancelled() {
                 rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
                 rh_obs::event!(
@@ -541,16 +483,10 @@ impl CampaignRunner {
                     module = task.id.as_str(),
                     ran = true,
                 );
-                span.set("attempts", attempt - 1);
-                span.set("status", "cancelled");
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Cancelled { attempts: attempt - 1 },
-                    errors,
-                    backoffs_ms,
-                };
-                return (outcome, None);
+                break "cancelled";
             }
+            let Ok(grant) = lock(table).grant(&task.id, "local", 0) else { break "timed_out" };
+            attempt = grant.generation;
             let attempt_result = {
                 let mut attempt_span = rh_obs::span(names::CAMPAIGN_ATTEMPT);
                 attempt_span.set("module", task.id.as_str());
@@ -561,31 +497,15 @@ impl CampaignRunner {
                     })
                 })
             };
-            if let Err(e) = &attempt_result {
-                if e.is_cancelled() {
-                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                    rh_obs::event!(
-                        names::CAMPAIGN_CANCELLED,
-                        module = task.id.as_str(),
-                        ran = true,
-                        op = e.to_string(),
-                    );
-                    span.set("attempts", attempt);
-                    span.set("status", "cancelled");
-                    let outcome = ModuleOutcome {
-                        id: task.id.clone(),
-                        status: ModuleStatus::Cancelled { attempts: attempt },
-                        errors,
-                        backoffs_ms,
-                    };
-                    return (outcome, None);
-                }
-            }
             let err = match attempt_result {
                 Ok(t) => {
-                    let status = if attempt == 1 {
+                    if lock(table).commit(grant.lease_id, t.to_json_value())
+                        != CommitOutcome::Committed
+                    {
+                        break "timed_out";
+                    }
+                    if attempt == 1 {
                         rh_obs::counter(names::CAMPAIGN_SUCCEEDED, 1);
-                        ModuleStatus::Succeeded
                     } else {
                         rh_obs::counter(names::CAMPAIGN_RECOVERED, 1);
                         rh_obs::event!(
@@ -593,134 +513,55 @@ impl CampaignRunner {
                             module = task.id.as_str(),
                             attempts = attempt,
                         );
-                        ModuleStatus::Recovered { attempts: attempt }
-                    };
-                    span.set("attempts", attempt);
-                    span.set("status", "success");
-                    let outcome = ModuleOutcome {
-                        id: task.id.clone(),
-                        status,
-                        errors,
-                        backoffs_ms,
-                    };
-                    return (outcome, Some(t.to_json_value()));
+                    }
+                    break "success";
+                }
+                Err(e) if e.is_cancelled() => {
+                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_CANCELLED,
+                        module = task.id.as_str(),
+                        ran = true,
+                        op = e.to_string(),
+                    );
+                    break "cancelled";
                 }
                 Err(e) => e,
             };
-            errors.push(err.to_string());
-            if attempt == max_attempts || !err.is_transient() {
-                rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_QUARANTINE_EVENT,
-                    module = task.id.as_str(),
-                    attempts = attempt,
-                    transient = err.is_transient(),
-                    error = err.to_string(),
-                );
-                span.set("attempts", attempt);
-                span.set("status", "quarantined");
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Quarantined {
-                        attempts: attempt,
-                        error: err.to_string(),
-                    },
-                    errors,
-                    backoffs_ms,
-                };
-                return (outcome, None);
+            let error = err.to_string();
+            // Bound first, so the lock is released before any backoff sleep.
+            let outcome = lock(table).fail(grant.lease_id, &error, err.is_transient(), 0);
+            match outcome {
+                FailOutcome::Retrying { backoff_ms } => {
+                    rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_RETRY_EVENT,
+                        module = task.id.as_str(),
+                        attempt = attempt,
+                        backoff_ms = backoff_ms,
+                        error = error,
+                    );
+                    if self.wait_backoff {
+                        std::thread::sleep(Duration::from_millis(backoff_ms));
+                    }
+                }
+                FailOutcome::Quarantined => {
+                    rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_QUARANTINE_EVENT,
+                        module = task.id.as_str(),
+                        attempts = attempt,
+                        transient = err.is_transient(),
+                        error = error,
+                    );
+                    break "quarantined";
+                }
+                FailOutcome::Stale => break "timed_out",
             }
-            let backoff = self.policy.backoff_ms(&task.id, attempt);
-            rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
-            rh_obs::event!(
-                names::CAMPAIGN_RETRY_EVENT,
-                module = task.id.as_str(),
-                attempt = attempt,
-                backoff_ms = backoff,
-                error = err.to_string(),
-            );
-            backoffs_ms.push(backoff);
-            if self.wait_backoff {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
-        }
-        unreachable!("retry loop always returns from its final attempt")
+        };
+        span.set("attempts", attempt);
+        span.set("status", status);
     }
-}
-
-/// Removes a stale `*.tmp` left behind by a crash between
-/// `save_checkpoint`'s write and rename. The rename is atomic, so the
-/// real checkpoint is either the previous complete save or the new
-/// one — the orphan is always safe to delete.
-fn clean_stale_tmp(path: &Path) {
-    let tmp = path.with_extension("tmp");
-    if tmp.exists() && std::fs::remove_file(&tmp).is_ok() {
-        rh_obs::event!(names::CAMPAIGN_CHECKPOINT_STALE_TMP, path = tmp.display().to_string());
-    }
-}
-
-/// Loads a checkpoint and returns its entry count — the "is this file
-/// still usable?" probe shutdown paths and the soak harness use.
-///
-/// # Errors
-///
-/// [`CharError::Checkpoint`] for unreadable, corrupt, or
-/// future-versioned files. A missing file is `Ok(0)` (a campaign that
-/// never saved is trivially resumable).
-pub fn verify_checkpoint(path: &Path) -> Result<usize, CharError> {
-    load_checkpoint(path).map(|entries| entries.len())
-}
-
-fn load_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, CharError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(CharError::Checkpoint { detail: format!("read {}: {e}", path.display()) })
-        }
-    };
-    let value: Value = serde_json::from_str(&text).map_err(|e| CharError::Checkpoint {
-        detail: format!("parse {}: {e}", path.display()),
-    })?;
-    // Check the version *before* decoding the whole structure, so a
-    // checkpoint from a newer schema fails with "written by version 3,
-    // this build reads ≤ 2" instead of an opaque serde error about
-    // whichever field changed.
-    match value.field("version").as_u64() {
-        Some(v) if v > u64::from(CHECKPOINT_VERSION) => {
-            return Err(CharError::Checkpoint {
-                detail: format!(
-                    "{} was written by checkpoint schema version {v}; this build reads \
-                     versions <= {CHECKPOINT_VERSION} — rerun without --resume or upgrade",
-                    path.display()
-                ),
-            });
-        }
-        Some(_) => {}
-        None => {
-            return Err(CharError::Checkpoint {
-                detail: format!("{} has no checkpoint version field", path.display()),
-            });
-        }
-    }
-    let cp = Checkpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
-        detail: format!("decode {}: {e}", path.display()),
-    })?;
-    Ok(cp.entries)
-}
-
-fn save_checkpoint(path: &Path, entries: &[CheckpointEntry]) -> Result<(), CharError> {
-    let cp = Checkpoint { version: CHECKPOINT_VERSION, entries: entries.to_vec() };
-    let bytes = serde_json::to_vec_pretty(&cp.to_json_value()).map_err(|e| {
-        CharError::Checkpoint { detail: format!("serialize checkpoint: {e}") }
-    })?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| CharError::Checkpoint {
-        detail: format!("write {}: {e}", tmp.display()),
-    })?;
-    std::fs::rename(&tmp, path).map_err(|e| CharError::Checkpoint {
-        detail: format!("rename {} -> {}: {e}", tmp.display(), path.display()),
-    })
 }
 
 #[cfg(test)]
@@ -761,6 +602,20 @@ mod tests {
             (1..=8).map(|r| policy.backoff_ms("B-0001", r)).collect::<Vec<_>>(),
             "modules get independent jitter"
         );
+    }
+
+    #[test]
+    fn backoff_schedule_values_are_pinned() {
+        let mut got = Vec::new();
+        for seed in [0, 42] {
+            let policy = RetryPolicy { seed, ..RetryPolicy::default() };
+            for module in ["A-0001", "B-0001"] {
+                got.push((1..=3).map(|r| policy.backoff_ms(module, r)).collect::<Vec<_>>());
+            }
+        }
+        // Seed 0: A-0001, B-0001; seed 42: A-0001, B-0001.
+        let want = [[85, 231, 401], [117, 240, 357], [107, 153, 303], [98, 214, 479]];
+        assert_eq!(got, want.map(Vec::from).to_vec());
     }
 
     #[test]
@@ -1084,6 +939,95 @@ mod tests {
         assert_eq!(out.report.quarantined, 1);
         assert_eq!(out.report.cancelled, 3, "{:?}", out.report);
         assert!(out.results.is_empty());
+    }
+
+    #[test]
+    fn campaign_checkpoint_resumes_a_job_table_to_identical_outcomes() {
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join("rh-campaign-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("to-table-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        // Seeds 80..83: succeeded, recovered after one transient
+        // failure, quarantined by a dead module, and wedged until the
+        // watchdog times it out.
+        let mut tasks: Vec<ModuleTask<'static>> = (80..83u64).map(smoke_task).collect();
+        tasks.push(ModuleTask::new(module_id(Manufacturer::D, 83), |_attempt, token| {
+            while !token.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(CharError::Cancelled { op: "wedged build".into() })
+        }));
+        let flaked = AtomicU32::new(0);
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(4).with_deadline(Duration::from_secs(8)))
+            .with_checkpoint(&path)
+            .run(tasks, |ch| match ch.bench().module_seed() {
+                81 if flaked.fetch_add(1, Ordering::SeqCst) == 0 => Err(transient()),
+                82 => Err(CharError::Infra(rh_softmc::SoftMcError::Unresponsive { after_ops: 1 })),
+                seed => Ok(seed),
+            })
+            .unwrap();
+        let statuses: Vec<_> = out.report.outcomes.iter().map(|o| o.status.clone()).collect();
+        assert_eq!(statuses[..2], [ModuleStatus::Succeeded, ModuleStatus::Recovered { attempts: 2 }]);
+        assert!(matches!(statuses[2], ModuleStatus::Quarantined { attempts: 1, .. }));
+        assert!(matches!(statuses[3], ModuleStatus::TimedOut { deadline_ms: 8_000, .. }));
+
+        let mut table = JobTable::new(FleetPolicy::default());
+        for o in &out.report.outcomes {
+            table.add_job(o.id.clone(), Value::Null);
+        }
+        table.with_checkpoint(&path).unwrap();
+        assert!(table.is_done());
+        let (outcomes, values): (Vec<_>, Vec<_>) = table.outcomes().into_iter().unzip();
+        assert_eq!(outcomes, out.report.outcomes);
+        let results: Vec<(String, u64)> = outcomes
+            .iter()
+            .zip(values)
+            .filter_map(|(o, v)| Some((o.id.clone(), u64::from_json_value(&v?).unwrap())))
+            .collect();
+        assert_eq!(results, out.results);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn job_table_checkpoint_resumes_campaign_without_rerunning() {
+        let dir = std::env::temp_dir().join("rh-campaign-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("from-table-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        let ids: Vec<String> = (90..93u64).map(|seed| module_id(Manufacturer::D, seed)).collect();
+        let mut table = JobTable::new(FleetPolicy::default());
+        for id in &ids {
+            table.add_job(id.clone(), Value::Null);
+        }
+        table.with_checkpoint(&path).unwrap();
+        let g = table.grant(&ids[0], "w1", 0).unwrap();
+        assert_eq!(table.commit(g.lease_id, 90u64.to_json_value()), CommitOutcome::Committed);
+        let g = table.grant(&ids[1], "w1", 0).unwrap();
+        assert!(matches!(table.fail(g.lease_id, "flake", true, 0), FailOutcome::Retrying { .. }));
+        let g = table.grant(&ids[1], "w2", 0).unwrap();
+        assert_eq!(table.commit(g.lease_id, 91u64.to_json_value()), CommitOutcome::Committed);
+        let g = table.grant(&ids[2], "w1", 0).unwrap();
+        assert_eq!(table.fail(g.lease_id, "module unresponsive", false, 0), FailOutcome::Quarantined);
+
+        let tasks = ids
+            .iter()
+            .map(|id| ModuleTask::new(id.clone(), |_, _| panic!("resume must not rebuild a module")))
+            .collect();
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_checkpoint(&path)
+            .run(tasks, |_| panic!("resume must not re-run a module"))
+            .unwrap();
+        assert_eq!(out.results, vec![(ids[0].clone(), 90), (ids[1].clone(), 91)]);
+        let want: Vec<_> = table.outcomes().into_iter().map(|(o, _)| o).collect();
+        assert_eq!(out.report.outcomes, want);
+        assert_eq!(out.report.outcomes[1].status, ModuleStatus::Recovered { attempts: 2 });
+        assert_eq!(out.report.outcomes[1].backoffs_ms.len(), 1);
+        assert_eq!(out.report.quarantined, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -91,7 +91,7 @@ struct Slot<R> {
 
 /// Recovers from a poisoned lock: the protected state here is plain
 /// data (no invariants broken mid-update matters for supervision).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -1,12 +1,18 @@
-//! Fleet coordination: the job table and lease state machine behind
-//! `repro fleet`.
+//! The job table: the one state machine behind every campaign, in
+//! process (`CampaignRunner`) or across a fleet (`repro fleet`).
 //!
 //! A campaign at characterization-as-a-service scale (ROADMAP item 1)
 //! outgrows one process: modules are sharded across worker processes,
-//! and workers die — cleanly, or with `kill -9` mid-job. This module
-//! is the *pure* core of the coordinator: a [`JobTable`] that hands
-//! out work under **leases** and guarantees that every module commits
-//! **exactly one** result no matter how many workers raced on it.
+//! and workers die — cleanly, or with `kill -9` mid-job. The
+//! [`JobTable`] hands out work under **leases**, decides retry,
+//! backoff, quarantine and timeout, records every module's outcome,
+//! and guarantees that every module commits **exactly one** result no
+//! matter how many workers raced on it. It has two transports:
+//! [`CampaignRunner`](crate::CampaignRunner) runs each lease on an
+//! in-process executor slot, and `rh_bench::fleet` ships leases to
+//! `repro serve` workers over HTTP. Each transport emits its own
+//! telemetry (`campaign.*` or `fleet.*`); the table emits only what
+//! is common to both, such as checkpoint saves.
 //!
 //! # The lease state machine (DESIGN.md §11)
 //!
@@ -23,9 +29,12 @@
 //!    └── re-grant = *re-dispatch* (generation += 1)
 //! ```
 //!
-//! Terminal phases are `Committed` (a result landed from the lease
-//! that currently owns the job) and `Quarantined` (attempt budget
-//! exhausted, or a non-transient worker error).
+//! A job ends in one terminal phase holding its [`ModuleStatus`]:
+//! committed (`Succeeded`/`Recovered`, a result landed from the lease
+//! that currently owns the job), `Quarantined` (attempt budget
+//! exhausted, or a non-transient error), or `TimedOut` (the in-process
+//! watchdog killed it at its deadline). A job still pending or leased
+//! when its campaign stops reports as `Cancelled`.
 //!
 //! # The at-most-once commit rule
 //!
@@ -39,24 +48,30 @@
 //!
 //! # Crash-resume
 //!
-//! [`JobTable::save_checkpoint`] persists committed and quarantined
-//! entries (plus attempt counts) through the same
-//! versioned-JSON/atomic-rename machinery as campaign checkpoints.
-//! In-flight leases are deliberately *not* persisted: a restarted
-//! coordinator re-runs exactly the work that was in flight, and
-//! nothing else.
+//! With [`JobTable::with_checkpoint`] the table persists its terminal
+//! entries after every terminal transition, in the one checkpoint
+//! format both transports share: `{version, entries: [{id, outcome,
+//! result}]}`, where `outcome` is the module's [`ModuleOutcome`].
+//! Writes go through a tmp file and an atomic rename. In-flight leases
+//! are deliberately *not* persisted: a resumed campaign re-runs exactly
+//! the work that was in flight, and nothing else. A resume applies only
+//! the entries whose module is in the current job set.
 //!
 //! All methods take the current time as a parameter (`now_ms`), so
 //! the whole state machine is deterministic under test.
 
-use crate::campaign::RetryPolicy;
+use crate::campaign::{ModuleOutcome, ModuleStatus, RetryPolicy};
 use crate::error::CharError;
 use rh_obs::names;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
-/// Current fleet checkpoint schema version.
-const FLEET_CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint schema version. Version 1 campaign files lacked
+/// the `TimedOut` status; their entries still decode, so we accept any
+/// version ≤ this and reject anything newer with a clear error. (The
+/// retired fleet format was also version 1, but its entries have no
+/// `outcome` and fail to decode.)
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Liveness of an active lease, driven by heartbeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,7 +103,7 @@ pub struct Lease {
 }
 
 /// Where one job is in its lifecycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 enum JobPhase {
     /// Ready to grant once `now >= not_before_ms`.
     Pending {
@@ -97,24 +112,13 @@ enum JobPhase {
     },
     /// Owned by an active lease.
     Leased(Lease),
-    /// A result committed; `generation` records the winning lease.
-    Committed {
-        /// Generation of the lease whose result won.
-        generation: u32,
-        /// The committed result payload.
-        result: Value,
-    },
-    /// Attempt budget exhausted or non-transient error.
-    Quarantined {
-        /// Grants consumed before giving up.
-        attempts: u32,
-        /// Final error, rendered.
-        error: String,
-    },
+    /// Terminal. `result` is the committed payload, present exactly
+    /// when `status` is a success.
+    Done { status: ModuleStatus, result: Option<Value> },
 }
 
 /// One job: a module plus its dispatch history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Job {
     module_id: String,
     /// Opaque work description; the worker interprets it.
@@ -124,6 +128,8 @@ struct Job {
     phase: JobPhase,
     /// One rendered error per failed attempt.
     errors: Vec<String>,
+    /// Scheduled backoff (ms) before each retry.
+    backoffs_ms: Vec<u64>,
     /// Replay token minted when the result committed (see
     /// [`ReplayToken`]); `None` until then, and forever for payloads
     /// that do not describe a replayable workload.
@@ -453,8 +459,9 @@ impl BreakerState {
     }
 }
 
-/// SplitMix64 finalizer for the deterministic cooldown jitter.
-fn breaker_mix(seed: u64) -> u64 {
+/// SplitMix64 finalizer: the deterministic jitter behind retry backoffs
+/// and breaker cooldowns.
+pub(crate) fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -618,11 +625,11 @@ impl CircuitBreaker {
             .max(1);
         let mut h = self.policy.jitter_seed ^ u64::from(trip).wrapping_mul(0xA24B_AED4_963E_E407);
         for b in self.worker.bytes() {
-            h = breaker_mix(h ^ u64::from(b));
+            h = splitmix64(h ^ u64::from(b));
         }
         // Map the draw onto [-25%, +25%] of base.
         let span = base / 2;
-        let jitter = if span == 0 { 0 } else { breaker_mix(h) % (span + 1) };
+        let jitter = if span == 0 { 0 } else { splitmix64(h) % (span + 1) };
         base - span / 2 + jitter
     }
 
@@ -660,8 +667,10 @@ impl Default for FleetPolicy {
     }
 }
 
-/// The coordinator's authoritative job/lease/commit state. Pure and
-/// clock-injected; the HTTP loop around it lives in `rh-bench`.
+/// The authoritative job/lease/commit state of a campaign. Pure and
+/// clock-injected; its transports are
+/// [`CampaignRunner`](crate::CampaignRunner) and the HTTP loop in
+/// `rh-bench`.
 #[derive(Debug)]
 pub struct JobTable {
     jobs: Vec<Job>,
@@ -734,6 +743,7 @@ impl JobTable {
             attempts: 0,
             phase: JobPhase::Pending { not_before_ms: 0 },
             errors: Vec::new(),
+            backoffs_ms: Vec::new(),
             token: None,
         });
     }
@@ -744,11 +754,11 @@ impl JobTable {
         &self.policy
     }
 
-    /// Persists a checkpoint to `path` after every commit/quarantine
-    /// and — if the file already exists — resumes from it now:
-    /// committed and quarantined entries are applied to matching
-    /// jobs, everything else (including work that was in flight when
-    /// the previous coordinator died) stays pending and re-runs.
+    /// Persists a checkpoint to `path` after every terminal transition
+    /// and — if the file already exists — resumes from it now: entries
+    /// whose module is in the job set are applied to it, everything
+    /// else (including work that was in flight when the previous run
+    /// died) stays pending and re-runs.
     ///
     /// Call after [`add_job`](Self::add_job)ing the full campaign.
     ///
@@ -759,37 +769,26 @@ impl JobTable {
     pub fn with_checkpoint(&mut self, path: impl Into<PathBuf>) -> Result<(), CharError> {
         let path = path.into();
         clean_stale_tmp(&path);
-        let entries = load_fleet_checkpoint(&path)?;
+        let entries = load_checkpoint(&path)?;
         if !entries.is_empty() {
-            rh_obs::event!(names::FLEET_CHECKPOINT_LOADED, entries = entries.len());
+            rh_obs::event!(names::CAMPAIGN_CHECKPOINT_LOADED, entries = entries.len());
         }
         for entry in entries {
-            if let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == entry.id) {
-                job.attempts = entry.attempts;
-                job.errors = entry.errors;
-                self.redispatches += u64::from(entry.attempts.saturating_sub(1));
-                job.phase = match (entry.status.as_str(), entry.result) {
-                    ("committed", Some(result)) => {
-                        // Re-mint the replay token rather than persist
-                        // it: payload and result are both in hand, and
-                        // a resumed run is by definition local to this
-                        // incarnation (trace 0).
-                        job.token = mint_replay_token(
-                            &job.payload,
-                            &result,
-                            &self.net_plan,
-                            self.net_seed,
-                            0,
-                        );
-                        JobPhase::Committed { generation: entry.generation, result }
-                    }
-                    ("quarantined", _) => JobPhase::Quarantined {
-                        attempts: entry.attempts,
-                        error: entry.error.unwrap_or_default(),
-                    },
-                    _ => JobPhase::Pending { not_before_ms: 0 },
-                };
-            }
+            let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == entry.id) else {
+                continue;
+            };
+            // Every retry scheduled one backoff.
+            job.attempts = entry.outcome.backoffs_ms.len() as u32 + 1;
+            self.redispatches += u64::from(job.attempts - 1);
+            // Re-mint the replay token rather than persist it: payload
+            // and result are both in hand, and a resumed run is by
+            // definition local to this incarnation (trace 0).
+            job.token = entry.result.as_ref().and_then(|result| {
+                mint_replay_token(&job.payload, result, &self.net_plan, self.net_seed, 0)
+            });
+            job.errors = entry.outcome.errors;
+            job.backoffs_ms = entry.outcome.backoffs_ms;
+            job.phase = JobPhase::Done { status: entry.outcome.status, result: entry.result };
         }
         self.checkpoint = Some(path);
         Ok(())
@@ -860,18 +859,9 @@ impl JobTable {
             missed_heartbeats: 0,
         });
         self.grants.push((lease_id, idx, generation));
-        rh_obs::counter(names::FLEET_DISPATCH, 1);
         if generation > 1 {
             self.redispatches += 1;
-            rh_obs::counter(names::FLEET_REDISPATCH, 1);
         }
-        rh_obs::event!(
-            names::FLEET_GRANT_EVENT,
-            module = module_id.to_string(),
-            worker = worker.to_string(),
-            lease = lease_id,
-            generation = generation
-        );
         Ok(JobGrant {
             module_id: module_id.to_string(),
             payload: job.payload.clone(),
@@ -947,12 +937,11 @@ impl JobTable {
         job.errors.push(error.to_string());
         if transient && job.attempts < max_attempts {
             let backoff_ms = retry.backoff_ms(&job.module_id, job.attempts);
+            job.backoffs_ms.push(backoff_ms);
             job.phase = JobPhase::Pending { not_before_ms: now_ms + backoff_ms };
             FailOutcome::Retrying { backoff_ms }
         } else {
-            job.phase =
-                JobPhase::Quarantined { attempts: job.attempts, error: error.to_string() };
-            rh_obs::counter(names::FLEET_QUARANTINED, 1);
+            job.quarantine(error.to_string());
             self.save_if_configured();
             FailOutcome::Quarantined
         }
@@ -990,14 +979,11 @@ impl JobTable {
                 lease.lease_id, lease.worker, job.attempts
             ));
             if info.quarantined {
-                job.phase = JobPhase::Quarantined {
-                    attempts: job.attempts,
-                    error: "lease expired; attempt budget exhausted".to_string(),
-                };
-                rh_obs::counter(names::FLEET_QUARANTINED, 1);
+                job.quarantine("lease expired; attempt budget exhausted".to_string());
                 any_quarantined = true;
             } else {
                 let backoff_ms = retry.backoff_ms(&job.module_id, job.attempts);
+                job.backoffs_ms.push(backoff_ms);
                 job.phase = JobPhase::Pending { not_before_ms: now_ms + backoff_ms };
             }
             expired.push(info);
@@ -1015,15 +1001,11 @@ impl JobTable {
         let Some(&(_, idx, generation)) =
             self.grants.iter().find(|(id, _, _)| *id == lease_id)
         else {
-            rh_obs::counter(names::FLEET_DUPLICATE, 1);
             return CommitOutcome::Stale;
         };
         let job = &mut self.jobs[idx];
         match &job.phase {
-            JobPhase::Committed { .. } => {
-                rh_obs::counter(names::FLEET_DUPLICATE, 1);
-                CommitOutcome::Duplicate
-            }
+            JobPhase::Done { result: Some(_), .. } => CommitOutcome::Duplicate,
             JobPhase::Leased(lease) if lease.lease_id == lease_id => {
                 let trace_id = self
                     .traces
@@ -1032,26 +1014,42 @@ impl JobTable {
                     .map_or(0, |&(_, t)| t);
                 job.token =
                     mint_replay_token(&job.payload, &result, &self.net_plan, self.net_seed, trace_id);
-                job.phase = JobPhase::Committed { generation, result };
-                rh_obs::counter(names::FLEET_COMMIT, 1);
+                let status = if generation == 1 {
+                    ModuleStatus::Succeeded
+                } else {
+                    ModuleStatus::Recovered { attempts: generation }
+                };
+                job.phase = JobPhase::Done { status, result: Some(result) };
                 self.save_if_configured();
                 CommitOutcome::Committed
             }
-            // The job moved on: expired & re-leased, re-pending, or
-            // quarantined. The zombie's reply is dropped.
-            _ => {
-                rh_obs::counter(names::FLEET_DUPLICATE, 1);
-                CommitOutcome::Stale
-            }
+            // The job moved on: expired & re-leased, re-pending,
+            // quarantined or timed out. The zombie's reply is dropped.
+            _ => CommitOutcome::Stale,
         }
+    }
+
+    /// Ends `module_id` as `TimedOut` unless it already reached a
+    /// terminal phase; the in-process watchdog calls this at the
+    /// module's deadline. Any lease it held turns stale. Returns whether
+    /// the job timed out.
+    pub fn time_out(&mut self, module_id: &str, elapsed_ms: u64, deadline_ms: u64) -> bool {
+        let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == module_id) else {
+            return false;
+        };
+        if matches!(job.phase, JobPhase::Done { .. }) {
+            return false;
+        }
+        let status = ModuleStatus::TimedOut { elapsed_ms, deadline_ms };
+        job.phase = JobPhase::Done { status, result: None };
+        self.save_if_configured();
+        true
     }
 
     /// Whether every job reached a terminal phase.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.jobs
-            .iter()
-            .all(|j| matches!(j.phase, JobPhase::Committed { .. } | JobPhase::Quarantined { .. }))
+        self.jobs.iter().all(|j| matches!(j.phase, JobPhase::Done { .. }))
     }
 
     /// Jobs admitted.
@@ -1063,12 +1061,7 @@ impl JobTable {
     /// Jobs in a terminal phase.
     #[must_use]
     pub fn done_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| {
-                matches!(j.phase, JobPhase::Committed { .. } | JobPhase::Quarantined { .. })
-            })
-            .count()
+        self.jobs.iter().filter(|j| matches!(j.phase, JobPhase::Done { .. })).count()
     }
 
     /// Active leases, for the poll loop: `(lease_id, worker, state)`.
@@ -1104,11 +1097,11 @@ impl JobTable {
         let mut outcomes = Vec::new();
         for job in &self.jobs {
             let status = match &job.phase {
-                JobPhase::Committed { result, .. } => {
+                JobPhase::Done { result: Some(result), .. } => {
                     results.push((job.module_id.clone(), result.clone()));
                     "committed"
                 }
-                JobPhase::Quarantined { .. } => "quarantined",
+                JobPhase::Done { .. } => "quarantined",
                 _ => "pending",
             };
             outcomes.push(FleetModuleOutcome {
@@ -1132,6 +1125,23 @@ impl JobTable {
         }
     }
 
+    /// How `module_id` stands: its terminal status, or `Cancelled` with
+    /// the attempts started so far while it is still pending or leased.
+    #[must_use]
+    pub fn status(&self, module_id: &str) -> ModuleStatus {
+        self.jobs
+            .iter()
+            .find(|j| j.module_id == module_id)
+            .map_or(ModuleStatus::Cancelled { attempts: 0 }, Job::status)
+    }
+
+    /// Every job's [`ModuleOutcome`] and committed result, in input
+    /// order, as [`status`](Self::status) states them.
+    #[must_use]
+    pub fn outcomes(&self) -> Vec<(ModuleOutcome, Option<Value>)> {
+        self.jobs.iter().map(|j| (j.outcome(), j.result().cloned())).collect()
+    }
+
     fn active_lease_index(&self, lease_id: u64) -> Option<usize> {
         self.jobs.iter().position(
             |j| matches!(&j.phase, JobPhase::Leased(l) if l.lease_id == lease_id),
@@ -1146,89 +1156,73 @@ impl JobTable {
     }
 
     fn save_if_configured(&self) {
-        if let Some(path) = &self.checkpoint {
-            match self.save_checkpoint(path) {
-                Ok(entries) => {
-                    rh_obs::event!(names::FLEET_CHECKPOINT_SAVED, entries = entries, ok = true);
-                }
-                Err(e) => {
-                    rh_obs::event!(
-                        names::FLEET_CHECKPOINT_SAVED,
-                        entries = 0usize,
-                        ok = false,
-                        error = e.to_string()
-                    );
-                }
-            }
+        let Some(path) = &self.checkpoint else { return };
+        let entries = self
+            .jobs
+            .iter()
+            .filter(|j| matches!(j.phase, JobPhase::Done { .. }))
+            .map(|j| CheckpointEntry {
+                id: j.module_id.clone(),
+                outcome: j.outcome(),
+                result: j.result().cloned(),
+            })
+            .collect();
+        let cp = Checkpoint { version: CHECKPOINT_VERSION, entries };
+        // A failed write only degrades resumability, so it never stops
+        // the campaign.
+        let saved = save_checkpoint(path, &cp).is_ok();
+        rh_obs::event!(names::CAMPAIGN_CHECKPOINT_SAVED, entries = cp.entries.len(), ok = saved);
+    }
+}
+
+impl Job {
+    fn quarantine(&mut self, error: String) {
+        let status = ModuleStatus::Quarantined { attempts: self.attempts, error };
+        self.phase = JobPhase::Done { status, result: None };
+    }
+
+    fn status(&self) -> ModuleStatus {
+        match &self.phase {
+            JobPhase::Done { status, .. } => status.clone(),
+            _ => ModuleStatus::Cancelled { attempts: self.attempts },
         }
     }
 
-    /// Writes the terminal entries (committed + quarantined) to
-    /// `path` via tmp-write + atomic rename. In-flight leases are not
-    /// persisted by design.
-    ///
-    /// # Errors
-    ///
-    /// [`CharError::Checkpoint`] on serialization or I/O failure.
-    pub fn save_checkpoint(&self, path: &Path) -> Result<usize, CharError> {
-        let entries: Vec<FleetCheckpointEntry> = self
-            .jobs
-            .iter()
-            .filter_map(|job| match &job.phase {
-                JobPhase::Committed { generation, result } => Some(FleetCheckpointEntry {
-                    id: job.module_id.clone(),
-                    status: "committed".to_string(),
-                    attempts: job.attempts,
-                    generation: *generation,
-                    errors: job.errors.clone(),
-                    result: Some(result.clone()),
-                    error: None,
-                }),
-                JobPhase::Quarantined { attempts, error } => Some(FleetCheckpointEntry {
-                    id: job.module_id.clone(),
-                    status: "quarantined".to_string(),
-                    attempts: *attempts,
-                    generation: 0,
-                    errors: job.errors.clone(),
-                    result: None,
-                    error: Some(error.clone()),
-                }),
-                _ => None,
-            })
-            .collect();
-        let count = entries.len();
-        let cp = FleetCheckpoint { version: FLEET_CHECKPOINT_VERSION, entries };
-        let bytes = serde_json::to_vec_pretty(&cp.to_json_value()).map_err(|e| {
-            CharError::Checkpoint { detail: format!("serialize fleet checkpoint: {e}") }
-        })?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes).map_err(|e| CharError::Checkpoint {
-            detail: format!("write {}: {e}", tmp.display()),
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| CharError::Checkpoint {
-            detail: format!("rename {} -> {}: {e}", tmp.display(), path.display()),
-        })?;
-        Ok(count)
+    fn result(&self) -> Option<&Value> {
+        match &self.phase {
+            JobPhase::Done { result, .. } => result.as_ref(),
+            _ => None,
+        }
+    }
+
+    fn outcome(&self) -> ModuleOutcome {
+        ModuleOutcome {
+            id: self.module_id.clone(),
+            status: self.status(),
+            errors: self.errors.clone(),
+            backoffs_ms: self.backoffs_ms.clone(),
+        }
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FleetCheckpointEntry {
+/// One persisted module: its outcome plus, for a success, the result.
+#[derive(Serialize, Deserialize)]
+struct CheckpointEntry {
     id: String,
-    status: String,
-    attempts: u32,
-    generation: u32,
-    errors: Vec<String>,
+    outcome: ModuleOutcome,
     result: Option<Value>,
-    error: Option<String>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FleetCheckpoint {
+#[derive(Serialize, Deserialize)]
+struct Checkpoint {
     version: u32,
-    entries: Vec<FleetCheckpointEntry>,
+    entries: Vec<CheckpointEntry>,
 }
 
+/// Removes a stale `*.tmp` left behind by a crash between
+/// `save_checkpoint`'s write and rename. The rename is atomic, so the
+/// real checkpoint is either the previous complete save or the new
+/// one — the orphan is always safe to delete.
 fn clean_stale_tmp(path: &Path) {
     let tmp = path.with_extension("tmp");
     if tmp.exists() && std::fs::remove_file(&tmp).is_ok() {
@@ -1236,17 +1230,19 @@ fn clean_stale_tmp(path: &Path) {
     }
 }
 
-/// Loads a fleet checkpoint, returning no entries for a missing file.
+/// Loads a checkpoint and returns its entry count — the "is this file
+/// still usable?" probe shutdown paths and the soak harness use.
 ///
 /// # Errors
 ///
 /// [`CharError::Checkpoint`] for unreadable, corrupt, or
-/// future-versioned files.
-pub fn verify_fleet_checkpoint(path: &Path) -> Result<usize, CharError> {
-    load_fleet_checkpoint(path).map(|entries| entries.len())
+/// future-versioned files. A missing file is `Ok(0)` (a campaign that
+/// never saved is trivially resumable).
+pub fn verify_checkpoint(path: &Path) -> Result<usize, CharError> {
+    load_checkpoint(path).map(|entries| entries.len())
 }
 
-fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharError> {
+fn load_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, CharError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -1257,12 +1253,16 @@ fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharE
     let value: Value = serde_json::from_str(&text).map_err(|e| CharError::Checkpoint {
         detail: format!("parse {}: {e}", path.display()),
     })?;
+    // Check the version *before* decoding the whole structure, so a
+    // checkpoint from a newer schema fails with "written by version 3,
+    // this build reads ≤ 2" instead of an opaque serde error about
+    // whichever field changed.
     match value.field("version").as_u64() {
-        Some(v) if v > u64::from(FLEET_CHECKPOINT_VERSION) => {
+        Some(v) if v > u64::from(CHECKPOINT_VERSION) => {
             return Err(CharError::Checkpoint {
                 detail: format!(
-                    "{} was written by fleet checkpoint schema version {v}; this build reads \
-                     versions <= {FLEET_CHECKPOINT_VERSION}",
+                    "{} was written by checkpoint schema version {v}; this build reads \
+                     versions <= {CHECKPOINT_VERSION} — rerun without --resume or upgrade",
                     path.display()
                 ),
             });
@@ -1274,10 +1274,33 @@ fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharE
             });
         }
     }
-    let cp = FleetCheckpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
+    let cp = Checkpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
         detail: format!("decode {}: {e}", path.display()),
     })?;
+    for entry in &cp.entries {
+        if entry.outcome.status.is_success() != entry.result.is_some() {
+            return Err(CharError::Checkpoint {
+                detail: format!(
+                    "checkpoint entry for {} must hold a result iff it succeeded",
+                    entry.id
+                ),
+            });
+        }
+    }
     Ok(cp.entries)
+}
+
+fn save_checkpoint(path: &Path, cp: &Checkpoint) -> Result<(), CharError> {
+    let bytes = serde_json::to_vec_pretty(&cp.to_json_value()).map_err(|e| {
+        CharError::Checkpoint { detail: format!("serialize checkpoint: {e}") }
+    })?;
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes).map_err(|e| CharError::Checkpoint {
+        detail: format!("write {}: {e}", tmp.display()),
+    })?;
+    std::fs::rename(&tmp, path).map_err(|e| CharError::Checkpoint {
+        detail: format!("rename {} -> {}: {e}", tmp.display(), path.display()),
+    })
 }
 
 #[cfg(test)]
@@ -1543,7 +1566,7 @@ mod tests {
         let report = resumed.report();
         assert_eq!(report.committed, 2);
         assert_eq!(report.quarantined, 1);
-        assert_eq!(verify_fleet_checkpoint(&path).unwrap(), 3);
+        assert_eq!(verify_checkpoint(&path).unwrap(), 3);
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
@@ -1558,6 +1581,21 @@ mod tests {
         let mut t = table();
         let err = t.with_checkpoint(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "got {err}");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn fleet_v1_checkpoint_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("rh-fleet-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.json");
+        let v1 = r#"{"version": 1, "entries": [{"id": "m0", "status": "committed",
+            "attempts": 1, "generation": 1, "errors": [], "result": {"ok": 0}, "error": null}]}"#;
+        std::fs::write(&path, v1).unwrap();
+        let mut t = table();
+        assert!(matches!(t.with_checkpoint(&path), Err(CharError::Checkpoint { .. })));
+        assert!(matches!(verify_checkpoint(&path), Err(CharError::Checkpoint { .. })));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
@@ -1657,6 +1695,13 @@ mod tests {
             same_policy.cooldown_for_trip(1),
             "different workers must not probe in lockstep"
         );
+    }
+
+    #[test]
+    fn breaker_cooldown_values_are_pinned() {
+        let b = breaker();
+        let got: Vec<u64> = (1..=3).map(|t| b.cooldown_for_trip(t)).collect();
+        assert_eq!(got, [795, 1928, 4376]);
     }
 
     #[test]

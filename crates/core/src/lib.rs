@@ -71,7 +71,7 @@ pub use campaign::{
 pub use config::{Scale, TestPlan};
 pub use error::CharError;
 pub use fleet::{
-    fnv1a64, mint_replay_token, verify_fleet_checkpoint, CommitOutcome, FailOutcome,
+    fnv1a64, mint_replay_token, CommitOutcome, FailOutcome,
     FleetModuleOutcome, FleetPolicy, FleetReport, JobGrant, JobTable, LeaseState, ReplayToken,
 };
 pub use executor::ExecutorConfig;

@@ -182,10 +182,6 @@ pub const FLEET_QUARANTINED: &str = "fleet.quarantined";
 pub const FLEET_GRANT_EVENT: &str = "fleet.grant";
 /// Event: one lease expiry (module, lease, worker).
 pub const FLEET_EXPIRE_EVENT: &str = "fleet.expire";
-/// Event: the fleet checkpoint was loaded (committed entries).
-pub const FLEET_CHECKPOINT_LOADED: &str = "fleet.checkpoint.loaded";
-/// Event: the fleet checkpoint was saved (committed entries).
-pub const FLEET_CHECKPOINT_SAVED: &str = "fleet.checkpoint.saved";
 
 /// Jobs a worker accepted onto a slot.
 pub const WORKER_JOBS_ACCEPTED: &str = "worker.jobs.accepted";
@@ -352,8 +348,6 @@ pub fn all() -> &'static [&'static str] {
         FLEET_QUARANTINED,
         FLEET_GRANT_EVENT,
         FLEET_EXPIRE_EVENT,
-        FLEET_CHECKPOINT_LOADED,
-        FLEET_CHECKPOINT_SAVED,
         FLEET_BREAKER_TRIP,
         FLEET_BREAKER_HALF_OPEN,
         FLEET_BREAKER_CLOSE,
