@@ -10,8 +10,6 @@
 //! repro all           # everything, in paper order
 //! repro --list        # available targets
 //! repro --soak N      # chaos-soak: N randomized fault campaigns
-//! repro bench [--scale S] [--seed N] [--reps N] [--warmup N] [--filter SUBSTR]
-//!             [--out BENCH.json] [--compare BASELINE.json] [--threshold PCT]
 //! repro analyze TRACE.jsonl [--metrics METRICS.json] [--folded OUT.folded] [--top N]
 //! repro top ADDR [--interval-ms N] [--once] [--fleet]
 //! repro serve [--addr ADDR] [--slots N] [--queue N] [--retry-after SECS]
@@ -59,13 +57,11 @@
 //! single-process and verifies the result hash bit-for-bit. See
 //! DESIGN.md §14.
 //!
-//! `repro bench` runs the canonical perf workloads (median-of-N with
-//! warmup) and writes a stable-schema `BENCH_*.json`; with `--compare`
-//! it exits nonzero when any workload's median regresses past a
-//! noise-calibrated threshold. `repro analyze` reconstructs the span
-//! tree of a `--trace-out` JSONL file, prints per-phase and hot-span
-//! breakdowns (plus counter rates when `--metrics` is given), and can
-//! emit a flamegraph-compatible folded-stack file via `--folded`.
+//! `repro analyze` reconstructs the span tree of a `--trace-out` JSONL
+//! file, prints per-phase and hot-span breakdowns (plus counter rates
+//! when `--metrics` is given), and can emit a flamegraph-compatible
+//! folded-stack file via `--folded`. Timing is not measured here: the
+//! `perfbench` package (`BENCHMARK.json`) times this binary end to end.
 //!
 //! `--out DIR` additionally writes `<target>.txt` and `<target>.json`
 //! into DIR for downstream plotting.
@@ -135,9 +131,7 @@
 //! whenever any campaign reports quarantined, timed-out, or cancelled
 //! modules.
 
-use rh_bench::{
-    perf, run_soak_tracked, run_target, targets, ObsSetup, RunConfig, TelemetryOptions,
-};
+use rh_bench::{run_soak_tracked, run_target, targets, ObsSetup, RunConfig, TelemetryOptions};
 use rh_core::Scale;
 use rh_obs::analyze;
 use rh_softmc::FaultPlan;
@@ -154,8 +148,6 @@ fn usage() -> ! {
          \x20            [--max-workers N] [--deadline-ms N] [--fail-fast]\n\
          \x20            [--trace-out FILE.jsonl] [--metrics-out FILE.json]\n\
          \x20            [--serve-metrics ADDR] [--metrics-interval SECS] <target>... | --soak N\n\
-         \x20      repro bench [--scale S] [--seed N] [--reps N] [--warmup N] [--filter SUBSTR]\n\
-         \x20            [--out BENCH.json] [--compare BASELINE.json] [--threshold PCT]\n\
          \x20      repro analyze TRACE.jsonl [--metrics FILE.json] [--folded OUT] [--top N] [--lenient]\n\
          \x20      repro analyze --fleet TRACE_DIR [--folded OUT] [--top N]\n\
          \x20      repro analyze replay TOKEN\n\
@@ -173,105 +165,11 @@ fn usage() -> ! {
          fault scenarios: none | flaky-host | thermal | dead-module | hung-module | chaos | <plan.json>\n\
          net-fault scenarios: none | flaky-link | slow-link | lossy-link | chaos | <plan.json>\n\
          targets: {} | defense-matrix | all\n\
-         bench workloads: {}\n\
          fleet workloads: {}",
         targets().join(" | "),
-        perf::workload_names().join(" | "),
         rh_bench::fleet_workloads().join(" | ")
     );
     std::process::exit(2);
-}
-
-/// `repro bench`: run the canonical perf workloads and optionally gate
-/// against a baseline.
-fn bench_main(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut cfg = perf::BenchConfig::default();
-    let mut out: Option<PathBuf> = None;
-    let mut compare: Option<PathBuf> = None;
-    let mut threshold_pct = 10.0f64;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => cfg.seed = s,
-                None => usage(),
-            },
-            "--reps" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => cfg.reps = n,
-                _ => usage(),
-            },
-            "--warmup" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => cfg.warmup = n,
-                None => usage(),
-            },
-            "--filter" => match args.next() {
-                Some(f) => cfg.filter = Some(f),
-                None => usage(),
-            },
-            "--out" => match args.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => usage(),
-            },
-            "--compare" => match args.next() {
-                Some(p) => compare = Some(PathBuf::from(p)),
-                None => usage(),
-            },
-            "--threshold" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(t) if t >= 0.0 => threshold_pct = t,
-                _ => usage(),
-            },
-            _ => usage(),
-        }
-    }
-
-    let report = match perf::run_bench(&cfg, |line| eprintln!("bench: {line}")) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", perf::render_report(&report));
-
-    if let Some(path) = &out {
-        let text = match perf::to_json(&report) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("repro bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("repro bench: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bench: wrote {}", path.display());
-    }
-
-    if let Some(path) = &compare {
-        let base = match std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|t| {
-            perf::from_json(&t)
-        }) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("repro bench: baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let regressions = perf::compare_reports(&base, &report, threshold_pct);
-        print!("{}", perf::render_comparison(&base, &report, &regressions));
-        if !regressions.is_empty() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// `repro analyze`: reconstruct and report on a JSONL trace, stitch a
@@ -812,7 +710,6 @@ fn main() -> ExitCode {
     // Subcommands dispatch on the first argument; everything else
     // keeps the original flag-driven target interface.
     match std::env::args().nth(1).as_deref() {
-        Some("bench") => return bench_main(args.skip(1)),
         Some("analyze") => return analyze_main(args.skip(1)),
         Some("serve") => return serve_main(args.skip(1)),
         Some("fleet") => return fleet_main(args.skip(1)),

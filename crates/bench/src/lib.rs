@@ -1,5 +1,5 @@
 //! The reproduction harness: one runner per table and figure of the
-//! paper, shared by the `repro` binary and the Criterion benches.
+//! paper, driven by the `repro` binary.
 //!
 //! Every runner returns the rendered text (the same rows/series the
 //! paper reports). `repro --json` additionally dumps the raw result
@@ -7,7 +7,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fleet;
-pub mod perf;
 pub mod runners;
 pub mod soak;
 pub mod top;
@@ -18,13 +17,9 @@ pub use worker::{
     execute_payload, fleet_module_id, fleet_workloads, job_payload, run_worker, WorkerConfig,
 };
 
-pub use perf::{
-    compare_reports, from_json, run_bench, to_json, workload_names, BenchConfig, BenchReport,
-    HistSummary, Regression, WorkloadResult,
-};
 pub use runners::{
     run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput, TelemetryOptions,
 };
 pub use soak::{
-    run_soak, run_soak_tracked, soak_one, soak_one_tracked, SoakReport, SoakScenario, SoakStats,
+    run_soak, run_soak_tracked, soak_one_tracked, SoakReport, SoakScenario, SoakStats,
 };

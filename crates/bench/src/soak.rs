@@ -284,17 +284,9 @@ fn run_campaign(
 }
 
 /// Runs one scenario and checks every invariant. The checkpoint file
-/// lives under `dir` and is removed on success.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn soak_one(seed: u64, dir: &Path) -> Result<SoakStats, String> {
-    soak_one_tracked(seed, dir, None)
-}
-
-/// [`soak_one`] with an optional live-progress tracker: both the first
-/// run and the resume pass admit their modules, so `repro --soak
+/// lives under `dir` and is removed on success. With a live-progress
+/// tracker, both the first run and the resume pass admit their
+/// modules, so `repro --soak
 /// --serve-metrics` exposes the whole soak (2× modules per scenario)
 /// as one accumulating `/progress` series.
 ///
@@ -415,7 +407,7 @@ pub fn soak_one_tracked(
     })
 }
 
-/// Runs `soak_one` for every seed, collecting pass/fail per scenario.
+/// Runs `soak_one_tracked` for every seed, collecting pass/fail per scenario.
 /// `progress` is called with one line per finished scenario.
 pub fn run_soak(
     seeds: impl IntoIterator<Item = u64>,

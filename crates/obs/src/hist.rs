@@ -13,7 +13,8 @@
 //! When observability is disabled ([`crate::enabled`] is false),
 //! [`Histogram::record`] is **one relaxed atomic load** and a branch —
 //! the same contract as every other `rh-obs` entry point, and the
-//! bench-smoke CI job asserts it stays that way. When enabled, a
+//! `disabled_overhead` test (run in release by CI's `contracts` job)
+//! asserts it stays that way. When enabled, a
 //! record is four relaxed atomic RMWs on a shard chosen by thread
 //! ordinal, so concurrent hot paths do not contend on a single cache
 //! line.

@@ -159,8 +159,6 @@ pub const DEFENSE_THROTTLE_PS: &str = "defense.throttle_ps";
 
 /// Span: one reproduction target.
 pub const BENCH_TARGET: &str = "bench.target";
-/// Span: one perf-bench workload repetition.
-pub const BENCH_WORKLOAD: &str = "bench.workload";
 
 /// Jobs the fleet coordinator dispatched (first grant or re-grant).
 pub const FLEET_DISPATCH: &str = "fleet.dispatch";
@@ -337,7 +335,6 @@ pub fn all() -> &'static [&'static str] {
         DEFENSE_THROTTLE,
         DEFENSE_THROTTLE_PS,
         BENCH_TARGET,
-        BENCH_WORKLOAD,
         FLEET_DISPATCH,
         FLEET_REDISPATCH,
         FLEET_COMMIT,

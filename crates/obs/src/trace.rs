@@ -17,7 +17,7 @@
 //!
 //! When observability is disabled, none of this runs: `span()` stays
 //! at one relaxed atomic load, reads no clock, and mints no IDs (the
-//! `obs_disabled_span` micro-bench gates this at < 50 ns/op).
+//! `disabled_overhead` test gates this at < 50 ns/op in release).
 //!
 //! # Wire format
 //!
