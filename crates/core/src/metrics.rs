@@ -143,6 +143,24 @@ impl Characterizer {
         Ok(())
     }
 
+    /// Writes the neighborhood and hammers both physical neighbors of
+    /// the victim `hammers` times at the given timings: the first half
+    /// of every double-sided test.
+    fn write_and_hammer(
+        &mut self,
+        victim_phys: RowAddr,
+        pattern: DataPattern,
+        hammers: u64,
+        t_on: Option<Picos>,
+        t_off: Option<Picos>,
+    ) -> Result<(), CharError> {
+        self.write_neighborhood(victim_phys, pattern)?;
+        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
+        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
+        self.bench.hammer_double_sided(self.bank, left, right, hammers, t_on, t_off)?;
+        Ok(())
+    }
+
     /// Reads the row at physical distance `d` from the victim and
     /// counts bits that differ from the written pattern.
     fn count_flips(
@@ -179,10 +197,7 @@ impl Characterizer {
         t_off: Option<Picos>,
     ) -> Result<BerMeasurement, CharError> {
         rh_obs::counter(names::CORE_BER_MEASUREMENTS, 1);
-        self.write_neighborhood(victim_phys, pattern)?;
-        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
-        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
-        self.bench.hammer_double_sided(self.bank, left, right, hammers, t_on, t_off)?;
+        self.write_and_hammer(victim_phys, pattern, hammers, t_on, t_off)?;
         Ok(BerMeasurement {
             victim: self.count_flips(victim_phys, 0, pattern)?,
             left2: self.count_flips(victim_phys, -2, pattern)?,
@@ -214,10 +229,7 @@ impl Characterizer {
         pattern: DataPattern,
         hammers: u64,
     ) -> Result<Vec<(u32, u8)>, CharError> {
-        self.write_neighborhood(victim_phys, pattern)?;
-        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
-        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
-        self.bench.hammer_double_sided(self.bank, left, right, hammers, None, None)?;
+        self.write_and_hammer(victim_phys, pattern, hammers, None, None)?;
         let logical = self.mapping.physical_to_logical(victim_phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(victim_phys, 0, read.len());
@@ -235,6 +247,15 @@ impl Characterizer {
 
     /// Whether a single double-sided test at `hammers` flips any bit in
     /// the victim row.
+    ///
+    /// Only the victim is sensed. Rows ±2 are restored unsensed, in the
+    /// order [`measure_ber`](Self::measure_ber) reads them, so the
+    /// model's restore sequence (trial nonce, cleared disturbance,
+    /// retention clocks) is exactly that of the full test: every later
+    /// noise draw stays aligned. Their unread flips cannot leak into a
+    /// result either, because the next test's
+    /// [`write_neighborhood`](Self::write_neighborhood) rewrites ±2
+    /// before anything senses them.
     fn flips_at(
         &mut self,
         victim_phys: RowAddr,
@@ -243,7 +264,14 @@ impl Characterizer {
         t_on: Option<Picos>,
         t_off: Option<Picos>,
     ) -> Result<bool, CharError> {
-        Ok(self.measure_ber(victim_phys, pattern, hammers, t_on, t_off)?.victim > 0)
+        self.write_and_hammer(victim_phys, pattern, hammers, t_on, t_off)?;
+        let flipped = self.count_flips(victim_phys, 0, pattern)? > 0;
+        for d in [-2i64, 2] {
+            let logical =
+                self.mapping.physical_to_logical(RowAddr((victim_phys.0 as i64 + d) as u32));
+            self.bench.module_mut().restore_row_direct(self.bank, logical)?;
+        }
+        Ok(flipped)
     }
 
     /// The paper's HCfirst binary search (§4.2): start at 256 K
@@ -498,6 +526,127 @@ mod tests {
             }
         }
         assert!(seen_flip, "no sampled row ever flipped; the sweep is vacuous");
+    }
+
+    /// The probe as it was before it sensed only the victim: a full
+    /// three-row BER test. The oracle for [`Characterizer::flips_at`].
+    fn flips_at_reference(
+        ch: &mut Characterizer,
+        row: RowAddr,
+        pattern: DataPattern,
+        hammers: u64,
+        t_on: Option<Picos>,
+    ) -> bool {
+        ch.measure_ber(row, pattern, hammers, t_on, None).unwrap().victim > 0
+    }
+
+    fn victim_bytes(ch: &Characterizer, row: RowAddr) -> Vec<u8> {
+        ch.bench().module().peek_row(ch.bank(), ch.logical_of(row)).unwrap().to_vec()
+    }
+
+    #[test]
+    fn victim_only_probe_matches_full_ber_probe() {
+        let longest_on = rh_dram::timing::t_agg_on_sweep().into_iter().max();
+        let (mut flipped, mut survived) = (0u32, 0u32);
+        for mfr in Manufacturer::ALL {
+            // Twins: same module, same seed. `fast` probes through
+            // `flips_at`, `full` through the three-row reference;
+            // `scout` only locates the HCfirst the ladder straddles.
+            let mut fast = characterizer(mfr);
+            let mut full = characterizer(mfr);
+            let mut scout = characterizer(mfr);
+            let p = fast.wcdp();
+            let row = RowAddr(600);
+            for temp in [50.0, 75.0, 90.0] {
+                for ch in [&mut fast, &mut full, &mut scout] {
+                    ch.set_temperature(temp).unwrap();
+                }
+                for t_on in [None, longest_on] {
+                    let ladder = match scout.hc_first(row, p, t_on, None).unwrap() {
+                        Some(hc) => vec![
+                            hc / 2,
+                            hc.saturating_sub(HC_FIRST_ACCURACY).max(HC_FIRST_ACCURACY),
+                            hc,
+                            hc + HC_FIRST_ACCURACY,
+                            2 * hc,
+                            HC_FIRST_CAP,
+                        ],
+                        None => vec![HC_FIRST_CAP / 4, HC_FIRST_CAP / 2, HC_FIRST_CAP],
+                    };
+                    let case = format!("{mfr} {temp} °C t_on {t_on:?}");
+                    for n in ladder {
+                        let got = fast.flips_at(row, p, n, t_on, None).unwrap();
+                        let want = flips_at_reference(&mut full, row, p, n, t_on);
+                        assert_eq!(got, want, "{case}: probe at {n}");
+                        assert_eq!(
+                            victim_bytes(&fast, row),
+                            victim_bytes(&full, row),
+                            "{case}: victim contents after probe at {n}"
+                        );
+                        if got {
+                            flipped += 1;
+                        } else {
+                            survived += 1;
+                        }
+                    }
+                    // Same restore sequence ⇒ same trial nonce: a full
+                    // test after the ladder draws identical noise.
+                    assert_eq!(
+                        fast.measure_ber_default(row).unwrap(),
+                        full.measure_ber_default(row).unwrap(),
+                        "{case}: BER after the ladder"
+                    );
+                }
+            }
+        }
+        assert!(
+            flipped > 0 && survived > 0,
+            "ladders must straddle HCfirst: {flipped} flipped, {survived} survived"
+        );
+    }
+
+    /// Forwards only the calling thread's counters to a `Recorder`:
+    /// the sink is process-global and other unit tests run
+    /// concurrently.
+    struct ThreadCounters {
+        owner: std::thread::ThreadId,
+        rec: rh_obs::Recorder,
+    }
+
+    impl rh_obs::Sink for ThreadCounters {
+        fn counter(&self, name: &'static str, delta: u64) {
+            if std::thread::current().id() == self.owner {
+                rh_obs::Sink::counter(&self.rec, name, delta);
+            }
+        }
+        fn gauge(&self, _: &'static str, _: f64) {}
+        fn event(&self, _: &'static str, _: &[(&'static str, rh_obs::FieldValue)]) {}
+        fn span_end(
+            &self,
+            _: &'static str,
+            _: std::time::Duration,
+            _: &[(&'static str, rh_obs::FieldValue)],
+        ) {
+        }
+    }
+
+    #[test]
+    fn ber_counter_counts_ber_tests_not_hc_first_probes() {
+        let mut ch = characterizer(Manufacturer::B);
+        ch.set_temperature(75.0).unwrap();
+        let p = ch.wcdp();
+        let sink = std::sync::Arc::new(ThreadCounters {
+            owner: std::thread::current().id(),
+            rec: rh_obs::Recorder::new(),
+        });
+        rh_obs::install(sink.clone());
+        ch.hc_first(RowAddr(444), p, None, None).unwrap();
+        let after_search = sink.rec.counter_value(names::CORE_BER_MEASUREMENTS);
+        ch.measure_ber_default(RowAddr(444)).unwrap();
+        let after_ber = sink.rec.counter_value(names::CORE_BER_MEASUREMENTS);
+        rh_obs::uninstall();
+        assert_eq!(after_search, 0, "HCfirst probes must not count as BER tests");
+        assert_eq!(after_ber, 1, "one BER test counts once");
     }
 
     #[test]

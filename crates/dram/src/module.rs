@@ -406,6 +406,30 @@ impl DramModule {
         Ok(self.storage[&(bank.0, phys.0)].to_vec())
     }
 
+    /// Restores a written row to full charge *without* sensing it: the
+    /// model sees the restore (accumulated disturbance cleared,
+    /// retention clock restarted) exactly as after a
+    /// [`read_row_direct`](Self::read_row_direct), but no flips are
+    /// materialized, so the stored bytes and the clock stay unchanged.
+    /// For callers that would discard the read, and whose next access
+    /// to the row is a rewrite.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::UninitializedRow`] if the row was never written, or
+    /// range errors for bad addresses.
+    pub fn restore_row_direct(&mut self, bank: BankId, row: RowAddr) -> Result<(), DramError> {
+        self.check_bank(bank)?;
+        self.check_row(row)?;
+        let phys = self.cfg.mapping.logical_to_physical(row);
+        if !self.storage.contains_key(&(bank.0, phys.0)) {
+            return Err(DramError::UninitializedRow { bank, row: phys });
+        }
+        let now = self.now;
+        self.model.on_restore(bank, phys, now);
+        Ok(())
+    }
+
     /// Reads the stored bytes of a row *without* sensing side effects
     /// (no flip materialization, no restore). Oracle-style access for
     /// tests and debugging.
@@ -663,6 +687,78 @@ mod tests {
         m.issue(&TimedCommand { at: 100 + t.t_ras, cmd: Command::PreAll }).unwrap();
         assert!(m.bank(BankId(0)).open_row().is_none());
         assert!(m.bank(BankId(1)).open_row().is_none());
+    }
+
+    /// What [`Recording`] was asked to do.
+    #[derive(Default)]
+    struct Log {
+        sensed: u32,
+        restores: Vec<(RowAddr, Picos)>,
+    }
+
+    /// Records every sensing and restore it is asked for.
+    #[derive(Default)]
+    struct Recording {
+        log: std::sync::Arc<std::sync::Mutex<Log>>,
+    }
+
+    impl DisturbanceModel for Recording {
+        fn on_hammer(&mut self, _: BankId, _: RowAddr, _: u64, _: Picos, _: Picos) {}
+
+        fn flips_on_activate(&mut self, _: BankId, _: RowAddr, _: &[u8], _: Picos) -> Vec<BitFlip> {
+            self.log.lock().unwrap().sensed += 1;
+            // Would corrupt the row if the restore sensed it.
+            vec![BitFlip { byte: 0, bit: 0 }]
+        }
+
+        fn on_restore(&mut self, _: BankId, row: RowAddr, now: Picos) {
+            self.log.lock().unwrap().restores.push((row, now));
+        }
+
+        fn set_temperature(&mut self, _: f64) {}
+
+        fn temperature(&self) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn restore_row_direct_restores_without_sensing() {
+        let model = Recording::default();
+        let log = std::sync::Arc::clone(&model.log);
+        // Mfr. A scrambles rows, so the physical address differs.
+        let mut m = DramModule::with_model(ModuleConfig::ddr4(Manufacturer::A), Box::new(model));
+        let (b, row) = (BankId(0), RowAddr(8));
+        let phys = m.config().mapping.logical_to_physical(row);
+        assert_ne!(phys, row);
+        let data = vec![0x3Cu8; m.row_bytes()];
+        m.write_row_direct(b, row, &data).unwrap();
+        let t = m.config().timing;
+        m.hammer_direct(b, RowAddr(100), 10, t.t_ras, t.t_rp).unwrap();
+        let now = m.now();
+        log.lock().unwrap().restores.clear();
+        let sensed = log.lock().unwrap().sensed;
+
+        m.restore_row_direct(b, row).unwrap();
+        assert_eq!(m.peek_row(b, row).unwrap(), &data[..], "stored bytes must not change");
+        assert_eq!(m.now(), now, "a restore takes no time");
+        let log = log.lock().unwrap();
+        assert_eq!(log.sensed, sensed, "flips_on_activate must not run");
+        assert_eq!(log.restores, vec![(phys, now)], "one restore of the physical row at now");
+    }
+
+    #[test]
+    fn restore_row_direct_rejects_unwritten_and_out_of_range_rows() {
+        let mut m = module();
+        let rows = m.geometry().rows_per_bank;
+        assert!(matches!(
+            m.restore_row_direct(BankId(0), RowAddr(9)),
+            Err(DramError::UninitializedRow { .. })
+        ));
+        assert!(matches!(
+            m.restore_row_direct(BankId(0), RowAddr(rows)),
+            Err(DramError::RowOutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -145,6 +145,32 @@ pub fn derive_row_cells(
     row_bytes: usize,
     subarray_rows: u32,
 ) -> Vec<CellVulnerability> {
+    derive_row_cells_with(
+        profile,
+        module_seed,
+        bank,
+        row,
+        row_bytes,
+        subarray_rows,
+        |chip, column| variation::column_weight(profile, module_seed, chip, column),
+    )
+}
+
+/// [`derive_row_cells`] with the column weights supplied by the
+/// caller: `column_weight(chip, column)` must equal
+/// [`variation::column_weight`] for `(profile, module_seed)`. The
+/// weights depend only on the module, not the row, so a model deriving
+/// many rows passes a memo of them (about 40 % of a derivation
+/// otherwise goes to recomputing them).
+pub fn derive_row_cells_with(
+    profile: &MfrProfile,
+    module_seed: u64,
+    bank: BankId,
+    row: RowAddr,
+    row_bytes: usize,
+    subarray_rows: u32,
+    mut column_weight: impl FnMut(u8, u32) -> f64,
+) -> Vec<CellVulnerability> {
     let columns = (row_bytes / 8) as u32;
     let chips = 8u8;
     let spatial = variation::module_factor(profile, module_seed)
@@ -165,7 +191,7 @@ pub fn derive_row_cells(
                 );
                 let chip = (h % chips as u64) as u8;
                 let column = ((h >> 8) % columns as u64) as u32;
-                let w = variation::column_weight(profile, module_seed, chip, column);
+                let w = column_weight(chip, column);
                 if rng::unit(rng::mix(h ^ 0x5bd1)) < w {
                     pick = (chip, column);
                     break;
@@ -183,7 +209,7 @@ pub fn derive_row_cells(
             let mut c = column;
             let mut k = chip;
             let mut guard = 0;
-            while variation::column_weight(profile, module_seed, k, c) == 0.0 && guard < 64 {
+            while column_weight(k, c) == 0.0 && guard < 64 {
                 c = (c + 1) % columns;
                 if c == 0 {
                     k = (k + 1) % chips;

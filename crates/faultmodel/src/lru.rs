@@ -8,20 +8,23 @@
 //! working set that fits stays resident no matter how many cold rows
 //! stream past it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 /// A bounded `HashMap` that evicts the least-recently-used entry when
 /// an insert would exceed its capacity.
 ///
-/// Recency is tracked with a monotone tick stamped on every access;
-/// eviction scans for the minimum stamp. The scan is O(len), which is
-/// deliberate: it only runs on inserts past capacity, and every cached
-/// value here costs orders of magnitude more to re-derive than a scan
-/// of a few thousand integers.
+/// Recency is tracked with a monotone tick stamped on every access.
+/// A tick-ordered index beside the map names the oldest entry, so an
+/// eviction is one `pop_first` — O(log n) — rather than a scan of
+/// every stamp, which cost microseconds per insert once a sweep kept
+/// thousands of rows resident.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     map: HashMap<K, (u64, V)>,
+    /// `tick → key` for every resident entry; its first key is the
+    /// least recently used.
+    order: BTreeMap<u64, K>,
     capacity: usize,
     tick: u64,
     evictions: u64,
@@ -35,7 +38,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LruCache capacity must be nonzero");
-        Self { map: HashMap::new(), capacity, tick: 0, evictions: 0 }
+        Self { map: HashMap::new(), order: BTreeMap::new(), capacity, tick: 0, evictions: 0 }
     }
 
     /// Number of live entries.
@@ -55,22 +58,18 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.0 = tick;
-            &slot.1
-        })
+        self.get_mut(key).map(|v| &*v)
     }
 
     /// Looks up `key` mutably, refreshing its recency on a hit.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.0 = tick;
-            &mut slot.1
-        })
+        let slot = self.map.get_mut(key)?;
+        let old = std::mem::replace(&mut slot.0, self.tick);
+        if let Some(k) = self.order.remove(&old) {
+            self.order.insert(self.tick, k);
+        }
+        Some(&mut slot.1)
     }
 
     /// Whether `key` is resident, *without* refreshing its recency.
@@ -82,47 +81,140 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// the cache is full (and `key` is not already resident).
     pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(oldest) =
-                self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k.clone())
-            {
+        if let Some((old, _)) = self.map.get(&key) {
+            self.order.remove(old);
+        } else if self.map.len() >= self.capacity {
+            if let Some((_, oldest)) = self.order.pop_first() {
                 self.map.remove(&oldest);
                 self.evictions += 1;
             }
         }
+        self.order.insert(self.tick, key.clone());
         self.map.insert(key, (self.tick, value));
     }
 
     /// Looks up `key`, inserting `make()` on a miss. Returns the value
     /// and whether it was a miss (freshly built).
     pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> (&V, bool) {
-        // Two-phase to satisfy the borrow checker: probe, then insert.
         let miss = !self.map.contains_key(&key);
         if miss {
             let value = make();
             self.insert(key.clone(), value);
         } else {
-            self.tick += 1;
+            self.get_mut(&key);
         }
-        let tick = self.tick;
-        let slot = self.map.get_mut(&key).map(|slot| {
-            slot.0 = tick;
-            &slot.1
-        });
-        // The entry was inserted or found just above.
-        #[allow(clippy::unwrap_used)]
-        (slot.unwrap(), miss)
+        (&self.map[&key].1, miss)
     }
 
     /// Drops every entry.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.order.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eviction this cache had before its tick index: stamp every
+    /// access, scan all stamps for the oldest on an overflowing insert.
+    /// The oracle the ordered cache must match operation for operation.
+    struct ScanLru {
+        map: HashMap<u8, (u64, u32)>,
+        capacity: usize,
+        tick: u64,
+        evictions: u64,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: u8) -> Option<u32> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.map.get_mut(&key).map(|slot| {
+                slot.0 = tick;
+                slot.1
+            })
+        }
+
+        fn insert(&mut self, key: u8, value: u32) {
+            self.tick += 1;
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                if let Some(oldest) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k)
+                {
+                    self.map.remove(&oldest);
+                    self.evictions += 1;
+                }
+            }
+            self.map.insert(key, (self.tick, value));
+        }
+
+        fn get_or_insert_with(&mut self, key: u8, value: u32) -> (u32, bool) {
+            let miss = !self.map.contains_key(&key);
+            if miss {
+                self.insert(key, value);
+            } else {
+                self.tick += 1;
+            }
+            let tick = self.tick;
+            let slot = self.map.get_mut(&key).unwrap();
+            slot.0 = tick;
+            (slot.1, miss)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ordered_eviction_matches_min_tick_scan(
+            capacity in 1usize..=8,
+            ops in prop::collection::vec((0u8..7, 0u8..12, 0u32..1000), 0..300),
+        ) {
+            let mut lru = LruCache::new(capacity);
+            let mut scan = ScanLru { map: HashMap::new(), capacity, tick: 0, evictions: 0 };
+            for (i, &(op, key, value)) in ops.iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        lru.insert(key, value);
+                        scan.insert(key, value);
+                    }
+                    2 => prop_assert_eq!(lru.get(&key).copied(), scan.get(key), "op {}", i),
+                    3 => {
+                        let got = lru.get_mut(&key).map(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        let want = scan.get(key).map(|v| {
+                            let slot = scan.map.get_mut(&key).unwrap();
+                            slot.1 = v + 1;
+                            v + 1
+                        });
+                        prop_assert_eq!(got, want, "op {}", i);
+                    }
+                    4 => {
+                        let (v, miss) = lru.get_or_insert_with(key, || value);
+                        prop_assert_eq!((*v, miss), scan.get_or_insert_with(key, value), "op {}", i);
+                    }
+                    5 => prop_assert_eq!(lru.contains(&key), scan.map.contains_key(&key)),
+                    // Rare: a clear resets residency but not the counts.
+                    _ if key == 0 => {
+                        lru.clear();
+                        scan.map.clear();
+                    }
+                    _ => {}
+                }
+                let mut resident: Vec<u8> = (0..12).filter(|k| lru.contains(k)).collect();
+                let mut expected: Vec<u8> = scan.map.keys().copied().collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(resident, expected, "resident keys after op {}", i);
+                prop_assert_eq!(lru.evictions(), scan.evictions, "evictions after op {}", i);
+                prop_assert_eq!(lru.order.len(), lru.map.len(), "index out of sync at op {}", i);
+            }
+        }
+    }
 
     #[test]
     fn holds_up_to_capacity() {

@@ -7,12 +7,13 @@
 //! retained as [`EvalMode::ScalarReference`] and the two are held
 //! bit-identical by the `equivalence` test suite.
 
-use crate::cell::{derive_row_cells, CellVulnerability};
+use crate::cell::{derive_row_cells_with, CellVulnerability};
 use crate::disturb::{self, DISTANCE2_WEIGHT};
 use crate::kernel::{RowKernel, TempSurface};
 use crate::lru::LruCache;
 use crate::profile::MfrProfile;
 use crate::retention::{derive_retention_cells, RetentionCell};
+use crate::variation;
 use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RowAddr};
 use rh_obs::names;
 use std::collections::HashMap;
@@ -107,6 +108,11 @@ pub struct RowHammerModel {
     acc: HashMap<(u32, u32), f64>,
     /// Cache of derived vulnerable-cell populations.
     cells: LruCache<(u32, u32), Arc<Vec<CellVulnerability>>>,
+    /// Memo of [`variation::column_weight`] for cell derivation,
+    /// indexed `chip * columns + column`; NaN marks an entry not yet
+    /// computed. Empty until the first derivation, and filled lazily:
+    /// most models derive too few rows to repay a full table.
+    column_weights: Vec<f64>,
     /// Cache of columnar row kernels (Columnar mode).
     kernels: LruCache<(u32, u32), RowKernel>,
     /// Incremented on every restore; salts per-trial threshold noise.
@@ -154,6 +160,7 @@ impl RowHammerModel {
             derivation_salt: Self::salt(&profile, module_seed, row_bytes, subarray_rows),
             acc: HashMap::new(),
             cells: LruCache::new(CELLS_CACHE_CAP),
+            column_weights: Vec::new(),
             kernels: LruCache::new(KERNEL_CACHE_CAP),
             trial_nonce: 0,
             last_restore: HashMap::new(),
@@ -218,13 +225,26 @@ impl RowHammerModel {
             }
             None => {
                 rh_obs::counter(names::FAULTMODEL_ROW_DERIVE, 1);
-                let d = Arc::new(derive_row_cells(
-                    &self.profile,
-                    self.module_seed,
+                let (profile, seed) = (&self.profile, self.module_seed);
+                let columns = self.row_bytes / 8;
+                let memo = &mut self.column_weights;
+                if memo.is_empty() {
+                    memo.resize(8 * columns, f64::NAN);
+                }
+                let d = Arc::new(derive_row_cells_with(
+                    profile,
+                    seed,
                     bank,
                     row,
                     self.row_bytes,
                     self.subarray_rows,
+                    |chip, column| {
+                        let w = &mut memo[chip as usize * columns + column as usize];
+                        if w.is_nan() {
+                            *w = variation::column_weight(profile, seed, chip, column);
+                        }
+                        *w
+                    },
                 ));
                 global_cells().insert(global_key, Arc::clone(&d));
                 d
@@ -303,6 +323,7 @@ impl DisturbanceModel for RowHammerModel {
             self.derivation_salt =
                 Self::salt(&self.profile, self.module_seed, row_bytes, self.subarray_rows);
             self.cells.clear();
+            self.column_weights.clear();
             self.retention_cells.clear();
             self.kernels.clear();
         }
@@ -666,6 +687,37 @@ mod tests {
         let scalar = run(EvalMode::ScalarReference);
         assert!(!columnar.is_empty());
         assert_eq!(columnar, scalar);
+    }
+
+    #[test]
+    fn memoized_derivation_matches_direct_derivation() {
+        // Seeds no other test uses, so every row below is derived here
+        // through the memo rather than served by the global cache.
+        for (i, mfr) in Manufacturer::ALL.into_iter().enumerate() {
+            let seed = 0x3E30_0000 + i as u64;
+            let mut m = RowHammerModel::new(mfr, seed);
+            let profile = *m.profile();
+            // Default geometry, then a narrower row: the memo must be
+            // rebuilt for the new column count, not reused.
+            for row_bytes in [8192usize, 2048] {
+                m.configure_geometry(65_536, row_bytes);
+                for row in (0..4000u32).step_by(97) {
+                    let direct = crate::cell::derive_row_cells(
+                        &profile,
+                        seed,
+                        BankId(1),
+                        RowAddr(row),
+                        row_bytes,
+                        512,
+                    );
+                    assert_eq!(
+                        *m.row_cells(BankId(1), RowAddr(row)),
+                        direct,
+                        "{mfr} row {row} at {row_bytes} B/row"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

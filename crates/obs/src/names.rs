@@ -89,7 +89,9 @@ pub const FAULTMODEL_EVAL_EARLY_OUT: &str = "faultmodel.eval.early_out";
 /// Per-model derivation-cache entries evicted (LRU, not wiped).
 pub const FAULTMODEL_CACHE_EVICT: &str = "faultmodel.cache.evict";
 
-/// BER measurements taken.
+/// BER tests taken (`Characterizer::measure_ber`). HCfirst probes
+/// sense only the victim and do not pass through it; they are counted
+/// by [`CORE_HC_FIRST_PROBE_NS`] instead.
 pub const CORE_BER_MEASUREMENTS: &str = "core.ber_measurements";
 /// Span: one HCfirst binary search.
 pub const CORE_HC_FIRST: &str = "core.hc_first";
