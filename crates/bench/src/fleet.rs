@@ -7,7 +7,7 @@
 //! worker-process spawning, `Retry-After`-honoring backoff, fleet-wide
 //! progress aggregation, and cancellation fan-out. See DESIGN.md §11.
 
-use crate::worker::{event_from_value, fleet_module_id, job_payload};
+use crate::worker::{fleet_module_id, job_payload};
 use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
     FleetReport, JobGrant, JobTable,
@@ -351,12 +351,12 @@ fn poll_lease(addr: &str, lease_id: u64, timeout: Duration) -> PollVerdict {
                 let t = body.field("trace");
                 (!t.is_null()).then(|| t.clone())
             },
-            event: event_from_value(body.field("event")),
+            event: JobEvent::from_json(body.field("event")),
         },
         Some("failed") => PollVerdict::Failed {
             error: body.field("error").as_str().unwrap_or("unknown worker error").to_string(),
             transient: body.field("transient").as_bool().unwrap_or(false),
-            event: event_from_value(body.field("event")),
+            event: JobEvent::from_json(body.field("event")),
         },
         // "cancelled" / "unknown" / garbage: the lease is not coming
         // back from this worker.

@@ -5,53 +5,16 @@
 //! across machines) without sharing memory, and detaches cleanly: the
 //! monitored run never knows whether anyone is watching.
 //!
-//! The module is split monitor-style: a tiny blocking HTTP/1.0-ish
-//! client ([`http_get`]), pure parsers for the two payloads
-//! ([`parse_progress`], [`metric_value`]), and a pure frame renderer
-//! ([`render_frame`]) — all testable without sockets — plus the
-//! polling loop ([`top_main`]) that owns the terminal.
+//! The module is split monitor-style: pure parsers for the two
+//! payloads ([`parse_progress`], [`metric_value`]) and a pure frame
+//! renderer ([`render_frame`]) — all testable without sockets — plus
+//! the polling loop ([`top_main`]) that owns the terminal and fetches
+//! with the deadline-bounded [`rh_obs::http_get`] client.
 
 use rh_obs::names;
 use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
-
-/// One blocking `GET` against `addr` (`host:port`), returning
-/// `(status, body)`. Headers are discarded; both connect and I/O are
-/// bounded by `timeout` so a wedged server cannot hang the monitor.
-///
-/// # Errors
-///
-/// Connection, I/O, and malformed-response errors, as text.
-pub fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<(u16, String), String> {
-    let sock_addr: std::net::SocketAddr =
-        addr.parse().map_err(|e| format!("bad address '{addr}': {e}"))?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-    stream.set_write_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .map_err(|e| format!("send {addr}{path}: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read {addr}{path}: {e}"))?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}{path}"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .ok_or_else(|| format!("response from {addr}{path} has no body"))?;
-    Ok((status, body))
-}
 
 /// Parses the `/progress` JSON into a field map. Unknown fields are
 /// ignored so the monitor tolerates newer servers.
@@ -405,15 +368,15 @@ pub fn top_main(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut prev_metrics: Option<String> = None;
     let mut misses = 0u32;
     loop {
-        let polled = http_get(&addr, "/progress", timeout)
-            .and_then(|(status, body)| match status {
-                200 => parse_progress(&body),
+        let get = |path: &str| {
+            rh_obs::http_get(&addr, path, timeout).map_err(|e| format!("GET {addr}{path}: {e}"))
+        };
+        let polled = get("/progress")
+            .and_then(|r| match r.status {
+                200 => parse_progress(&r.body),
                 s => Err(format!("/progress returned {s}")),
             })
-            .and_then(|progress| {
-                let (_, metrics) = http_get(&addr, "/metrics", timeout)?;
-                Ok((progress, metrics))
-            });
+            .and_then(|progress| Ok((progress, get("/metrics")?.body)));
         match polled {
             Ok((progress, metrics)) => {
                 misses = 0;
@@ -598,11 +561,6 @@ mod tests {
         assert_eq!(fmt_duration_ms(900), "0.9s");
         assert_eq!(fmt_duration_ms(61_000), "1m01s");
         assert_eq!(fmt_duration_ms(3_720_000), "1h02m");
-    }
-
-    #[test]
-    fn http_get_rejects_unresolvable_addresses() {
-        assert!(http_get("not-an-addr", "/metrics", Duration::from_millis(100)).is_err());
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl WorkerState {
         // again (worker SIGKILLed between the poll and the scrape).
         if let Some(ev) = &slot.terminal {
             if let Value::Object(pairs) = &mut body {
-                pairs.push(("event".to_string(), event_to_value(ev)));
+                pairs.push(("event".to_string(), ev.to_value()));
             }
         }
         HttpResponse::ok_json(body.to_string())
@@ -522,38 +522,6 @@ fn flip_evidence(result: &Value) -> u64 {
         return rows.len() as u64;
     }
     0
-}
-
-/// Serializes one lifecycle event for embedding in a poll reply's
-/// `"event"` field (all keys explicit, unlike the wire JSONL which
-/// omits defaults).
-#[must_use]
-pub fn event_to_value(ev: &JobEvent) -> Value {
-    json!({
-        "seq": ev.seq,
-        "lease_id": ev.lease_id,
-        "kind": ev.kind.as_str(),
-        "module": ev.module.clone(),
-        "ts_us": ev.ts_us,
-        "value": ev.value,
-        "detail": ev.detail.clone(),
-    })
-}
-
-/// Inverse of [`event_to_value`]: decodes an embedded event from a
-/// poll reply. `None` when fields are missing or the kind is unknown.
-#[must_use]
-pub fn event_from_value(v: &Value) -> Option<JobEvent> {
-    Some(JobEvent {
-        seq: v.field("seq").as_u64()?,
-        lease_id: v.field("lease_id").as_u64()?,
-        kind: EventKind::parse(v.field("kind").as_str()?)?,
-        module: v.field("module").as_str().unwrap_or("").to_string(),
-        ts_us: v.field("ts_us").as_u64()?,
-        value: v.field("value").as_u64().unwrap_or(0),
-        detail: v.field("detail").as_str().unwrap_or("").to_string(),
-        worker: String::new(),
-    })
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -1000,7 +968,7 @@ mod tests {
         assert_eq!(done.field("state").as_str(), Some("done"));
 
         // The terminal event rides the poll reply...
-        let embedded = event_from_value(done.field("event"))
+        let embedded = JobEvent::from_json(done.field("event"))
             .unwrap_or_else(|| panic!("no embedded event: {done:?}"));
         assert_eq!(embedded.kind, EventKind::Committed);
         assert_eq!(embedded.lease_id, 31);

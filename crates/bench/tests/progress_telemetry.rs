@@ -41,11 +41,11 @@ fn live_endpoints_track_a_campaign_and_shut_down() {
 
     // The endpoints are live before any campaign starts: an empty
     // tracker reports zero work and the exporter renders fine.
-    let (code, _) = top::http_get(addr, "/healthz", GET_TIMEOUT).expect("healthz pre-run");
-    assert_eq!(code, 200);
-    let (code, body) = top::http_get(addr, "/progress", GET_TIMEOUT).expect("progress pre-run");
-    assert_eq!(code, 200);
-    let p = top::parse_progress(&body).expect("progress is JSON");
+    let r = rh_obs::http_get(addr, "/healthz", GET_TIMEOUT).expect("healthz pre-run");
+    assert_eq!(r.status, 200);
+    let r = rh_obs::http_get(addr, "/progress", GET_TIMEOUT).expect("progress pre-run");
+    assert_eq!(r.status, 200);
+    let p = top::parse_progress(&r.body).expect("progress is JSON");
     assert_eq!(p.field("total").as_u64(), Some(0));
 
     // Run a campaign-managed target on another thread and watch it
@@ -56,9 +56,9 @@ fn live_endpoints_track_a_campaign_and_shut_down() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut saw_total = 0u64;
     while Instant::now() < deadline {
-        let (code, body) = top::http_get(addr, "/progress", GET_TIMEOUT).expect("progress mid-run");
-        assert_eq!(code, 200);
-        let p = top::parse_progress(&body).expect("progress stays JSON mid-run");
+        let r = rh_obs::http_get(addr, "/progress", GET_TIMEOUT).expect("progress mid-run");
+        assert_eq!(r.status, 200);
+        let p = top::parse_progress(&r.body).expect("progress stays JSON mid-run");
         saw_total = p.field("total").as_u64().unwrap_or(0);
         if saw_total > 0 {
             break;
@@ -67,17 +67,17 @@ fn live_endpoints_track_a_campaign_and_shut_down() {
     }
     assert!(saw_total > 0, "never observed registered campaign work over /progress");
     // /metrics and /healthz answer while the campaign is in flight.
-    let (code, text) = top::http_get(addr, "/metrics", GET_TIMEOUT).expect("metrics mid-run");
-    assert_eq!(code, 200);
-    assert!(text.contains("# TYPE"), "exposition must carry TYPE lines:\n{text}");
-    let (code, _) = top::http_get(addr, "/healthz", GET_TIMEOUT).expect("healthz mid-run");
-    assert_eq!(code, 200);
+    let r = rh_obs::http_get(addr, "/metrics", GET_TIMEOUT).expect("metrics mid-run");
+    assert_eq!(r.status, 200);
+    assert!(r.body.contains("# TYPE"), "exposition must carry TYPE lines:\n{}", r.body);
+    let r = rh_obs::http_get(addr, "/healthz", GET_TIMEOUT).expect("healthz mid-run");
+    assert_eq!(r.status, 200);
 
     campaign.join().expect("campaign thread").expect("fig4 run");
 
     // Final progress agrees with the campaign: everything registered
     // also resolved, and the tracker flags the run as done.
-    let (_, body) = top::http_get(addr, "/progress", GET_TIMEOUT).expect("progress post-run");
+    let body = rh_obs::http_get(addr, "/progress", GET_TIMEOUT).expect("progress post-run").body;
     let p = top::parse_progress(&body).expect("final progress is JSON");
     let total = p.field("total").as_u64().expect("total");
     let completed = p.field("completed").as_u64().expect("completed");
@@ -89,7 +89,7 @@ fn live_endpoints_track_a_campaign_and_shut_down() {
 
     // The exporter publishes the progress gauges and instrumented
     // counters the `top` monitor keys on.
-    let (_, text) = top::http_get(addr, "/metrics", GET_TIMEOUT).expect("metrics post-run");
+    let text = rh_obs::http_get(addr, "/metrics", GET_TIMEOUT).expect("metrics post-run").body;
     assert_eq!(
         top::metric_value(&text, "campaign_progress_total"),
         Some(total as f64),
@@ -113,7 +113,7 @@ fn live_endpoints_track_a_campaign_and_shut_down() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut refused = false;
     while Instant::now() < deadline {
-        if top::http_get(addr, "/healthz", GET_TIMEOUT).is_err() {
+        if rh_obs::http_get(addr, "/healthz", GET_TIMEOUT).is_err() {
             refused = true;
             break;
         }

@@ -25,7 +25,6 @@
 
 use crate::error::CharError;
 use crate::executor::{self, lock, ExecutorConfig};
-use crate::experiments::panic_detail;
 use crate::fleet::{fnv1a64, splitmix64, CommitOutcome, FailOutcome, FleetPolicy, JobTable};
 use crate::progress::ProgressTracker;
 use crate::Characterizer;
@@ -38,6 +37,17 @@ use std::time::Duration;
 use rh_obs::names;
 
 pub use crate::fleet::verify_checkpoint;
+
+/// Turns a caught panic payload into a readable detail string.
+fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Bounded-retry policy with deterministic exponential backoff.
 ///

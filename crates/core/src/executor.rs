@@ -287,34 +287,6 @@ fn pop_task(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     None
 }
 
-/// Bounded-concurrency map over owned items with no deadline and no
-/// external cancellation: the simple pool [`parallel_modules`]
-/// (crate::experiments::parallel_modules) runs on. Results come back in
-/// input order.
-pub fn run_bounded<I, R, F>(cfg: &ExecutorConfig, items: Vec<I>, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(usize, I) -> R + Sync,
-{
-    let cells: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let cancel = CancelToken::new();
-    let cfg = ExecutorConfig { module_deadline: None, ..cfg.clone() };
-    let out: Vec<Option<R>> = supervise(
-        &cfg,
-        &cancel,
-        cells.len(),
-        |idx, _token| lock(&cells[idx]).take().map(|item| f(idx, item)),
-        // No deadline and an inert token: these arms cannot run.
-        |_, _| None,
-        |_| None,
-        |_, _| {},
-    );
-    let results: Vec<R> = out.into_iter().flatten().collect();
-    assert_eq!(results.len(), cells.len(), "bounded pool ran every item exactly once");
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,22 +314,39 @@ mod tests {
         }
     }
 
+    /// `work(idx)` for every `idx in 0..n` under `supervise` with no
+    /// deadline and an inert cancel token, so only `work` decides.
+    fn run_all<R: Send>(
+        cfg: &ExecutorConfig,
+        n: usize,
+        work: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        supervise(
+            cfg,
+            &CancelToken::new(),
+            n,
+            |idx, _| work(idx),
+            |idx, _| panic!("task {idx} timed out without a deadline"),
+            |idx| panic!("task {idx} cancelled by an inert token"),
+            |_, _| {},
+        )
+    }
+
     #[test]
-    fn run_bounded_returns_results_in_input_order() {
-        let cfg = ExecutorConfig::with_workers(3);
-        let out = run_bounded(&cfg, (0..20u64).collect(), |_, x| x * 2);
-        assert_eq!(out, (0..20u64).map(|x| x * 2).collect::<Vec<_>>());
+    fn supervise_returns_results_in_task_order() {
+        let out = run_all(&ExecutorConfig::with_workers(3), 20, |i| i * 2);
+        assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn hundred_tasks_never_exceed_max_workers_live() {
         let counter = LiveCounter::new();
         let cfg = ExecutorConfig::with_workers(4);
-        let out = run_bounded(&cfg, (0..100u64).collect(), |_, x| {
+        let out = run_all(&cfg, 100, |i| {
             counter.enter();
             std::thread::sleep(Duration::from_millis(1));
             counter.exit();
-            x
+            i
         });
         assert_eq!(out.len(), 100);
         assert!(counter.peak() >= 1);
@@ -371,9 +360,9 @@ mod tests {
     #[test]
     fn zero_and_one_worker_configs_still_complete() {
         // max_workers is clamped to ≥ 1.
-        let out = run_bounded(&ExecutorConfig::with_workers(0), vec![1, 2, 3], |_, x| x);
+        let out = run_all(&ExecutorConfig::with_workers(0), 3, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
-        let out = run_bounded(&ExecutorConfig::with_workers(1), (0..10).collect(), |i, _| i);
+        let out = run_all(&ExecutorConfig::with_workers(1), 10, |i| i);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
@@ -462,11 +451,11 @@ mod tests {
         // worker 1 steals everything else while 0 is busy.
         let cfg = ExecutorConfig::with_workers(2);
         let start = Instant::now();
-        let out = run_bounded(&cfg, (0..12u64).collect(), |idx, x| {
+        let out = run_all(&cfg, 12, |idx| {
             if idx == 0 {
                 std::thread::sleep(Duration::from_millis(40));
             }
-            x
+            idx
         });
         assert_eq!(out.len(), 12);
         assert!(

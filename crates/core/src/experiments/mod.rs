@@ -5,166 +5,3 @@ pub mod dose;
 pub mod rowactive;
 pub mod spatial;
 pub mod temperature;
-
-use crate::error::CharError;
-use crate::executor::{run_bounded, ExecutorConfig};
-use crate::Characterizer;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Turns a caught panic payload into a readable detail string.
-pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs `f` over several characterizers on a bounded worker pool
-/// (default [`ExecutorConfig`]: one worker per available core) and
-/// collects every per-module outcome in input order. A 248-module
-/// sweep no longer spawns 248 OS threads.
-///
-/// No result is ever dropped: a worker that fails (or panics — the
-/// panic is contained and surfaced as
-/// [`CharError::WorkerPanicked`]) yields an `Err` in its slot while
-/// every other module's result is still returned. Callers that want
-/// first-error semantics can use [`parallel_modules_strict`]; callers
-/// that want retries and quarantine should use
-/// [`CampaignRunner`](crate::campaign::CampaignRunner).
-pub fn parallel_modules<T, F>(
-    modules: Vec<Characterizer>,
-    f: F,
-) -> Vec<(Characterizer, Result<T, CharError>)>
-where
-    T: Send,
-    F: Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-{
-    parallel_modules_with(&ExecutorConfig::default(), modules, f)
-}
-
-/// [`parallel_modules`] with an explicit pool configuration (the
-/// deadline, if any, is ignored — unsupervised maps have no watchdog).
-pub fn parallel_modules_with<T, F>(
-    cfg: &ExecutorConfig,
-    modules: Vec<Characterizer>,
-    f: F,
-) -> Vec<(Characterizer, Result<T, CharError>)>
-where
-    T: Send,
-    F: Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-{
-    run_bounded(cfg, modules, |_idx, mut ch| {
-        let r = catch_unwind(AssertUnwindSafe(|| f(&mut ch)))
-            .unwrap_or_else(|p| Err(CharError::WorkerPanicked { detail: panic_detail(p) }));
-        (ch, r)
-    })
-}
-
-/// First-error variant of [`parallel_modules`]: every worker still runs
-/// to completion, but the first error (in input order) is returned and
-/// the successful results are dropped.
-///
-/// # Errors
-///
-/// The first error any worker produced, including contained panics.
-pub fn parallel_modules_strict<T, F>(
-    modules: Vec<Characterizer>,
-    f: F,
-) -> Result<Vec<(Characterizer, T)>, CharError>
-where
-    T: Send,
-    F: Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-{
-    let mut out = Vec::new();
-    for (ch, r) in parallel_modules(modules, f) {
-        out.push((ch, r?));
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Scale;
-    use rh_dram::Manufacturer;
-    use rh_softmc::TestBench;
-
-    #[test]
-    fn parallel_runs_every_module() {
-        let modules: Vec<Characterizer> = (0..3)
-            .map(|i| {
-                Characterizer::new(TestBench::new(Manufacturer::D, 100 + i), Scale::Smoke)
-                    .unwrap()
-            })
-            .collect();
-        let out = parallel_modules_strict(modules, |ch| Ok(ch.bench().module_seed())).unwrap();
-        let seeds: Vec<u64> = out.iter().map(|(_, s)| *s).collect();
-        assert_eq!(seeds, vec![100, 101, 102]);
-    }
-
-    fn smoke_modules(n: u64) -> Vec<Characterizer> {
-        (0..n)
-            .map(|i| {
-                Characterizer::new(TestBench::new(Manufacturer::D, 100 + i), Scale::Smoke)
-                    .unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn one_failure_keeps_other_results() {
-        let out = parallel_modules(smoke_modules(3), |ch| {
-            let seed = ch.bench().module_seed();
-            if seed == 101 {
-                Err(CharError::VictimOutOfRange { row: 0 })
-            } else {
-                Ok(seed)
-            }
-        });
-        assert_eq!(out.len(), 3, "failed module still occupies its slot");
-        assert_eq!(*out[0].1.as_ref().unwrap(), 100);
-        assert!(out[1].1.is_err());
-        assert_eq!(*out[2].1.as_ref().unwrap(), 102);
-    }
-
-    #[test]
-    fn concurrency_is_bounded_by_the_pool() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let cfg = ExecutorConfig::with_workers(2);
-        let out = parallel_modules_with(&cfg, smoke_modules(8), |ch| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            live.fetch_sub(1, Ordering::SeqCst);
-            Ok(ch.bench().module_seed())
-        });
-        assert_eq!(out.len(), 8);
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "max_workers=2 but {} modules ran concurrently",
-            peak.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn worker_panic_becomes_per_module_error() {
-        let out = parallel_modules(smoke_modules(2), |ch| {
-            if ch.bench().module_seed() == 100 {
-                panic!("injected worker panic");
-            }
-            Ok(())
-        });
-        match &out[0].1 {
-            Err(CharError::WorkerPanicked { detail }) => {
-                assert!(detail.contains("injected worker panic"));
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert!(out[1].1.is_ok(), "sibling module unaffected by the panic");
-    }
-}

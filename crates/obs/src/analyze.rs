@@ -17,291 +17,15 @@
 //! ±1 µs tolerance. Spans the tolerance cannot attach become roots
 //! rather than being dropped.
 //!
-//! The analyzer is pure string-in/report-out (the JSON parser is
-//! hand-rolled; `rh-stats` supplies the duration-distribution
-//! rendering), so it works on a trace from any source that follows
-//! the schema in DESIGN.md §7.
+//! The analyzer is pure string-in/report-out (the vendored
+//! `serde_json` parses each record; `rh-stats` supplies the
+//! duration-distribution rendering), so it works on a trace from any
+//! source that follows the schema in DESIGN.md §7.
 
 use rh_stats::Histogram1d;
+use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (just enough for trace and metrics files).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer, kept exact: lease and span IDs exceed f64's 53-bit
-    /// integer range, and rounding them would alias distinct leases.
-    Int(i64),
-    /// Any non-integer (or i64-overflowing) number.
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a u64 if it is a non-negative integral number.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an i64 if it is an integral number in range.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            Json::Num(n)
-                if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 =>
-            {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document from `src` (trailing whitespace allowed).
-///
-/// # Errors
-///
-/// A human-readable message with a byte offset on malformed input.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser { b: src.as_bytes(), i: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| format!("non-utf8 number at byte {start}"))?;
-        if !text.bytes().any(|c| matches!(c, b'.' | b'e' | b'E')) {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.i += 4;
-                            // Surrogates and other invalid scalars degrade to
-                            // U+FFFD; trace strings never contain them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i - 1)),
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundary: take the full UTF-8 sequence.
-                    let len = utf8_len(c);
-                    let end = (self.i - 1 + len).min(self.b.len());
-                    let chunk = std::str::from_utf8(&self.b[self.i - 1..end])
-                        .map_err(|_| format!("non-utf8 string at byte {}", self.i - 1))?;
-                    out.push_str(chunk);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Span-tree reconstruction
@@ -395,23 +119,21 @@ pub fn analyze_trace(jsonl: &str) -> Result<Analysis, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(rec) = parse_json(line) else {
+        let Ok(rec) = serde_json::from_str::<Value>(line) else {
             analysis.skipped_lines += 1;
             continue;
         };
-        let (Some(ts_us), Some(kind), Some(name)) = (
-            rec.get("ts_us").and_then(Json::as_u64),
-            rec.get("kind").and_then(Json::as_str),
-            rec.get("name").and_then(Json::as_str),
-        ) else {
+        let (Some(ts_us), Some(kind), Some(name)) =
+            (rec.field("ts_us").as_u64(), rec.field("kind").as_str(), rec.field("name").as_str())
+        else {
             analysis.skipped_lines += 1;
             continue;
         };
         parsed_any = true;
-        let tid = rec.get("tid").and_then(Json::as_u64).unwrap_or(0);
+        let tid = rec.field("tid").as_u64().unwrap_or(0);
         match kind {
             "span" => {
-                let elapsed = rec.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
+                let elapsed = rec.field("elapsed_us").as_u64().unwrap_or(0);
                 let start = ts_us.saturating_sub(elapsed);
                 first_start = first_start.min(start);
                 last_end = last_end.max(ts_us);
@@ -549,10 +271,11 @@ fn validate_jsonl(jsonl: &str) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let rec = parse_json(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let complete = rec.get("ts_us").and_then(Json::as_u64).is_some()
-            && rec.get("kind").and_then(Json::as_str).is_some()
-            && rec.get("name").and_then(Json::as_str).is_some();
+        let rec: Value =
+            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let complete = rec.field("ts_us").as_u64().is_some()
+            && rec.field("kind").as_str().is_some()
+            && rec.field("name").as_str().is_some();
         if !complete {
             return Err(format!("line {}: record missing ts_us/kind/name", idx + 1));
         }
@@ -624,8 +347,8 @@ struct RawSpan {
     lease: Option<u64>,
 }
 
-fn parse_hex_id(rec: &Json, key: &str) -> Option<u64> {
-    u64::from_str_radix(rec.get(key)?.as_str()?, 16).ok()
+fn parse_hex_id(rec: &Value, key: &str) -> Option<u64> {
+    u64::from_str_radix(rec.field(key).as_str()?, 16).ok()
 }
 
 /// Stitches a fleet trace from `(file_name, jsonl)` pairs — one
@@ -665,19 +388,19 @@ pub fn stitch_fleet(files: &[(String, String)]) -> Result<FleetStitch, String> {
         let mut file_job_spans = 0u64;
         for line in content.lines().filter(|l| !l.trim().is_empty()) {
             // Validated above; a failure here would be a logic error.
-            let rec = parse_json(line).map_err(|e| format!("{fname}: {e}"))?;
-            let kind = rec.get("kind").and_then(Json::as_str).unwrap_or("");
-            let name = rec.get("name").and_then(Json::as_str).unwrap_or("");
+            let rec = serde_json::from_str::<Value>(line).map_err(|e| format!("{fname}: {e}"))?;
+            let kind = rec.field("kind").as_str().unwrap_or("");
+            let name = rec.field("name").as_str().unwrap_or("");
             match kind {
                 "meta" if name == crate::names::FLEET_TRACE_SEGMENT => {
-                    let fields = rec.get("fields").cloned().unwrap_or(Json::Null);
-                    info.lease = fields.get("lease").and_then(Json::as_u64).unwrap_or(0);
-                    if let Some(w) = fields.get("worker").and_then(Json::as_str) {
+                    let fields = rec.field("fields");
+                    info.lease = fields.field("lease").as_u64().unwrap_or(0);
+                    if let Some(w) = fields.field("worker").as_str() {
                         info.worker = w.to_string();
                     }
-                    info.offset_us = fields.get("offset_us").and_then(Json::as_i64);
-                    info.shed = fields.get("shed").and_then(Json::as_u64).unwrap_or(0);
-                    info.orphan = fields.get("orphan").and_then(Json::as_bool).unwrap_or(false);
+                    info.offset_us = fields.field("offset_us").as_i64();
+                    info.shed = fields.field("shed").as_u64().unwrap_or(0);
+                    info.orphan = fields.field("orphan").as_bool().unwrap_or(false);
                     offset = info.offset_us.unwrap_or(0);
                 }
                 "span" => {
@@ -686,16 +409,13 @@ pub fn stitch_fleet(files: &[(String, String)]) -> Result<FleetStitch, String> {
                     // process belong to other work.
                     let Some(span_id) = parse_hex_id(&rec, "span_id") else { continue };
                     let parent = parse_hex_id(&rec, "parent_id").unwrap_or(0);
-                    let ts = rec.get("ts_us").and_then(Json::as_u64).unwrap_or(0);
-                    let elapsed = rec.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
+                    let ts = rec.field("ts_us").as_u64().unwrap_or(0);
+                    let elapsed = rec.field("elapsed_us").as_u64().unwrap_or(0);
                     let end_us =
                         u64::try_from((i64::try_from(ts).unwrap_or(i64::MAX)).saturating_add(offset))
                             .unwrap_or(0);
-                    let tid = rec.get("tid").and_then(Json::as_u64).unwrap_or(0);
-                    let lease = rec
-                        .get("fields")
-                        .and_then(|f| f.get("lease"))
-                        .and_then(Json::as_u64);
+                    let tid = rec.field("tid").as_u64().unwrap_or(0);
+                    let lease = rec.field("fields").field("lease").as_u64();
                     spans.insert(
                         span_id,
                         RawSpan {
@@ -927,8 +647,8 @@ pub fn render_fleet_report(stitch: &FleetStitch) -> String {
 ///
 /// On malformed JSON or a missing/ill-typed `counters` member.
 pub fn parse_metrics_counters(json: &str) -> Result<BTreeMap<String, u64>, String> {
-    let doc = parse_json(json)?;
-    let Some(Json::Obj(members)) = doc.get("counters") else {
+    let doc = serde_json::from_str::<Value>(json).map_err(|e| e.to_string())?;
+    let Value::Object(members) = doc.field("counters") else {
         return Err("metrics file has no 'counters' object".to_string());
     };
     let mut out = BTreeMap::new();
@@ -1300,31 +1020,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_parser_roundtrips_trace_shapes() {
-        let v = parse_json(
-            r#"{"ts_us":12,"kind":"event","name":"a.b","tid":3,"fields":{"s":"q\"x","n":-2.5,"b":true,"z":null,"arr":[1,2]}}"#,
-        )
-        .unwrap_or_else(|e| panic!("parse failed: {e}"));
-        assert_eq!(v.get("ts_us").and_then(Json::as_u64), Some(12));
-        assert_eq!(v.get("kind").and_then(Json::as_str), Some("event"));
-        let fields = v.get("fields").unwrap_or(&Json::Null);
-        assert_eq!(fields.get("s").and_then(Json::as_str), Some("q\"x"));
-        assert_eq!(fields.get("n"), Some(&Json::Num(-2.5)));
-        assert_eq!(fields.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(fields.get("z"), Some(&Json::Null));
-        assert_eq!(fields.get("arr"), Some(&Json::Arr(vec![Json::Int(1), Json::Int(2)])));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} x").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-    }
-
-    #[test]
     fn reconstructs_nesting_from_end_ordered_records() {
         // child: [60, 100); parent: [10, 110) — child emitted first.
         let trace = concat!(
@@ -1498,6 +1193,12 @@ mod tests {
         let bad = "{\"ts_us\":5,\"kind\":\"span\"}\n";
         let err = analyze_trace_strict(bad).expect_err("incomplete record");
         assert!(err.contains("line 1"), "{err}");
+        // Malformed JSON on a later line names that line.
+        for garbage in ["{", "{\"a\":}", "[1,]", "{} x", "\"unterminated"] {
+            let trace = format!("{full}{garbage}\n");
+            let err = analyze_trace_strict(&trace).expect_err(garbage);
+            assert!(err.starts_with("line 3: "), "{garbage}: {err}");
+        }
     }
 
     fn fleet_fixture() -> Vec<(String, String)> {
@@ -1602,6 +1303,17 @@ mod tests {
         assert_eq!(c.get("dram.flip"), Some(&42));
         assert_eq!(c.get("softmc.cmd"), Some(&1000));
         assert!(parse_metrics_counters("{}").is_err());
+    }
+
+    #[test]
+    fn integers_above_i64_max_parse_exactly() {
+        let line = r#"{"seq":3,"lease_id":18446744073709551614,"kind":"committed","ts_us":9}"#;
+        let parsed = crate::stream::parse_events(line);
+        assert_eq!(parsed.skipped, 0);
+        assert_eq!(parsed.events[0].lease_id, 18_446_744_073_709_551_614);
+        let c = parse_metrics_counters(r#"{"counters":{"big":9223372036854775809}}"#)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(c.get("big"), Some(&9_223_372_036_854_775_809));
     }
 
     fn journal_fixture() -> String {

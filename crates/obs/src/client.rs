@@ -387,8 +387,10 @@ mod tests {
                 .unwrap_or_else(|e| panic!("bind: {e}"));
             l.local_addr().map(|a| a.port()).unwrap_or_else(|e| panic!("addr: {e}"))
         };
-        let err = http_get(&format!("127.0.0.1:{port}"), "/metrics", Duration::from_millis(500));
-        assert!(err.is_err(), "connect to a closed port should fail");
+        for addr in [format!("127.0.0.1:{port}"), "not-an-addr".to_string()] {
+            let err = http_get(&addr, "/metrics", Duration::from_millis(500));
+            assert!(err.is_err(), "GET against {addr} should fail");
+        }
     }
 
     /// The satellite regression: a server that drips one byte at a

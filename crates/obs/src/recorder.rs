@@ -3,10 +3,9 @@
 //! metrics snapshot.
 //!
 //! JSON is rendered by hand (this crate keeps third-party code out of
-//! the hot path); the output is plain RFC 8259 JSON, one object per
-//! line for traces, so any consumer — including the vendored
-//! `serde_json` used by the bench tests and the analyzer in
-//! [`crate::analyze`] — can parse it.
+//! the recording hot path); the output is plain RFC 8259 JSON, one
+//! object per line for traces, which the analyzer in
+//! [`crate::analyze`] reads back with the vendored `serde_json`.
 //!
 //! # Streaming vs. in-memory traces
 //!

@@ -26,10 +26,9 @@
 //! detects the gap as a jump in `seq` and the drop count is exposed
 //! as `worker.events.dropped`.
 
-use crate::analyze::{parse_json, Json};
 use crate::names;
+use serde::Value;
 use std::collections::{HashSet, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -131,73 +130,51 @@ pub struct JobEvent {
     pub worker: String,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl JobEvent {
+    /// The event as a JSON object, keys in fixed order. `value`,
+    /// `detail`, and `worker` are omitted when they hold their
+    /// defaults to keep high-rate streams tight.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let mut pairs = vec![
+            ("seq".to_string(), Value::U64(self.seq)),
+            ("lease_id".to_string(), Value::U64(self.lease_id)),
+            ("kind".to_string(), Value::Str(self.kind.as_str().to_string())),
+            ("module".to_string(), Value::Str(self.module.clone())),
+            ("ts_us".to_string(), Value::U64(self.ts_us)),
+        ];
+        if self.value != 0 {
+            pairs.push(("value".to_string(), Value::U64(self.value)));
+        }
+        for (key, text) in [("detail", &self.detail), ("worker", &self.worker)] {
+            if !text.is_empty() {
+                pairs.push((key.to_string(), Value::Str(text.clone())));
+            }
+        }
+        Value::Object(pairs)
+    }
+
     /// Renders the event as one JSONL line (trailing newline
-    /// included). `value`, `detail`, and `worker` are omitted when
-    /// they hold their defaults to keep high-rate streams tight.
+    /// included).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"lease_id\":{},\"kind\":\"{}\",\"module\":",
-            self.seq,
-            self.lease_id,
-            self.kind.as_str()
-        );
-        push_json_str(&mut out, &self.module);
-        let _ = write!(out, ",\"ts_us\":{}", self.ts_us);
-        if self.value != 0 {
-            let _ = write!(out, ",\"value\":{}", self.value);
-        }
-        if !self.detail.is_empty() {
-            out.push_str(",\"detail\":");
-            push_json_str(&mut out, &self.detail);
-        }
-        if !self.worker.is_empty() {
-            out.push_str(",\"worker\":");
-            push_json_str(&mut out, &self.worker);
-        }
-        out.push_str("}\n");
-        out
+        format!("{}\n", self.to_value())
     }
 
-    /// Parses one event from an already-parsed JSON record. `None`
-    /// when required fields are missing/ill-typed or the kind is
-    /// unknown.
+    /// Decodes one event from a JSON record. `None` when required
+    /// fields are missing/ill-typed or the kind is unknown.
     #[must_use]
-    pub fn from_json(rec: &Json) -> Option<Self> {
-        let seq = rec.get("seq")?.as_u64()?;
-        let lease_id = rec.get("lease_id")?.as_u64()?;
-        let kind = EventKind::parse(rec.get("kind")?.as_str()?)?;
-        let ts_us = rec.get("ts_us")?.as_u64()?;
+    pub fn from_json(rec: &Value) -> Option<Self> {
+        let text = |key| rec.field(key).as_str().unwrap_or("").to_string();
         Some(JobEvent {
-            seq,
-            lease_id,
-            kind,
-            module: rec.get("module").and_then(Json::as_str).unwrap_or("").to_string(),
-            ts_us,
-            value: rec.get("value").and_then(Json::as_u64).unwrap_or(0),
-            detail: rec.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
-            worker: rec.get("worker").and_then(Json::as_str).unwrap_or("").to_string(),
+            seq: rec.field("seq").as_u64()?,
+            lease_id: rec.field("lease_id").as_u64()?,
+            kind: EventKind::parse(rec.field("kind").as_str()?)?,
+            module: text("module"),
+            ts_us: rec.field("ts_us").as_u64()?,
+            value: rec.field("value").as_u64().unwrap_or(0),
+            detail: text("detail"),
+            worker: text("worker"),
         })
     }
 }
@@ -222,7 +199,7 @@ pub fn parse_events(text: &str) -> ParsedEvents {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_json(line).ok().as_ref().and_then(JobEvent::from_json) {
+        match serde_json::from_str::<Value>(line).ok().as_ref().and_then(JobEvent::from_json) {
             Some(ev) => out.events.push(ev),
             None => out.skipped += 1,
         }
@@ -501,6 +478,47 @@ mod tests {
         let entry = &parse_events(&journal).events[0];
         assert_eq!(entry.worker, "127.0.0.1:9");
         assert_eq!(entry.detail, ev.detail);
+    }
+
+    #[test]
+    fn one_codec_round_trips_every_kind_and_pins_the_wire_bytes() {
+        for kind in EventKind::ALL {
+            let bare = JobEvent {
+                seq: 1,
+                lease_id: u64::MAX - 1,
+                kind,
+                module: String::new(),
+                ts_us: 0,
+                value: 0,
+                detail: String::new(),
+                worker: String::new(),
+            };
+            let full = JobEvent {
+                module: "A0".to_string(),
+                value: 7,
+                detail: "d".to_string(),
+                worker: "127.0.0.1:1".to_string(),
+                ..bare.clone()
+            };
+            for ev in [bare, full] {
+                assert_eq!(JobEvent::from_json(&ev.to_value()), Some(ev.clone()));
+            }
+        }
+        let ev = JobEvent {
+            seq: 2,
+            lease_id: 3,
+            kind: EventKind::Failed,
+            module: "B1".to_string(),
+            ts_us: 4,
+            value: 0,
+            detail: "a\"b\\c\u{1}".to_string(),
+            worker: String::new(),
+        };
+        assert_eq!(
+            ev.to_json_line(),
+            "{\"seq\":2,\"lease_id\":3,\"kind\":\"failed\",\"module\":\"B1\",\"ts_us\":4,\
+             \"detail\":\"a\\\"b\\\\c\\u0001\"}\n"
+        );
     }
 
     #[test]
