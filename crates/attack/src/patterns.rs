@@ -86,11 +86,7 @@ pub fn execute(
     let logical = ch.logical_of(victim);
     let read = ch.bench_mut().module_mut().read_row_direct(bank, logical)?;
     let expect = data.row_fill(victim, 0, read.len());
-    let flips = read
-        .iter()
-        .zip(&expect)
-        .map(|(a, b)| u64::from((a ^ b).count_ones()))
-        .sum();
+    let flips = rh_dram::count_flips(&read, &expect);
     let duration = hammers * aggressors.len() as u64 * (t_on + t_off);
     Ok(AttackOutcome { flips, hammers, duration })
 }

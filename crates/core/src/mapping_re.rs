@@ -70,11 +70,7 @@ pub fn observe_adjacencies(
             let row = aggressor.offset(d);
             let read = bench.module_mut().read_row_direct(bank, row)?;
             let expect = pattern.row_fill(row, d, row_bytes);
-            let n: u64 = read
-                .iter()
-                .zip(&expect)
-                .map(|(a, b)| u64::from((a ^ b).count_ones()))
-                .sum();
+            let n = rh_dram::count_flips(&read, &expect);
             if n > 0 {
                 flips.push((n, row));
             }

@@ -173,11 +173,7 @@ impl Characterizer {
         let logical = self.mapping.physical_to_logical(phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(phys, d, read.len());
-        Ok(read
-            .iter()
-            .zip(&expect)
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum())
+        Ok(rh_dram::count_flips(&read, &expect))
     }
 
     /// One double-sided hammer test (§4.2): writes the neighborhood,
@@ -233,16 +229,7 @@ impl Characterizer {
         let logical = self.mapping.physical_to_logical(victim_phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(victim_phys, 0, read.len());
-        let mut out = Vec::new();
-        for (i, (a, b)) in read.iter().zip(&expect).enumerate() {
-            let mut diff = a ^ b;
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as u8;
-                out.push((i as u32, bit));
-                diff &= diff - 1;
-            }
-        }
-        Ok(out)
+        Ok(rh_dram::flip_positions(&read, &expect))
     }
 
     /// Whether a single double-sided test at `hammers` flips any bit in

@@ -96,11 +96,7 @@ pub fn score_patterns(
             let logical = mapping.physical_to_logical(victim);
             let read = bench.module_mut().read_row_direct(bank, logical)?;
             let expect = pattern.row_fill(victim, 0, row_bytes);
-            flips += read
-                .iter()
-                .zip(&expect)
-                .map(|(a, b)| u64::from((a ^ b).count_ones()))
-                .sum::<u64>();
+            flips += rh_dram::count_flips(&read, &expect);
         }
         scores.push(PatternScore { kind, flips });
     }

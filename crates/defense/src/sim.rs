@@ -176,7 +176,7 @@ impl DefenseSim {
         outcome.duration = now;
         let logical = self.mapping.physical_to_logical(victim);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = read.iter().map(|b| u64::from(b.count_ones())).sum();
+        outcome.victim_flips = rh_dram::count_flips(&read, &vec![0u8; read.len()]);
         Ok(outcome)
     }
 
@@ -241,7 +241,7 @@ impl DefenseSim {
         outcome.duration = now;
         let logical = self.mapping.physical_to_logical(victim);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = read.iter().map(|b| u64::from(b.count_ones())).sum();
+        outcome.victim_flips = rh_dram::count_flips(&read, &vec![0u8; read.len()]);
         Ok(outcome)
     }
 }

@@ -20,7 +20,8 @@
 //!   schemes, which characterization code reverse-engineers exactly as
 //!   the paper does (§4.2).
 //! * [`data`] — the data patterns of Table 1 (colstripe, checkered,
-//!   rowstripe, random, and complements).
+//!   rowstripe, random, and complements), and the word-wise row-diff
+//!   kernel that counts or locates the bits a read row flipped.
 //! * [`energy`] — IDD-style per-command energy accounting for pricing
 //!   attacks and defenses in energy terms.
 //! * [`population`] — the tested-module inventory of Tables 2 and 4.
@@ -52,7 +53,7 @@ pub mod timing;
 
 pub use bank::{AggressionStats, Bank, BankState};
 pub use command::{Command, TimedCommand};
-pub use data::{DataPattern, PatternKind};
+pub use data::{count_flips, flip_positions, DataPattern, PatternKind};
 pub use energy::{EnergyModel, Picojoules};
 pub use error::DramError;
 pub use geometry::{

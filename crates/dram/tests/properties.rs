@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rh_dram::{
-    BankId, Command, DataPattern, DramModule, Manufacturer, ModuleConfig, PatternKind,
-    RowAddr, RowMapping, TimedCommand,
+    count_flips, flip_positions, BankId, Command, DataPattern, DramModule, Manufacturer,
+    ModuleConfig, PatternKind, RowAddr, RowMapping, TimedCommand,
 };
 
 fn any_mfr() -> impl Strategy<Value = Manufacturer> {
@@ -12,6 +12,69 @@ fn any_mfr() -> impl Strategy<Value = Manufacturer> {
 
 fn any_pattern() -> impl Strategy<Value = PatternKind> {
     prop::sample::select(PatternKind::ALL.to_vec())
+}
+
+/// The byte-wise reference the row-diff kernel must agree with.
+fn bytewise_count(read: &[u8], expect: &[u8]) -> u64 {
+    read.iter().zip(expect).map(|(a, b)| u64::from((a ^ b).count_ones())).sum()
+}
+
+/// Byte-then-bit scan of the differing positions.
+fn bytewise_positions(read: &[u8], expect: &[u8]) -> Vec<(u32, u8)> {
+    let mut out = Vec::new();
+    for (i, (a, b)) in read.iter().zip(expect).enumerate() {
+        for bit in 0..8u8 {
+            if (a ^ b) >> bit & 1 == 1 {
+                out.push((i as u32, bit));
+            }
+        }
+    }
+    out
+}
+
+/// Seeded pseudo-random row of `len` bytes (splitmix64).
+fn random_row(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+fn assert_kernel_matches(read: &[u8], expect: &[u8]) {
+    let len = read.len();
+    assert_eq!(count_flips(read, expect), bytewise_count(read, expect), "len {len}");
+    assert_eq!(flip_positions(read, expect), bytewise_positions(read, expect), "len {len}");
+}
+
+#[test]
+fn row_diff_kernel_edge_rows() {
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 8191, 8192, 8193, 8200] {
+        let expect = random_row(len as u64, len);
+        // Equal rows.
+        assert_kernel_matches(&expect, &expect);
+        assert_eq!(count_flips(&expect, &expect), 0);
+        if len == 0 {
+            continue;
+        }
+        // One flipped bit in the first byte and one in the last byte.
+        let mut read = expect.clone();
+        read[0] ^= 0x01;
+        read[len - 1] ^= 0x80;
+        assert_kernel_matches(&read, &expect);
+        let last = len as u32 - 1;
+        let ends = if len == 1 { vec![(0, 0), (0, 7)] } else { vec![(0, 0), (last, 7)] };
+        assert_eq!(flip_positions(&read, &expect), ends);
+        // All-ones difference: every bit flipped.
+        let inverted: Vec<u8> = expect.iter().map(|b| !b).collect();
+        assert_kernel_matches(&inverted, &expect);
+        assert_eq!(count_flips(&inverted, &expect), 8 * len as u64);
+    }
 }
 
 proptest! {
@@ -84,5 +147,37 @@ proptest! {
         prop_assert_eq!(t.quantize(q), q);
         prop_assert!(q >= t_ps);
         prop_assert!(q - t_ps < t.clock);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn row_diff_kernel_matches_bytewise(
+        len in 0usize..=8200,
+        seed in any::<u64>(),
+        mode in 0u8..4,
+        picks in prop::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let expect = random_row(seed, len);
+        let mut read = expect.clone();
+        match mode {
+            // Equal rows.
+            0 => {}
+            // Sparse: a few single-bit flips anywhere (repeats cancel).
+            1 if len > 0 => {
+                for p in &picks {
+                    let at = (p % (8 * len as u64)) as usize;
+                    read[at / 8] ^= 1 << (at % 8);
+                }
+            }
+            // All-ones difference.
+            2 => read.iter_mut().for_each(|b| *b = !*b),
+            // Unrelated row: dense random differences.
+            _ => read = random_row(seed ^ 0x5555, len),
+        }
+        prop_assert_eq!(count_flips(&read, &expect), bytewise_count(&read, &expect));
+        prop_assert_eq!(flip_positions(&read, &expect), bytewise_positions(&read, &expect));
     }
 }

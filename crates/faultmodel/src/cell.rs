@@ -176,6 +176,7 @@ pub fn derive_row_cells_with(
     let spatial = variation::module_factor(profile, module_seed)
         * variation::subarray_factor(profile, module_seed, bank, row.0 / subarray_rows)
         * variation::row_factor(profile, module_seed, bank, row);
+    let ln_med = profile.hc_median.ln();
 
     let mut cells = Vec::with_capacity(profile.cells_per_row as usize);
     for i in 0..profile.cells_per_row {
@@ -223,7 +224,6 @@ pub fn derive_row_cells_with(
             % 8) as u8;
 
         // --- threshold ---
-        let ln_med = profile.hc_median.ln();
         let threshold = spatial
             * rng::lognormal(
                 module_seed,

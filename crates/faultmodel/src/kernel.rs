@@ -132,8 +132,7 @@ impl TempSurface {
         let mut word = Vec::with_capacity(n);
         let mut mask = Vec::with_capacity(n);
         let mut anti = Vec::with_capacity(n);
-        let mut lanes: std::collections::BTreeMap<u32, (u64, u64)> =
-            std::collections::BTreeMap::new();
+        let mut lanes: Vec<(u32, u64, u64)> = Vec::with_capacity(n);
         for (eff, c) in order {
             let w = c.byte / 8;
             let m = 1u64 << ((c.byte % 8) * 8 + c.bit as u32);
@@ -143,13 +142,21 @@ impl TempSurface {
             word.push(w);
             mask.push(m);
             anti.push(c.anti_cell);
-            let lane = lanes.entry(w).or_insert((0, 0));
-            if c.anti_cell {
-                lane.0 |= m;
-            } else {
-                lane.1 |= m;
-            }
+            lanes.push(if c.anti_cell { (w, m, 0) } else { (w, 0, m) });
         }
+        // Fold the per-cell masks into one entry per word: sort by word,
+        // then OR each run of equal words together.
+        lanes.sort_unstable_by_key(|&(w, _, _)| w);
+        lanes.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 |= next.1;
+                kept.2 |= next.2;
+            }
+            same
+        });
+        // Surfaces stay memoized: hold one entry per word, not per cell.
+        lanes.shrink_to_fit();
         let (noise_lo, noise_hi) = trial_noise_bounds(profile);
         let min_gate = h.first().map_or(f64::INFINITY, |&h0| h0 * noise_lo);
         let max_gate = h.last().map_or(0.0, |&hn| hn * noise_hi);
@@ -160,7 +167,7 @@ impl TempSurface {
             word,
             mask,
             anti,
-            lane_masks: lanes.into_iter().map(|(w, (a, t))| (w, a, t)).collect(),
+            lane_masks: lanes,
             min_gate,
             max_gate,
             noise_lo,
@@ -279,19 +286,36 @@ mod tests {
     #[test]
     fn lane_masks_cover_every_cell_exactly() {
         let (_, s) = surface(Manufacturer::B, 7, 75.0);
-        let mut anti_bits = 0u32;
-        let mut true_bits = 0u32;
-        for &(_, a, t) in &s.lane_masks {
-            assert_eq!(a & t & !(a & t), 0);
-            anti_bits += a.count_ones();
-            true_bits += t.count_ones();
+        assert!(!s.is_empty());
+        // Reference fold of the surface's cells: word -> (anti, true).
+        let mut reference = std::collections::HashMap::<u32, (u64, u64)>::new();
+        for i in 0..s.len() {
+            let lane = reference.entry(s.word[i]).or_default();
+            if s.anti[i] {
+                lane.0 |= s.mask[i];
+            } else {
+                lane.1 |= s.mask[i];
+            }
         }
-        let anti_cells = s.anti.iter().filter(|&&a| a).count() as u32;
-        // Two cells can share a (byte, bit) position; the mask merges
-        // them, so the popcount is a lower bound.
-        assert!(anti_bits <= anti_cells);
-        assert!(true_bits <= s.len() as u32 - anti_cells);
-        assert!(anti_bits + true_bits > 0);
+        // One entry per word, in ascending order: a duplicated (unmerged)
+        // or out-of-order word fails here.
+        for pair in s.lane_masks.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "lane words not strictly ascending: {pair:?}");
+        }
+        let lanes: std::collections::HashMap<u32, (u64, u64)> =
+            s.lane_masks.iter().map(|&(w, a, t)| (w, (a, t))).collect();
+        // Every in-window cell's bit is set in the mask of its orientation.
+        for i in 0..s.len() {
+            let &(a, t) = lanes.get(&s.word[i]).expect("cell's word has no lane");
+            let m = if s.anti[i] { a } else { t };
+            assert_ne!(m & s.mask[i], 0, "cell {i} missing from its lane");
+        }
+        // No bit is set without a cell of that orientation.
+        for &(w, a, t) in &s.lane_masks {
+            let (ra, rt) = reference.get(&w).copied().unwrap_or_default();
+            assert_eq!(a & !ra, 0, "anti bits without a cell in word {w}");
+            assert_eq!(t & !rt, 0, "true bits without a cell in word {w}");
+        }
     }
 
     #[test]

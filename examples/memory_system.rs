@@ -9,7 +9,7 @@
 
 use rowhammer_repro::prelude::*;
 use rowhammer_repro::defense::{traits::as_hook, Graphene, Para};
-use rowhammer_repro::dram::DramModule;
+use rowhammer_repro::dram::{count_flips, DramModule};
 use rowhammer_repro::faultmodel::RowHammerModel;
 use rowhammer_repro::softmc::{ActivationHook, MemController, MemRequest, RowPolicy};
 
@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mc.drain();
     let data =
         mc.module_mut().read_row_direct(BankId(0), mapping.physical_to_logical(victim))?;
-    let flips: u32 = data.iter().map(|b| b.count_ones()).sum();
+    let flips = count_flips(&data, &vec![0u8; row_bytes]);
     println!("  150K double-sided hammers as plain requests -> {flips} bit flips in the victim");
     Ok(())
 }
