@@ -130,6 +130,57 @@ pub fn trial_noise_bounds(profile: &MfrProfile) -> (f64, f64) {
     (1.0 / spread, spread)
 }
 
+/// The module × subarray × row threshold factor every cell of the row
+/// shares.
+fn row_spatial(
+    profile: &MfrProfile,
+    module_seed: u64,
+    bank: BankId,
+    row: RowAddr,
+    subarray_rows: u32,
+) -> f64 {
+    variation::module_factor(profile, module_seed)
+        * variation::subarray_factor(profile, module_seed, bank, row.0 / subarray_rows)
+        * variation::row_factor(profile, module_seed, bank, row)
+}
+
+/// A sound lower bound on the dose that can flip any cell of the row,
+/// at any temperature and under any trial noise: for every cell `c` of
+/// [`derive_row_cells`] and every `t` and `nonce`,
+/// `c.threshold_at(t) * c.trial_noise(.., nonce) >= row_floor(..)`.
+///
+/// Costs one hash extension per cell plus the three spatial factors,
+/// a small fraction of the derivation (and temperature surface) it
+/// lets a sub-threshold sensing skip. The bound holds
+/// because each cell's threshold normal comes from Box–Muller, whose
+/// magnitude is at most `sqrt(-2 ln u1)` for the cell's first uniform
+/// `u1`; because `1 + κ·d² >= 1` when `κ >= 0` (for `κ < 0`, or NaN,
+/// the floor is 0 and gates nothing); and because no noise sample falls
+/// below [`trial_noise_bounds`]'s `lo`. The `1 - 1e-9` factor absorbs
+/// the few ulps by which the derivation's evaluation order can land
+/// below the bound's. See `DESIGN.md` §12, "Row floor".
+pub fn row_floor(
+    profile: &MfrProfile,
+    module_seed: u64,
+    bank: BankId,
+    row: RowAddr,
+    subarray_rows: u32,
+) -> f64 {
+    if profile.kappa.is_nan() || profile.kappa < 0.0 {
+        return 0.0;
+    }
+    let thresh = rng::hash(module_seed, &[tag::THRESH, bank.0 as u64, row.0 as u64]);
+    let u1_min = (0..profile.cells_per_row as u64)
+        .map(|i| rng::unit(rng::extend(thresh, i)))
+        .fold(1.0, f64::min);
+    let r = (-2.0 * u1_min.max(1e-12).ln()).sqrt();
+    let (noise_lo, _) = trial_noise_bounds(profile);
+    row_spatial(profile, module_seed, bank, row, subarray_rows)
+        * (profile.hc_median.ln() - profile.sigma_cell.abs() * r).exp()
+        * noise_lo
+        * (1.0 - 1e-9)
+}
+
 /// Derives the vulnerable-cell population of one physical row.
 ///
 /// The derivation is a pure function of `(module_seed, bank, row)`:
@@ -173,23 +224,30 @@ pub fn derive_row_cells_with(
 ) -> Vec<CellVulnerability> {
     let columns = (row_bytes / 8) as u32;
     let chips = 8u8;
-    let spatial = variation::module_factor(profile, module_seed)
-        * variation::subarray_factor(profile, module_seed, bank, row.0 / subarray_rows)
-        * variation::row_factor(profile, module_seed, bank, row);
+    let spatial = row_spatial(profile, module_seed, bank, row, subarray_rows);
     let ln_med = profile.hc_median.ln();
 
-    let mut cells = Vec::with_capacity(profile.cells_per_row as usize);
-    for i in 0..profile.cells_per_row {
-        let cell_key = [bank.0 as u64, row.0 as u64, i as u64];
+    // Every draw hashes `[tag.., bank, row, cell]`: hash each row prefix
+    // once, and extend it by the cell index per draw.
+    let (b, r) = (bank.0 as u64, row.0 as u64);
+    let place = rng::hash(module_seed, &[tag::PLACE, b, r]);
+    let place_bit = rng::hash(module_seed, &[tag::PLACE, 0xB17, b, r]);
+    let thresh = rng::hash(module_seed, &[tag::THRESH, b, r]);
+    let window_kind = rng::hash(module_seed, &[tag::WINDOW, b, r]);
+    let window_pos = rng::hash(module_seed, &[tag::WINDOW, 1, b, r]);
+    let window_width = rng::hash(module_seed, &[tag::WINDOW, 2, b, r]);
+    let infl = rng::hash(module_seed, &[tag::INFL, b, r]);
+    let jitter = rng::hash(module_seed, &[tag::INFL, 1, b, r]);
+    let orient = rng::hash(module_seed, &[tag::ORIENT, b, r]);
 
+    let mut cells = Vec::with_capacity(profile.cells_per_row as usize);
+    for i in 0..profile.cells_per_row as u64 {
         // --- placement: rejection-sample a chip-column by weight ---
         let (chip, column) = {
+            let place_i = rng::extend(place, i);
             let mut pick = (0u8, 0u32);
             for attempt in 0..16u64 {
-                let h = rng::hash(
-                    module_seed,
-                    &[tag::PLACE, cell_key[0], cell_key[1], cell_key[2], attempt],
-                );
+                let h = rng::extend(place_i, attempt);
                 let chip = (h % chips as u64) as u8;
                 let column = ((h >> 8) % columns as u64) as u32;
                 let w = column_weight(chip, column);
@@ -220,44 +278,36 @@ pub fn derive_row_cells_with(
             (k, c)
         };
         let byte = column * 8 + chip as u32;
-        let bit = (rng::hash(module_seed, &[tag::PLACE, 0xB17, cell_key[0], cell_key[1], cell_key[2]])
-            % 8) as u8;
+        let bit = (rng::extend(place_bit, i) % 8) as u8;
 
         // --- threshold ---
         let threshold = spatial
-            * rng::lognormal(
-                module_seed,
-                &[tag::THRESH, cell_key[0], cell_key[1], cell_key[2]],
-                ln_med,
-                profile.sigma_cell,
-            );
+            * (ln_med + profile.sigma_cell * rng::normal_of(rng::extend(thresh, i))).exp();
 
         // --- temperature window (Fig. 3 statistics) ---
-        let u_kind = rng::uniform(module_seed, &[tag::WINDOW, cell_key[0], cell_key[1], cell_key[2]]);
-        let u_pos =
-            rng::uniform(module_seed, &[tag::WINDOW, 1, cell_key[0], cell_key[1], cell_key[2]]);
-        let u_width =
-            rng::uniform(module_seed, &[tag::WINDOW, 2, cell_key[0], cell_key[1], cell_key[2]]);
-        let width = 3.0 - profile.width_mean * (1.0 - u_width).max(1e-12).ln(); // 3 + Exp(mean)
+        let u_kind = rng::unit(rng::extend(window_kind, i));
         let (lo, hi) = if u_kind < profile.p_full_range {
             (-273.0, 300.0)
-        } else if u_kind < profile.p_full_range + (1.0 - profile.p_full_range) * profile.p_rising {
-            // Rising type: window opens inside the tested range.
-            let lo = 47.0 + 45.0 * u_pos;
-            (lo, lo + width)
         } else {
-            // Falling type: window closes inside the tested range.
-            let hi = 48.0 + 45.0 * u_pos;
-            (hi - width, hi)
+            let u_pos = rng::unit(rng::extend(window_pos, i));
+            let u_width = rng::unit(rng::extend(window_width, i));
+            let width = 3.0 - profile.width_mean * (1.0 - u_width).max(1e-12).ln(); // 3 + Exp(mean)
+            if u_kind < profile.p_full_range + (1.0 - profile.p_full_range) * profile.p_rising {
+                // Rising type: window opens inside the tested range.
+                let lo = 47.0 + 45.0 * u_pos;
+                (lo, lo + width)
+            } else {
+                // Falling type: window closes inside the tested range.
+                let hi = 48.0 + 45.0 * u_pos;
+                (hi - width, hi)
+            }
         };
         // Inflection placement: density shaped by the manufacturer's
         // bias (positive = vulnerability peaks at hotter temperatures,
         // so BER rises with temperature — Fig. 4 A/C/D; negative = the
         // opposite — Fig. 4 B).
-        let infl_u =
-            rng::uniform(module_seed, &[tag::INFL, cell_key[0], cell_key[1], cell_key[2]]);
-        let infl_jitter =
-            rng::normal(module_seed, &[tag::INFL, 1, cell_key[0], cell_key[1], cell_key[2]]);
+        let infl_u = rng::unit(rng::extend(infl, i));
+        let infl_jitter = rng::normal_of(rng::extend(jitter, i));
         let shape = 1.0 + 2.5 * profile.infl_bias.abs();
         let mut pos = infl_u.powf(1.0 / shape);
         if profile.infl_bias < 0.0 {
@@ -272,8 +322,7 @@ pub fn derive_row_cells_with(
             lo + (hi - lo) * pos
         };
 
-        let anti_cell = rng::uniform(module_seed, &[tag::ORIENT, cell_key[0], cell_key[1], cell_key[2]])
-            < profile.anti_cell_fraction;
+        let anti_cell = rng::unit(rng::extend(orient, i)) < profile.anti_cell_fraction;
 
         cells.push(CellVulnerability {
             byte,
@@ -436,6 +485,40 @@ mod tests {
         let p = MfrProfile::for_manufacturer(Manufacturer::D);
         let c = cells(Manufacturer::D, 2)[0];
         assert_eq!(c.trial_noise(&p, 9, 3), trial_noise_at(&p, 9, c.byte, c.bit, 3));
+    }
+
+    #[test]
+    fn derivation_bits_are_pinned() {
+        // Every field's bits of a fixed set of derivations, folded into
+        // one digest that was computed before the per-row hash prefixes
+        // were hoisted. Any change to the derived populations — a draw
+        // reordered, a prefix mis-hoisted, a float reassociated — moves
+        // it; comparing the memoized path with the direct one cannot,
+        // since both run the same derivation.
+        let mut digest = 0u64;
+        let mut fold = |x: u64| digest = rng::mix(digest ^ x);
+        for mfr in Manufacturer::ALL {
+            let p = MfrProfile::for_manufacturer(mfr);
+            for seed in [42u64, 0x5EED_0003] {
+                for (bank, row, row_bytes) in
+                    [(0u32, 0u32, 8192usize), (0, 511, 8192), (1, 512, 8192), (3, 40_961, 2048)]
+                {
+                    let cells = derive_row_cells(&p, seed, BankId(bank), RowAddr(row), row_bytes, 512);
+                    fold(cells.len() as u64);
+                    for c in cells {
+                        fold(c.byte as u64);
+                        fold(c.bit as u64);
+                        fold(c.threshold.to_bits());
+                        fold(c.window.lo.to_bits());
+                        fold(c.window.hi.to_bits());
+                        fold(c.window.inflection.to_bits());
+                        fold(c.kappa.to_bits());
+                        fold(c.anti_cell as u64);
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x628F_D65B_4C70_54A5, "derived cell populations changed");
     }
 
     #[test]

@@ -61,7 +61,9 @@ pub mod retention;
 pub mod rng;
 pub mod variation;
 
-pub use cell::{trial_noise_at, trial_noise_bounds, CellVulnerability, TempWindow, NOISE_Z_BOUND};
+pub use cell::{
+    row_floor, trial_noise_at, trial_noise_bounds, CellVulnerability, TempWindow, NOISE_Z_BOUND,
+};
 pub use disturb::{g_off, g_on, DisturbanceUnits};
 pub use kernel::{RowKernel, TempSurface};
 pub use lru::LruCache;

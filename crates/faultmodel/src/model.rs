@@ -7,7 +7,7 @@
 //! retained as [`EvalMode::ScalarReference`] and the two are held
 //! bit-identical by the `equivalence` test suite.
 
-use crate::cell::{derive_row_cells_with, CellVulnerability};
+use crate::cell::{derive_row_cells_with, row_floor, CellVulnerability};
 use crate::disturb::{self, DISTANCE2_WEIGHT};
 use crate::kernel::{RowKernel, TempSurface};
 use crate::lru::LruCache;
@@ -27,6 +27,8 @@ const RETENTION_CACHE_CAP: usize = 8192;
 /// Per-model bound on columnar row kernels (each also memoizes a few
 /// temperature surfaces).
 const KERNEL_CACHE_CAP: usize = 2048;
+/// Per-model bound on memoized row dose floors.
+const FLOOR_CACHE_CAP: usize = 8192;
 /// Process-global bound on shared temperature surfaces.
 const SURFACE_CACHE_CAP: usize = 4096;
 
@@ -115,6 +117,9 @@ pub struct RowHammerModel {
     column_weights: Vec<f64>,
     /// Cache of columnar row kernels (Columnar mode).
     kernels: LruCache<(u32, u32), RowKernel>,
+    /// Memo of [`row_floor`] per (bank, physical row) (Columnar mode).
+    /// Independent of `row_bytes`, so geometry changes keep it.
+    floors: LruCache<(u32, u32), f64>,
     /// Incremented on every restore; salts per-trial threshold noise.
     trial_nonce: u64,
     /// Last restore time per (bank, physical row): the retention clock.
@@ -162,6 +167,7 @@ impl RowHammerModel {
             cells: LruCache::new(CELLS_CACHE_CAP),
             column_weights: Vec::new(),
             kernels: LruCache::new(KERNEL_CACHE_CAP),
+            floors: LruCache::new(FLOOR_CACHE_CAP),
             trial_nonce: 0,
             last_restore: HashMap::new(),
             retention_cells: LruCache::new(RETENTION_CACHE_CAP),
@@ -303,6 +309,16 @@ impl RowHammerModel {
         now.saturating_sub(self.last_restore.get(&(bank.0, row.0)).copied().unwrap_or(now))
     }
 
+    /// The row's [`row_floor`]: no dose below it can flip any of the
+    /// row's cells, at any temperature or trial nonce.
+    fn floor(&mut self, bank: BankId, row: RowAddr) -> f64 {
+        let (profile, seed, subarray_rows) = (&self.profile, self.module_seed, self.subarray_rows);
+        *self
+            .floors
+            .get_or_insert_with((bank.0, row.0), || row_floor(profile, seed, bank, row, subarray_rows))
+            .0
+    }
+
     /// The columnar kernel of a row, building (and caching) it on
     /// first use.
     fn kernel_mut(&mut self, bank: BankId, row: RowAddr) -> Option<&mut RowKernel> {
@@ -394,7 +410,13 @@ impl DisturbanceModel for RowHammerModel {
             match self.mode {
                 EvalMode::Columnar => {
                     let salt = self.derivation_salt;
-                    if let Some(kernel) = self.kernel_mut(bank, row) {
+                    if dose < self.floor(bank, row) {
+                        // Below the floor is below every cell's gated
+                        // threshold, so the kernel would early-out too:
+                        // skip deriving the row and building its surface.
+                        rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
+                        rh_obs::counter(names::FAULTMODEL_EVAL_GATED, 1);
+                    } else if let Some(kernel) = self.kernel_mut(bank, row) {
                         let tkey = temperature.to_bits();
                         // L1 (per-kernel memo) → global L2 → build. The
                         // build happens outside the global lock; a racing

@@ -17,11 +17,16 @@ pub fn mix(mut z: u64) -> u64 {
 /// Hashes a seed with a sequence of coordinate parts.
 #[inline]
 pub fn hash(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = mix(seed);
-    for &p in parts {
-        h = mix(h ^ p.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    }
-    h
+    parts.iter().fold(mix(seed), |h, &p| extend(h, p))
+}
+
+/// Extends a hash by one more coordinate part:
+/// `hash(s, [a, b]) == extend(hash(s, [a]), b)`. Derivations that draw
+/// many values under one coordinate prefix hash the prefix once and
+/// extend it per draw.
+#[inline]
+pub fn extend(h: u64, part: u64) -> u64 {
+    mix(h ^ part.wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
 /// A uniform sample in `[0, 1)` from a hash value.
@@ -40,7 +45,12 @@ pub fn uniform(seed: u64, parts: &[u64]) -> f64 {
 /// A standard normal sample derived from seed+parts (Box–Muller on two
 /// decorrelated hashes).
 pub fn normal(seed: u64, parts: &[u64]) -> f64 {
-    let h1 = hash(seed, parts);
+    normal_of(hash(seed, parts))
+}
+
+/// The standard normal sample [`normal`] derives from the hash `h1` of
+/// its seed and parts.
+pub fn normal_of(h1: u64) -> f64 {
     let h2 = mix(h1 ^ 0xA5A5_A5A5_A5A5_A5A5);
     let u1 = unit(h1).max(1e-12);
     let u2 = unit(h2);
@@ -63,6 +73,12 @@ mod tests {
         // Adjacent inputs should differ in many bits.
         let d = (mix(100) ^ mix(101)).count_ones();
         assert!(d > 16, "only {d} differing bits");
+    }
+
+    #[test]
+    fn extend_continues_a_hash() {
+        assert_eq!(hash(7, &[1, 2, 3]), extend(extend(hash(7, &[1]), 2), 3));
+        assert_eq!(hash(7, &[]), mix(7));
     }
 
     #[test]

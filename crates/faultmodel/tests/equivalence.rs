@@ -10,7 +10,8 @@
 //! in the bracketing logic shows up as a differing flip vector.
 
 use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, RowAddr};
-use rh_faultmodel::{EvalMode, RowHammerModel};
+use rh_faultmodel::disturb::units_distance1;
+use rh_faultmodel::{row_floor, EvalMode, MfrProfile, RowHammerModel};
 
 const ROW_BYTES: usize = 8192;
 
@@ -159,4 +160,75 @@ fn temperature_sweep_is_bit_identical() {
         };
         assert_eq!(run(EvalMode::Columnar), run(EvalMode::ScalarReference), "{mfr}");
     }
+}
+
+/// Rungs whose doses sit a hair below and above each victim's
+/// [`row_floor`], where the columnar path switches between skipping the
+/// row outright and deriving it: both sides must match the scalar path.
+/// The second profile has no per-cell spread, curvature or trial noise:
+/// every cell's threshold is the row's floor within rounding, so the
+/// rung above the floor flips every in-window susceptible cell and a
+/// gate even 1e-6 too high would show as a divergence.
+#[test]
+fn rungs_at_the_row_floor_are_bit_identical() {
+    let mut checked = [0usize; 2];
+    let mut flipped = 0usize;
+    for mfr in Manufacturer::ALL {
+        let calibrated = MfrProfile::for_manufacturer(mfr);
+        let tight = MfrProfile { sigma_cell: 0.0, kappa: 0.0, rep_noise_sigma: 0.0, ..calibrated };
+        for profile in [calibrated, tight] {
+            for seed in [1u64, 7] {
+                for temperature in [50.0, 75.0, 90.0] {
+                    for fill in [0x00u8, 0xFF] {
+                        let run = |mode: EvalMode| -> Vec<Vec<BitFlip>> {
+                            let mut m = RowHammerModel::with_profile(profile, seed).with_eval_mode(mode);
+                            m.set_temperature(temperature);
+                            let bank = BankId(2);
+                            let data = vec![fill; ROW_BYTES];
+                            let mut out = Vec::new();
+                            for i in 0..6u32 {
+                                let v = 200 + 8 * i;
+                                let floor = row_floor(&profile, seed, bank, RowAddr(v), 512);
+                                let above = i % 2 == 1;
+                                let target = floor * if above { 1.0 + 1e-6 } else { 1.0 - 1e-6 };
+                                let (count, t_on) = hammers_for_dose(&profile, target);
+                                m.on_restore(bank, RowAddr(v), 0);
+                                m.on_hammer(bank, RowAddr(v - 1), count, t_on, 16_500);
+                                let dose = m.accumulated(bank, RowAddr(v));
+                                assert_eq!(dose >= floor, above, "dose {dose} vs floor {floor}");
+                                out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+                            }
+                            out
+                        };
+                        let columnar = run(EvalMode::Columnar);
+                        assert_eq!(
+                            columnar,
+                            run(EvalMode::ScalarReference),
+                            "{mfr} seed={seed} t={temperature} fill={fill:#04x} sigma_cell={}",
+                            profile.sigma_cell
+                        );
+                        checked[usize::from(profile.sigma_cell == 0.0)] += columnar.len();
+                        flipped += columnar.iter().filter(|f| !f.is_empty()).count();
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, [4 * 2 * 3 * 2 * 6; 2], "unexpected rung count");
+    // Every above-floor rung of the noiseless profile flips something.
+    assert!(flipped >= 4 * 2 * 3 * 2 * 3, "only {flipped} rungs flipped");
+}
+
+/// A single-sided hammer `(count, t_on)` at baseline `t_off` whose
+/// distance-1 dose is within 2e-7 (relative) of `target`: the count
+/// sets the coarse dose and the on-time, through `g_on`, the fine one.
+fn hammers_for_dose(profile: &MfrProfile, target: f64) -> (u64, u64) {
+    for t_on in 34_500u64..60_000 {
+        let per_hammer = units_distance1(profile, 1, t_on, 16_500);
+        let count = (target / per_hammer).round() as u64;
+        if (units_distance1(profile, count, t_on, 16_500) / target - 1.0).abs() < 2e-7 {
+            return (count, t_on);
+        }
+    }
+    panic!("no hammer count and on-time reach dose {target}");
 }

@@ -2,10 +2,74 @@
 
 use proptest::prelude::*;
 use rh_dram::{BankId, DisturbanceModel, Manufacturer, RowAddr};
-use rh_faultmodel::{g_off, g_on, MfrProfile, RowHammerModel};
+use rh_faultmodel::cell::derive_row_cells;
+use rh_faultmodel::{g_off, g_on, row_floor, trial_noise_bounds, MfrProfile, RowHammerModel};
 
 fn any_mfr() -> impl Strategy<Value = Manufacturer> {
     prop::sample::select(Manufacturer::ALL.to_vec())
+}
+
+/// Cases of the row-floor soundness property: `PROPTEST_CASES` when
+/// set (CI runs it with thousands), else a quick default.
+fn floor_cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
+}
+
+/// The calibrated profile of `mfr`, or one of the ablations the floor
+/// must stay sound under: no per-cell threshold spread, a negative
+/// (threshold-lowering) temperature curvature, or no cells at all.
+fn ablated(mfr: Manufacturer, ablation: u8) -> MfrProfile {
+    let mut p = MfrProfile::for_manufacturer(mfr);
+    match ablation {
+        1 => p.sigma_cell = 0.0,
+        2 => p.kappa = -0.5,
+        3 => p.cells_per_row = 0,
+        _ => {}
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(floor_cases()))]
+
+    // No cell's gated threshold falls below its row's floor, at any
+    // temperature (the cell's own inflection, where its threshold is
+    // lowest, included) and under any trial noise, so a dose below the
+    // floor can never flip the row.
+    #[test]
+    fn row_floor_is_below_every_threshold(
+        mfr in any_mfr(),
+        ablation in 0u8..6,
+        seed in any::<u64>(),
+        bank in 0u32..16,
+        row in 0u32..65_536,
+        t in -50.0f64..150.0,
+        nonce in any::<u64>(),
+    ) {
+        let p = ablated(mfr, ablation);
+        let floor = row_floor(&p, seed, BankId(bank), RowAddr(row), 512);
+        if p.kappa < 0.0 {
+            // Curvature can push thresholds below any bound (even below
+            // zero), so the floor must gate no dose at all.
+            prop_assert_eq!(floor, 0.0);
+            return Ok(());
+        }
+        prop_assert!(floor > 0.0 && floor.is_finite(), "floor {floor}");
+        let (noise_lo, _) = trial_noise_bounds(&p);
+        let cells = derive_row_cells(&p, seed, BankId(bank), RowAddr(row), 8192, 512);
+        prop_assert_eq!(cells.len(), p.cells_per_row as usize);
+        for c in &cells {
+            for temp in [t, c.window.inflection] {
+                let Some(h) = c.threshold_at(temp) else { continue };
+                // The kernel's early-out gate, which the floor must
+                // never exceed for early-out counts to stay exact...
+                prop_assert!(h * noise_lo >= floor, "gate {} < floor {floor}", h * noise_lo);
+                // ...and the flip test itself.
+                let gated = h * c.trial_noise(&p, seed, nonce);
+                prop_assert!(gated >= floor, "threshold {gated} < floor {floor} at {temp} C");
+            }
+        }
+    }
 }
 
 proptest! {

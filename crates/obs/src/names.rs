@@ -86,6 +86,9 @@ pub const FAULTMODEL_CELLS_GLOBAL_HIT: &str = "faultmodel.cells.global_hit";
 pub const FAULTMODEL_SURFACE_BUILD: &str = "faultmodel.surface.build";
 /// Activations decided by the O(1) below-every-threshold early-out.
 pub const FAULTMODEL_EVAL_EARLY_OUT: &str = "faultmodel.eval.early_out";
+/// Early-outs decided by the row's dose floor, before the row's cells
+/// were derived (a subset of [`FAULTMODEL_EVAL_EARLY_OUT`]).
+pub const FAULTMODEL_EVAL_GATED: &str = "faultmodel.eval.gated";
 /// Per-model derivation-cache entries evicted (LRU, not wiped).
 pub const FAULTMODEL_CACHE_EVICT: &str = "faultmodel.cache.evict";
 
@@ -305,6 +308,7 @@ pub fn all() -> &'static [&'static str] {
         FAULTMODEL_CELLS_GLOBAL_HIT,
         FAULTMODEL_SURFACE_BUILD,
         FAULTMODEL_EVAL_EARLY_OUT,
+        FAULTMODEL_EVAL_GATED,
         FAULTMODEL_CACHE_EVICT,
         CORE_BER_MEASUREMENTS,
         CORE_HC_FIRST,
