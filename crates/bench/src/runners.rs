@@ -1350,7 +1350,7 @@ pub fn run_defense_matrix(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
     for mut d in defenses {
         let mut sim = DefenseSim::new(mk_bench()?);
         let o = sim
-            .run_double_sided(d.as_mut(), RowAddr(5000), hammers, None)
+            .run_many_sided(d.as_mut(), RowAddr(5000), 1, hammers, None)
             .map_err(CharError::from)?;
         text.push_str(&format!(
             "{:<12} flips {:>5}  refreshes {:>6}  throttle {:>8.2} ms  achieved {:>7}\n",

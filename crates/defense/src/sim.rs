@@ -7,7 +7,7 @@
 //! improvements do).
 
 use crate::traits::{Defense, DefenseAction};
-use rh_dram::{BankId, Picos, RowAddr, RowMapping};
+use rh_dram::{BankId, DramError, DramModule, Picos, RowAddr, RowMapping};
 use rh_softmc::{SoftMcError, TestBench};
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
@@ -87,10 +87,14 @@ impl DefenseSim {
         victim: RowAddr,
         now: &mut Picos,
         outcome: &mut DefenseOutcome,
+        backlog: &mut Backlog,
     ) -> Result<(), SoftMcError> {
         for a in actions {
             match a {
                 DefenseAction::RefreshRow(phys) => {
+                    // The refresh senses DRAM state, so every activation
+                    // before it must have landed first.
+                    backlog.flush(self.bench.module_mut(), self.bank)?;
                     self.bench.module_mut().refresh_row_physical(self.bank, phys)?;
                     rh_obs::counter(names::DEFENSE_REFRESH, 1);
                     outcome.refreshes += 1;
@@ -99,6 +103,8 @@ impl DefenseSim {
                         outcome.victim_refreshes += 1;
                     }
                 }
+                // Throttling moves only the simulator's clock, never
+                // the module's: it needs no flush.
                 DefenseAction::Throttle { delay } => {
                     rh_obs::counter(names::DEFENSE_THROTTLE, 1);
                     rh_obs::counter(names::DEFENSE_THROTTLE_PS, delay);
@@ -115,6 +121,15 @@ impl DefenseSim {
     /// pair this is the standard double-sided attack; with many pairs
     /// the center victim still receives its full distance-1 dose while
     /// capacity-limited trackers (the in-DRAM TRR sampler) overflow.
+    /// Runs for up to `hammers` per aggressor within `time_budget`
+    /// (defaults to one 64 ms refresh window), with `defense` observing
+    /// every activation.
+    ///
+    /// The defense runs ahead of the DRAM side: activations are only
+    /// counted until an action needs the module (a `RefreshRow`, or the
+    /// final victim read), then replayed as one
+    /// [`DramModule::hammer_round_robin_direct`](rh_dram::DramModule::hammer_round_robin_direct)
+    /// call, state-identical to [`run_many_sided_reference`](Self::run_many_sided_reference).
     ///
     /// # Errors
     ///
@@ -127,9 +142,42 @@ impl DefenseSim {
         hammers: u64,
         time_budget: Option<Picos>,
     ) -> Result<DefenseOutcome, SoftMcError> {
+        self.run(defense, victim, pairs, hammers, time_budget, Replay::Bulk)
+    }
+
+    /// [`run_many_sided`](Self::run_many_sided) with every activation
+    /// its own `hammer_direct(.., 1, ..)` call, issued before the
+    /// defense sees it. The oracle the bulk replay is held equal to
+    /// (`tests/sim_oracle.rs`); slower, with the same outcome and the
+    /// same module state afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Device/infrastructure errors.
+    pub fn run_many_sided_reference(
+        &mut self,
+        defense: &mut dyn Defense,
+        victim: RowAddr,
+        pairs: u8,
+        hammers: u64,
+        time_budget: Option<Picos>,
+    ) -> Result<DefenseOutcome, SoftMcError> {
+        self.run(defense, victim, pairs, hammers, time_budget, Replay::PerActivation)
+    }
+
+    fn run(
+        &mut self,
+        defense: &mut dyn Defense,
+        victim: RowAddr,
+        pairs: u8,
+        hammers: u64,
+        time_budget: Option<Picos>,
+        replay: Replay,
+    ) -> Result<DefenseOutcome, SoftMcError> {
         let timing = self.bench.module().config().timing;
         let budget = time_budget.unwrap_or(timing.t_refw);
         let row_bytes = self.bench.module().row_bytes();
+        // Victim neighborhood: all zeros (anti-cells flip).
         let reach = 2 * i64::from(pairs);
         for d in -reach..=reach {
             let phys = victim.offset(d);
@@ -141,6 +189,13 @@ impl DefenseSim {
             aggressors.push(victim.offset(-(2 * d - 1)));
             aggressors.push(victim.offset(2 * d - 1));
         }
+        let mut backlog = Backlog {
+            rows: aggressors.iter().map(|&p| self.mapping.physical_to_logical(p)).collect(),
+            start: 0,
+            n: 0,
+            t_on: timing.t_ras,
+            t_off: timing.t_rp,
+        };
         let mut outcome = DefenseOutcome {
             defense: defense.name().to_string(),
             victim_flips: 0,
@@ -154,95 +209,73 @@ impl DefenseSim {
         let mut next_ref = self.refresh_interval.unwrap_or(Picos::MAX);
         let step = timing.t_ras + timing.t_rp;
         'attack: for _ in 0..hammers {
-            for &phys in &aggressors {
+            for (i, &phys) in aggressors.iter().enumerate() {
                 if now >= budget {
                     break 'attack;
                 }
                 while now >= next_ref {
                     let acts = defense.on_ref();
-                    self.apply_actions(acts, victim, &mut now, &mut outcome)?;
+                    self.apply_actions(acts, victim, &mut now, &mut outcome, &mut backlog)?;
                     next_ref += self.refresh_interval.unwrap_or(Picos::MAX);
                 }
-                let logical = self.mapping.physical_to_logical(phys);
-                self.bench
-                    .module_mut()
-                    .hammer_direct(self.bank, logical, 1, timing.t_ras, timing.t_rp)?;
+                match replay {
+                    Replay::Bulk => backlog.n += 1,
+                    Replay::PerActivation => self.bench.module_mut().hammer_direct(
+                        self.bank,
+                        backlog.rows[i],
+                        1,
+                        timing.t_ras,
+                        timing.t_rp,
+                    )?,
+                }
                 now += step;
                 let acts = defense.on_activation(self.bank, phys, now);
-                self.apply_actions(acts, victim, &mut now, &mut outcome)?;
+                self.apply_actions(acts, victim, &mut now, &mut outcome, &mut backlog)?;
             }
             outcome.achieved_hammers += 1;
         }
+        backlog.flush(self.bench.module_mut(), self.bank)?;
         outcome.duration = now;
         let logical = self.mapping.physical_to_logical(victim);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         outcome.victim_flips = rh_dram::count_flips(&read, &vec![0u8; read.len()]);
         Ok(outcome)
     }
+}
 
-    /// Runs a double-sided attack on physical `victim` for up to
-    /// `hammers` per aggressor within `time_budget` (defaults to one
-    /// 64 ms refresh window), with `defense` observing every
-    /// activation.
-    ///
-    /// # Errors
-    ///
-    /// Device/infrastructure errors.
-    pub fn run_double_sided(
-        &mut self,
-        defense: &mut dyn Defense,
-        victim: RowAddr,
-        hammers: u64,
-        time_budget: Option<Picos>,
-    ) -> Result<DefenseOutcome, SoftMcError> {
-        let timing = self.bench.module().config().timing;
-        let budget = time_budget.unwrap_or(timing.t_refw);
-        let row_bytes = self.bench.module().row_bytes();
-        // Victim neighborhood: all zeros (anti-cells flip).
-        for d in -2i64..=2 {
-            let phys = victim.offset(d);
-            let logical = self.mapping.physical_to_logical(phys);
-            self.bench.module_mut().write_row_direct(self.bank, logical, &vec![0u8; row_bytes])?;
+/// How a run hands its activations to the module.
+#[derive(Debug, Clone, Copy)]
+enum Replay {
+    /// Count them, and replay each action-free run in one call.
+    Bulk,
+    /// One `hammer_direct(.., 1, ..)` per activation (the oracle).
+    PerActivation,
+}
+
+/// Activations the defense has seen that the module has not: a run of
+/// `n` episodes cycling over the aggressors from index `start`.
+#[derive(Debug)]
+struct Backlog {
+    /// Logical aggressor rows, in activation order.
+    rows: Vec<RowAddr>,
+    start: usize,
+    n: u64,
+    t_on: Picos,
+    t_off: Picos,
+}
+
+impl Backlog {
+    /// Replays the pending activations on `module`.
+    fn flush(&mut self, module: &mut DramModule, bank: BankId) -> Result<(), DramError> {
+        if self.n == 0 {
+            return Ok(());
         }
-        let aggressors = [victim.offset(-1), victim.offset(1)];
-        let mut outcome = DefenseOutcome {
-            defense: defense.name().to_string(),
-            victim_flips: 0,
-            refreshes: 0,
-            victim_refreshes: 0,
-            throttle_delay: 0,
-            achieved_hammers: 0,
-            duration: 0,
-        };
-        let mut now: Picos = 0;
-        let mut next_ref = self.refresh_interval.unwrap_or(Picos::MAX);
-        let step = timing.t_ras + timing.t_rp;
-        'attack: for _ in 0..hammers {
-            for phys in aggressors {
-                if now >= budget {
-                    break 'attack;
-                }
-                // REF stream.
-                while now >= next_ref {
-                    let acts = defense.on_ref();
-                    self.apply_actions(acts, victim, &mut now, &mut outcome)?;
-                    next_ref += self.refresh_interval.unwrap_or(Picos::MAX);
-                }
-                let logical = self.mapping.physical_to_logical(phys);
-                self.bench
-                    .module_mut()
-                    .hammer_direct(self.bank, logical, 1, timing.t_ras, timing.t_rp)?;
-                now += step;
-                let acts = defense.on_activation(self.bank, phys, now);
-                self.apply_actions(acts, victim, &mut now, &mut outcome)?;
-            }
-            outcome.achieved_hammers += 1;
-        }
-        outcome.duration = now;
-        let logical = self.mapping.physical_to_logical(victim);
-        let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = rh_dram::count_flips(&read, &vec![0u8; read.len()]);
-        Ok(outcome)
+        module.hammer_round_robin_direct(
+            bank, &self.rows, self.start, self.n, self.t_on, self.t_off,
+        )?;
+        self.start = ((self.start as u64 + self.n) % self.rows.len() as u64) as usize;
+        self.n = 0;
+        Ok(())
     }
 }
 
@@ -268,7 +301,7 @@ mod tests {
     fn undefended_attack_succeeds() {
         let mut s = sim();
         let mut none = NoDefense;
-        let o = s.run_double_sided(&mut none, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut none, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(!o.defended(), "undefended module must flip at 150K hammers");
         assert_eq!(o.achieved_hammers, HAMMERS);
         assert_eq!(o.refreshes, 0);
@@ -278,7 +311,7 @@ mod tests {
     fn graphene_stops_the_attack() {
         let mut s = sim();
         let mut g = Graphene::new(8_000, 1_300_000);
-        let o = s.run_double_sided(&mut g, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut g, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.defended(), "Graphene@8K let {} flips through", o.victim_flips);
         assert!(o.refreshes > 0);
     }
@@ -287,10 +320,10 @@ mod tests {
     fn para_reduces_flips() {
         let mut baseline = sim();
         let mut none = NoDefense;
-        let b = baseline.run_double_sided(&mut none, RowAddr(5000), HAMMERS, None).unwrap();
+        let b = baseline.run_many_sided(&mut none, RowAddr(5000), 1, HAMMERS, None).unwrap();
         let mut s = sim();
         let mut p = Para::new(0.005, 3);
-        let o = s.run_double_sided(&mut p, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut p, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.victim_flips <= b.victim_flips);
         assert!(o.refreshes > 0);
     }
@@ -299,7 +332,7 @@ mod tests {
     fn blockhammer_throttling_caps_achieved_hammers() {
         let mut s = sim();
         let mut bh = crate::blockhammer::BlockHammer::new(4_000, 64_000_000_000, 5);
-        let o = s.run_double_sided(&mut bh, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut bh, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.throttle_delay > 0, "BlockHammer never throttled");
         assert!(
             o.achieved_hammers < HAMMERS,
@@ -312,7 +345,7 @@ mod tests {
     fn trr_defends_double_sided_but_not_many_sided_tracking() {
         let mut s = sim();
         let mut trr = crate::trr::TargetRowRefresh::new(4, 2);
-        let o = s.run_double_sided(&mut trr, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut trr, RowAddr(5000), 1, HAMMERS, None).unwrap();
         // With only two aggressors, the sampler sees them: defended.
         assert!(o.defended(), "TRR missed a plain double-sided attack");
         assert!(o.refreshes > 0);
@@ -329,7 +362,7 @@ mod tests {
         // collapses and the energy cost explodes.
         let mut a = sim();
         let mut trr1 = crate::trr::TargetRowRefresh::new(4, 2);
-        let ds = a.run_double_sided(&mut trr1, RowAddr(5000), 60_000, None).unwrap();
+        let ds = a.run_many_sided(&mut trr1, RowAddr(5000), 1, 60_000, None).unwrap();
         let mut b = sim();
         let mut trr2 = crate::trr::TargetRowRefresh::new(4, 2);
         let ms = b.run_many_sided(&mut trr2, RowAddr(5000), 8, 60_000, None).unwrap();
@@ -344,23 +377,22 @@ mod tests {
 
     #[test]
     fn many_sided_with_one_pair_equals_double_sided() {
+        // One pair is the double-sided attack; its per-activation
+        // reference is the original double-sided loop, activation for
+        // activation, and the bulk replay must match it exactly.
         let mut a = sim();
         let mut b = sim();
-        let mut n1 = NoDefense;
-        let mut n2 = NoDefense;
-        let x = a.run_double_sided(&mut n1, RowAddr(5000), 40_000, None).unwrap();
-        let y = b.run_many_sided(&mut n2, RowAddr(5000), 1, 40_000, None).unwrap();
-        assert_eq!(x.achieved_hammers, y.achieved_hammers);
-        // Same module identity, same dose: flip counts match within
-        // trial noise.
-        assert!(x.victim_flips.abs_diff(y.victim_flips) <= 2);
+        let x = a.run_many_sided_reference(&mut NoDefense, RowAddr(5000), 1, 40_000, None).unwrap();
+        let y = b.run_many_sided(&mut NoDefense, RowAddr(5000), 1, 40_000, None).unwrap();
+        assert_eq!(x, y);
+        assert_eq!(y.achieved_hammers, 40_000);
     }
 
     #[test]
     fn energy_accounting_is_consistent() {
         let mut s = sim();
         let mut p = Para::new(0.005, 3);
-        let o = s.run_double_sided(&mut p, RowAddr(5000), 60_000, None).unwrap();
+        let o = s.run_many_sided(&mut p, RowAddr(5000), 1, 60_000, None).unwrap();
         assert!(o.attack_energy_pj() > 0.0);
         // PARA's refresh energy is a small fraction of attack energy at
         // p = 0.5%.
@@ -371,7 +403,7 @@ mod tests {
     fn twice_defends_double_sided() {
         let mut s = sim();
         let mut tw = crate::twice::Twice::new(8_000, 64_000_000_000);
-        let o = s.run_double_sided(&mut tw, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut tw, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.defended(), "TWiCe@8K let {} flips through", o.victim_flips);
         assert!(o.refreshes > 0);
     }

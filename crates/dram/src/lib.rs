@@ -60,6 +60,8 @@ pub use geometry::{
     BankId, CellCoord, ChipId, ChipOrg, Density, DramGeometry, Manufacturer, RowAddr, SubarrayId,
 };
 pub use mapping::RowMapping;
-pub use module::{BitFlip, DisturbanceModel, DramModule, ModuleConfig, NullDisturbance};
+pub use module::{
+    BitFlip, DisturbanceModel, DramModule, ModuleConfig, NullDisturbance, RoundRobin,
+};
 pub use population::{ddr4_modules_of, tested_modules, DramStandard, TestedModule};
 pub use timing::{Picos, TimingParams, NS};

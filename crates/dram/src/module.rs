@@ -56,6 +56,57 @@ pub trait DisturbanceModel: Send {
 
     /// The DRAM die temperature seen by the model (°C).
     fn temperature(&self) -> f64;
+
+    /// Applies the leading *quiet* episodes of `run` and returns how
+    /// many it applied (at most `run.n`).
+    ///
+    /// Each episode senses its row, restores it and hammers it once:
+    /// `flips_on_activate` (if the row is stored), `on_restore` and
+    /// `on_hammer(.., 1, ..)`, all at the episode's own time. An
+    /// episode is quiet if that sensing can flip no bit, whatever the
+    /// row stores; the model may then account it any way that leaves
+    /// its state exactly as that call sequence would. The module runs
+    /// the first episode that is not applied through the exact calls,
+    /// and asks again for the rest. The default proves nothing quiet
+    /// and applies none.
+    fn hammer_quiet_prefix(&mut self, _run: &RoundRobin<'_>) -> u64 {
+        0
+    }
+}
+
+/// A run of activation episodes cycling over a list of physical rows,
+/// as [`DramModule::hammer_round_robin_direct`] hands it to
+/// [`DisturbanceModel::hammer_quiet_prefix`].
+#[derive(Debug, Clone, Copy)]
+pub struct RoundRobin<'a> {
+    /// The bank hammered.
+    pub bank: BankId,
+    /// Physical aggressor rows, in activation order (not empty).
+    pub rows: &'a [RowAddr],
+    /// Index into `rows` of the first episode's row.
+    pub start: usize,
+    /// Episodes in the run.
+    pub n: u64,
+    /// On-time of every episode.
+    pub t_on: Picos,
+    /// Off-time of every episode.
+    pub t_off: Picos,
+    /// Time of the first episode; each later one starts
+    /// `t_on + t_off` after its predecessor.
+    pub now: Picos,
+}
+
+impl RoundRobin<'_> {
+    /// The row episode `j` activates.
+    pub fn row(&self, j: u64) -> RowAddr {
+        let k = self.rows.len() as u64;
+        self.rows[((self.start as u64 % k + j % k) % k) as usize]
+    }
+
+    /// The time episode `j` senses its row.
+    pub fn at(&self, j: u64) -> Picos {
+        self.now + j * (self.t_on + self.t_off)
+    }
 }
 
 /// A disturbance model that never flips bits (an ideal, RowHammer-free
@@ -377,7 +428,10 @@ impl DramModule {
             return Err(DramError::BadRowLength { expected: self.row_bytes(), got: data.len() });
         }
         let phys = self.cfg.mapping.logical_to_physical(row);
-        self.storage.insert((bank.0, phys.0), data.to_vec().into_boxed_slice());
+        self.storage
+            .entry((bank.0, phys.0))
+            .and_modify(|stored| stored.copy_from_slice(data))
+            .or_insert_with(|| data.into());
         rh_obs::counter(names::DRAM_ROW_WRITE, 1);
         rh_obs::gauge(names::DRAM_ROWS_STORED, self.storage.len() as f64);
         let now = self.now;
@@ -474,6 +528,74 @@ impl DramModule {
         self.model.on_hammer(bank, phys, count, t_on, t_off);
         self.banks[bank.0 as usize].record_bulk_activations(phys, count);
         self.now += count * (t_on + t_off);
+        Ok(())
+    }
+
+    /// Bulk fast path for a round-robin hammer: `n` single activation
+    /// episodes cycling over logical `rows`, the first on
+    /// `rows[start % rows.len()]`. State-identical to `n` consecutive
+    /// `hammer_direct(bank, rows[i], 1, t_on, t_off)` calls with `i`
+    /// advancing cyclically: every aggressor is sensed and restored on
+    /// each of its episodes, at that episode's time. The model applies
+    /// the episodes it can prove quiet in bulk
+    /// ([`DisturbanceModel::hammer_quiet_prefix`]); every other one
+    /// runs the exact single-episode path. Records one
+    /// `dram.hammer.ns` sample per call.
+    ///
+    /// # Errors
+    ///
+    /// Range errors for bad addresses; every row is checked before any
+    /// episode runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty and `n > 0`.
+    pub fn hammer_round_robin_direct(
+        &mut self,
+        bank: BankId,
+        rows: &[RowAddr],
+        start: usize,
+        n: u64,
+        t_on: Picos,
+        t_off: Picos,
+    ) -> Result<(), DramError> {
+        let _t = rh_obs::timer!(names::DRAM_HAMMER_NS);
+        self.check_bank(bank)?;
+        for &row in rows {
+            self.check_row(row)?;
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        assert!(!rows.is_empty(), "a round-robin hammer needs at least one row");
+        let phys: Vec<RowAddr> =
+            rows.iter().map(|&r| self.cfg.mapping.logical_to_physical(r)).collect();
+        rh_obs::counter(names::DRAM_HAMMER_EPISODES, n);
+        let k = phys.len() as u64;
+        let start = (start as u64 % k) as usize;
+        // Row `i` gets one episode per full cycle, plus one if it is
+        // among the first `n % k` rows from `start`.
+        for (i, &row) in phys.iter().enumerate() {
+            let from_start = (i as u64 + k - start as u64) % k;
+            self.banks[bank.0 as usize]
+                .record_bulk_activations(row, n / k + u64::from(from_start < n % k));
+        }
+        let mut run = RoundRobin { bank, rows: &phys, start, n, t_on, t_off, now: self.now };
+        while run.n > 0 {
+            let quiet = self.model.hammer_quiet_prefix(&run).min(run.n);
+            self.now = run.at(quiet);
+            let mut done = quiet;
+            if quiet < run.n {
+                let row = run.row(quiet);
+                self.sense_and_restore(bank, row);
+                self.model.on_hammer(bank, row, 1, t_on, t_off);
+                done += 1;
+                self.now = run.at(done);
+            }
+            run.start = ((run.start as u64 + done % k) % k) as usize;
+            run.n -= done;
+            run.now = self.now;
+        }
         Ok(())
     }
 
@@ -690,29 +812,59 @@ mod tests {
     }
 
     /// What [`Recording`] was asked to do.
-    #[derive(Default)]
+    #[derive(Debug, Default, PartialEq)]
     struct Log {
         sensed: u32,
         restores: Vec<(RowAddr, Picos)>,
+        /// Every sensing, restore and hammer, in order.
+        calls: Vec<Call>,
     }
 
-    /// Records every sensing and restore it is asked for.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Sense(RowAddr, Picos),
+        Restore(RowAddr, Picos),
+        Hammer(RowAddr, u64, Picos, Picos),
+    }
+
+    /// Records every sensing, restore and hammer it is asked for.
+    /// With `quiet == 0` every sensing flips bit 0 of byte 0. Otherwise
+    /// it never flips, and claims up to `quiet` episodes per
+    /// `hammer_quiet_prefix` call, logging each as the exact calls
+    /// would.
     #[derive(Default)]
     struct Recording {
         log: std::sync::Arc<std::sync::Mutex<Log>>,
+        quiet: u64,
     }
 
     impl DisturbanceModel for Recording {
-        fn on_hammer(&mut self, _: BankId, _: RowAddr, _: u64, _: Picos, _: Picos) {}
+        fn on_hammer(&mut self, _: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos) {
+            self.log.lock().unwrap().calls.push(Call::Hammer(row, count, t_on, t_off));
+        }
 
-        fn flips_on_activate(&mut self, _: BankId, _: RowAddr, _: &[u8], _: Picos) -> Vec<BitFlip> {
-            self.log.lock().unwrap().sensed += 1;
+        fn flips_on_activate(
+            &mut self,
+            _: BankId,
+            row: RowAddr,
+            _: &[u8],
+            now: Picos,
+        ) -> Vec<BitFlip> {
+            let mut log = self.log.lock().unwrap();
+            log.sensed += 1;
+            log.calls.push(Call::Sense(row, now));
             // Would corrupt the row if the restore sensed it.
-            vec![BitFlip { byte: 0, bit: 0 }]
+            if self.quiet == 0 {
+                vec![BitFlip { byte: 0, bit: 0 }]
+            } else {
+                Vec::new()
+            }
         }
 
         fn on_restore(&mut self, _: BankId, row: RowAddr, now: Picos) {
-            self.log.lock().unwrap().restores.push((row, now));
+            let mut log = self.log.lock().unwrap();
+            log.restores.push((row, now));
+            log.calls.push(Call::Restore(row, now));
         }
 
         fn set_temperature(&mut self, _: f64) {}
@@ -720,6 +872,85 @@ mod tests {
         fn temperature(&self) -> f64 {
             0.0
         }
+
+        fn hammer_quiet_prefix(&mut self, run: &RoundRobin<'_>) -> u64 {
+            let quiet = self.quiet.min(run.n);
+            let mut log = self.log.lock().unwrap();
+            for j in 0..quiet {
+                let (row, at) = (run.row(j), run.at(j));
+                log.sensed += 1;
+                log.calls.push(Call::Sense(row, at));
+                log.restores.push((row, at));
+                log.calls.push(Call::Restore(row, at));
+                log.calls.push(Call::Hammer(row, 1, run.t_on, run.t_off));
+            }
+            quiet
+        }
+    }
+
+    /// A module whose model logs into the returned handle (`None`
+    /// installs [`NullDisturbance`]), with `rows` written and the clock
+    /// moved off zero.
+    fn logged_module(
+        quiet: Option<u64>,
+        rows: &[RowAddr],
+    ) -> (DramModule, std::sync::Arc<std::sync::Mutex<Log>>) {
+        let model = Recording { quiet: quiet.unwrap_or(0), ..Recording::default() };
+        let log = std::sync::Arc::clone(&model.log);
+        // Mfr. A scrambles rows: the module must map every one.
+        let cfg = ModuleConfig::ddr4(Manufacturer::A);
+        let mut m = match quiet {
+            Some(_) => DramModule::with_model(cfg, Box::new(model)),
+            None => DramModule::new(cfg),
+        };
+        let t = m.config().timing;
+        for (i, &row) in rows.iter().enumerate() {
+            m.write_row_direct(BankId(1), row, &vec![i as u8; m.row_bytes()]).unwrap();
+        }
+        m.hammer_direct(BankId(1), RowAddr(300), 7, t.t_ras, t.t_rp).unwrap();
+        (m, log)
+    }
+
+    #[test]
+    fn round_robin_equals_single_hammers() {
+        let b = BankId(1);
+        let last = ModuleConfig::ddr4(Manufacturer::A).geometry.rows_per_bank - 1;
+        // Bank edges, a repeated row, and rows out of order.
+        let rows = [RowAddr(10), RowAddr(0), RowAddr(last), RowAddr(12), RowAddr(10)];
+        let (t_on, t_off) = (34_500, 16_500);
+        for quiet in [None, Some(0), Some(1), Some(3), Some(u64::MAX)] {
+            for start in [0usize, 2, 4, 7] {
+                for n in [0u64, 1, 4, 5, 13] {
+                    let (mut bulk, bulk_log) = logged_module(quiet, &rows);
+                    let (mut single, single_log) = logged_module(quiet, &rows);
+                    bulk.hammer_round_robin_direct(b, &rows, start, n, t_on, t_off).unwrap();
+                    for j in 0..n as usize {
+                        let row = rows[(start + j) % rows.len()];
+                        single.hammer_direct(b, row, 1, t_on, t_off).unwrap();
+                    }
+                    let case = format!("quiet {quiet:?}, start {start}, n {n}");
+                    assert_eq!(*bulk_log.lock().unwrap(), *single_log.lock().unwrap(), "{case}");
+                    assert_eq!(bulk.now(), single.now(), "{case}");
+                    assert_eq!(bulk.bank(b).stats(), single.bank(b).stats(), "{case}");
+                    for &row in &rows {
+                        assert_eq!(bulk.peek_row(b, row), single.peek_row(b, row), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_checks_every_row_before_hammering() {
+        let (mut m, log) = logged_module(Some(0), &[RowAddr(5)]);
+        let (now, calls) = (m.now(), log.lock().unwrap().calls.len());
+        let rows = m.geometry().rows_per_bank;
+        let e = m.hammer_round_robin_direct(BankId(1), &[RowAddr(5), RowAddr(rows)], 0, 4, 1, 1);
+        assert!(matches!(e, Err(DramError::RowOutOfRange { .. })));
+        assert_eq!(m.now(), now);
+        assert_eq!(log.lock().unwrap().calls.len(), calls);
+        let phys = m.config().mapping.logical_to_physical(RowAddr(5));
+        assert_eq!(m.bank(BankId(1)).stats().count(phys), 0);
     }
 
     #[test]

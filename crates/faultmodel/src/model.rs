@@ -14,7 +14,7 @@ use crate::lru::LruCache;
 use crate::profile::MfrProfile;
 use crate::retention::{derive_retention_cells, RetentionCell};
 use crate::variation;
-use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RowAddr};
+use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RoundRobin, RowAddr};
 use rh_obs::names;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -129,6 +129,82 @@ pub struct RowHammerModel {
     /// Memoized `(t_on, t_off) -> (g_on, g_off)` of the last timing
     /// pair: hammer bursts repeat one timing, and `g_off` divides.
     timing_memo: Option<(Picos, Picos, f64, f64)>,
+    /// The last round-robin window (see [`QuietWindow`]).
+    window: Option<QuietWindow>,
+}
+
+/// The layout of a round-robin run's window (every row within ±2 of
+/// an aggressor), kept across [`DisturbanceModel::hammer_quiet_prefix`]
+/// calls while the bank, the aggressors and the temperature stay the
+/// same: a defense simulation replays the same run thousands of times.
+struct QuietWindow {
+    bank: u32,
+    aggressors: Vec<RowAddr>,
+    temperature_bits: u64,
+    /// Rows in the window, ascending; slot `i` holds `touched[i]`.
+    touched: Vec<u32>,
+    /// Per aggressor position, the slots its episode touches.
+    episodes: Vec<EpisodeSlots>,
+    /// Per slot: the row's shortest retention time, once needed.
+    retention: Vec<Option<f64>>,
+    /// Per slot: working copies of the `acc` and `last_restore`
+    /// entries, loaded at the start of each call.
+    acc: Vec<Option<f64>>,
+    last: Vec<Option<Picos>>,
+}
+
+/// The window slots of one aggressor's episode: its own, then its
+/// distance-1 and distance-2 neighbours' (`None` past a bank edge).
+#[derive(Clone, Copy)]
+struct EpisodeSlots {
+    me: usize,
+    d1: [Option<usize>; 2],
+    d2: [Option<usize>; 2],
+}
+
+impl QuietWindow {
+    fn new(run: &RoundRobin<'_>, rows_per_bank: u32, temperature: f64) -> Self {
+        let rows = i64::from(rows_per_bank);
+        // The same clamp as `on_hammer`.
+        let near = |row: RowAddr, d: i64| {
+            let v = i64::from(row.0) + d;
+            (v >= 0 && v < rows).then_some(v as u32)
+        };
+        let mut touched: Vec<u32> = run
+            .rows
+            .iter()
+            .flat_map(|&r| [0, -1, 1, -2, 2].into_iter().filter_map(move |d| near(r, d)))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        // Every row asked for is in `touched`, so this is its index.
+        let slot = |row: u32| touched.partition_point(|&t| t < row);
+        let episodes = run
+            .rows
+            .iter()
+            .map(|&r| {
+                let side = |d: i64| [near(r, -d).map(slot), near(r, d).map(slot)];
+                EpisodeSlots { me: slot(r.0), d1: side(1), d2: side(2) }
+            })
+            .collect();
+        let n = touched.len();
+        Self {
+            bank: run.bank.0,
+            aggressors: run.rows.to_vec(),
+            temperature_bits: temperature.to_bits(),
+            touched,
+            episodes,
+            retention: vec![None; n],
+            acc: vec![None; n],
+            last: vec![None; n],
+        }
+    }
+
+    fn fits(&self, run: &RoundRobin<'_>, temperature: f64) -> bool {
+        self.bank == run.bank.0
+            && self.aggressors == run.rows
+            && self.temperature_bits == temperature.to_bits()
+    }
 }
 
 impl std::fmt::Debug for RowHammerModel {
@@ -172,6 +248,7 @@ impl RowHammerModel {
             last_restore: HashMap::new(),
             retention_cells: LruCache::new(RETENTION_CACHE_CAP),
             timing_memo: None,
+            window: None,
         }
     }
 
@@ -319,6 +396,35 @@ impl RowHammerModel {
             .0
     }
 
+    /// Distance-1 hammer units of `count` episodes with the given
+    /// timing.
+    fn units(&mut self, count: u64, t_on: Picos, t_off: Picos) -> f64 {
+        let (gon, goff) = match self.timing_memo {
+            Some((on, off, gon, goff)) if on == t_on && off == t_off => (gon, goff),
+            _ => {
+                let gon = disturb::g_on(&self.profile, t_on);
+                let goff = disturb::g_off(&self.profile, t_off);
+                self.timing_memo = Some((t_on, t_off, gon, goff));
+                (gon, goff)
+            }
+        };
+        // Same association order as `disturb::units_distance1`, so the
+        // memo changes nothing about the accumulated values.
+        0.5 * count as f64 * gon * goff
+    }
+
+    /// The shortest retention time (ps) among a row's retention-weak
+    /// cells at the current temperature; infinite if it has none. An
+    /// idle time at or below it leaks no cell (`RetentionCell::leaked`
+    /// is the strict `>` of the same comparison).
+    fn min_retention(&mut self, bank: BankId, row: RowAddr) -> f64 {
+        let t = self.temperature;
+        self.retention_cells(bank, row)
+            .iter()
+            .map(|c| c.retention_at(t))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// The columnar kernel of a row, building (and caching) it on
     /// first use.
     fn kernel_mut(&mut self, bank: BankId, row: RowAddr) -> Option<&mut RowKernel> {
@@ -334,6 +440,7 @@ impl RowHammerModel {
 impl DisturbanceModel for RowHammerModel {
     fn configure_geometry(&mut self, rows_per_bank: u32, row_bytes: usize) {
         self.rows_per_bank = rows_per_bank;
+        self.window = None;
         if row_bytes != self.row_bytes {
             self.row_bytes = row_bytes;
             self.derivation_salt =
@@ -346,18 +453,7 @@ impl DisturbanceModel for RowHammerModel {
     }
 
     fn on_hammer(&mut self, bank: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos) {
-        let (gon, goff) = match self.timing_memo {
-            Some((on, off, gon, goff)) if on == t_on && off == t_off => (gon, goff),
-            _ => {
-                let gon = disturb::g_on(&self.profile, t_on);
-                let goff = disturb::g_off(&self.profile, t_off);
-                self.timing_memo = Some((t_on, t_off, gon, goff));
-                (gon, goff)
-            }
-        };
-        // Same association order as `disturb::units_distance1`, so the
-        // memo changes nothing about the accumulated values.
-        let units = 0.5 * count as f64 * gon * goff;
+        let units = self.units(count, t_on, t_off);
         let rows = self.rows_per_bank as i64;
         // Distance-1 victims, clamped to rows that exist: dose on
         // nonexistent rows could never flip (reads reject the address)
@@ -478,6 +574,74 @@ impl DisturbanceModel for RowHammerModel {
         self.acc.remove(&(bank.0, row.0));
         self.last_restore.insert((bank.0, row.0), now);
         self.trial_nonce = self.trial_nonce.wrapping_add(1);
+    }
+
+    /// Runs the episodes on locals: the `acc` and `last_restore` entries
+    /// of every row within ±2 of an aggressor, loaded once and written
+    /// back once. An episode is quiet when its sensing reaches neither
+    /// branch of [`flips_on_activate`](Self::flips_on_activate): the
+    /// aggressor's dose is below 1 unit, and it has sat idle for no
+    /// time or for no longer than its shortest retention time. A quiet
+    /// episode then does exactly what `on_restore` + `on_hammer(.., 1,
+    /// ..)` do: clear the aggressor's entry, stamp its restore time,
+    /// and add the same one-episode units, one `+=` at a time, to its
+    /// neighbours' entries (an absent entry stays distinct from 0.0).
+    fn hammer_quiet_prefix(&mut self, run: &RoundRobin<'_>) -> u64 {
+        let units = self.units(1, run.t_on, run.t_off);
+        let units2 = units * DISTANCE2_WEIGHT;
+        let mut w = match self.window.take() {
+            Some(w) if w.fits(run, self.temperature) => w,
+            _ => QuietWindow::new(run, self.rows_per_bank, self.temperature),
+        };
+        let bank = run.bank.0;
+        for (i, &row) in w.touched.iter().enumerate() {
+            w.acc[i] = self.acc.get(&(bank, row)).copied();
+            w.last[i] = self.last_restore.get(&(bank, row)).copied();
+        }
+        let k = run.rows.len();
+        let mut pos = run.start % k;
+        let mut applied = 0;
+        while applied < run.n {
+            let EpisodeSlots { me, d1, d2 } = w.episodes[pos];
+            let at = run.at(applied);
+            if w.acc[me].unwrap_or(0.0) >= 1.0 {
+                break;
+            }
+            let idle = at.saturating_sub(w.last[me].unwrap_or(at));
+            if idle > 0 {
+                let min = match w.retention[me] {
+                    Some(min) => min,
+                    None => *w.retention[me].insert(self.min_retention(run.bank, run.rows[pos])),
+                };
+                if idle as f64 > min {
+                    break;
+                }
+            }
+            w.acc[me] = None;
+            w.last[me] = Some(at);
+            for s in d1.into_iter().flatten() {
+                w.acc[s] = Some(w.acc[s].unwrap_or(0.0) + units);
+            }
+            for s in d2.into_iter().flatten() {
+                w.acc[s] = Some(w.acc[s].unwrap_or(0.0) + units2);
+            }
+            applied += 1;
+            pos = if pos + 1 == k { 0 } else { pos + 1 };
+        }
+        if applied > 0 {
+            for (i, &row) in w.touched.iter().enumerate() {
+                match w.acc[i] {
+                    Some(v) => self.acc.insert((bank, row), v),
+                    None => self.acc.remove(&(bank, row)),
+                };
+                if let Some(at) = w.last[i] {
+                    self.last_restore.insert((bank, row), at);
+                }
+            }
+            self.trial_nonce = self.trial_nonce.wrapping_add(applied);
+        }
+        self.window = Some(w);
+        applied
     }
 
     fn set_temperature(&mut self, celsius: f64) {
@@ -757,5 +921,137 @@ mod tests {
         let cc = c.row_cells(BankId(0), RowAddr(123));
         assert!(!Arc::ptr_eq(&ca, &cc));
         assert_ne!(*ca, *cc);
+    }
+
+    /// `acc` (as bit patterns), `last_restore` and `trial_nonce`:
+    /// everything an episode changes.
+    type EpisodeState = (Vec<((u32, u32), u64)>, Vec<((u32, u32), Picos)>, u64);
+
+    fn episode_state(m: &RowHammerModel) -> EpisodeState {
+        let mut acc: Vec<_> = m.acc.iter().map(|(&k, v)| (k, v.to_bits())).collect();
+        let mut last: Vec<_> = m.last_restore.iter().map(|(&k, &t)| (k, t)).collect();
+        acc.sort_unstable();
+        last.sort_unstable();
+        (acc, last, m.trial_nonce)
+    }
+
+    /// The first `q` episodes of `run` through the single-episode calls
+    /// (sensing is omitted: a quiet sensing changes none of the state
+    /// above).
+    fn exact_episodes(m: &mut RowHammerModel, run: &RoundRobin<'_>, q: u64) {
+        for j in 0..q {
+            m.on_restore(run.bank, run.row(j), run.at(j));
+            m.on_hammer(run.bank, run.row(j), 1, run.t_on, run.t_off);
+        }
+    }
+
+    /// Applies `run`'s quiet prefix to `bulk` and the same episodes
+    /// one by one to `single`; both must end in the same state.
+    fn quiet_prefix_agrees(
+        bulk: &mut RowHammerModel,
+        single: &mut RowHammerModel,
+        run: &RoundRobin<'_>,
+    ) -> u64 {
+        let q = bulk.hammer_quiet_prefix(run);
+        assert!(q <= run.n);
+        exact_episodes(single, run, q);
+        assert_eq!(episode_state(bulk), episode_state(single), "start {}, n {}", run.start, run.n);
+        q
+    }
+
+    fn run_of(rows: &[RowAddr], start: usize, n: u64, now: Picos) -> RoundRobin<'_> {
+        RoundRobin { bank: BankId(1), rows, start, n, t_on: 34_500, t_off: 16_500, now }
+    }
+
+    #[test]
+    fn quiet_prefix_matches_single_episodes() {
+        let (mut bulk, mut single) = (model(), model());
+        for m in [&mut bulk, &mut single] {
+            m.configure_geometry(1024, 8192);
+        }
+        // Four nested pairs, both bank edges, and a repeated row.
+        let rows: Vec<RowAddr> = [499, 501, 497, 503, 495, 505, 493, 507, 0, 1023, 1, 499]
+            .into_iter()
+            .map(RowAddr)
+            .collect();
+        let mut now = 1_000;
+        for (start, n) in [(0, 1), (3, 5), (7, 12), (11, 40), (2, 1000)] {
+            let run = run_of(&rows, start, n, now);
+            assert_eq!(
+                quiet_prefix_agrees(&mut bulk, &mut single, &run),
+                n,
+                "every episode is quiet"
+            );
+            now = run.at(n);
+            // A refresh between runs: the next call must see it.
+            for m in [&mut bulk, &mut single] {
+                m.on_restore(BankId(1), RowAddr(500), now);
+            }
+        }
+        // Same aggressors at a new temperature: a fresh window.
+        for m in [&mut bulk, &mut single] {
+            m.set_temperature(85.0);
+        }
+        let run = run_of(&rows, 5, 77, now);
+        assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &run), 77);
+    }
+
+    #[test]
+    fn quiet_prefix_stops_at_a_dose_of_one_unit() {
+        let (mut bulk, mut single) = (model(), model());
+        // Row 11 takes 0.5 units from each of rows 10 and 12 per
+        // cycle, so its episode in the second cycle senses 1.0 unit.
+        let rows = [RowAddr(10), RowAddr(12), RowAddr(11)];
+        let run = run_of(&rows, 0, 10, 0);
+        assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &run), 2);
+        assert_eq!(bulk.accumulated(BankId(1), RowAddr(11)), 1.0);
+        // An aggressor preloaded with 1.0 unit is not quiet on its
+        // first episode, the third from index 1.
+        for (start, quiet) in [(0, 0), (1, 2)] {
+            let (mut bulk, mut single) = (model(), model());
+            for m in [&mut bulk, &mut single] {
+                m.on_hammer(BankId(1), RowAddr(9), 2, 34_500, 16_500);
+            }
+            let run = run_of(&rows, start, 10, 0);
+            assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &run), quiet);
+        }
+    }
+
+    #[test]
+    fn quiet_prefix_stops_where_a_retention_cell_leaks() {
+        let mut m = model();
+        m.set_temperature(90.0);
+        let (bank, row) = (BankId(1), RowAddr(700));
+        let cells = m.retention_cells(bank, row);
+        let min = cells.iter().map(|c| c.retention_at(90.0)).fold(f64::INFINITY, f64::min);
+        let longest_quiet = min.floor() as Picos;
+        assert!(cells.iter().all(|c| !c.leaked(longest_quiet, 90.0)));
+        assert!(cells.iter().any(|c| c.leaked(longest_quiet + 1, 90.0)));
+        let rows = [RowAddr(690), row];
+        for (idle, quiet) in [(longest_quiet, 2), (longest_quiet + 1, 1)] {
+            let (mut bulk, mut single) = (model(), model());
+            for m in [&mut bulk, &mut single] {
+                m.set_temperature(90.0);
+                m.on_restore(bank, row, 0);
+            }
+            // Row 700's episode is the second, one episode later.
+            let run = run_of(&rows, 0, 2, idle - 51_000);
+            assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &run), quiet, "idle {idle}");
+        }
+        // The same aggressors, first at 45 °C, then at 90 °C: the
+        // window must not keep the cooler (longer) retention times.
+        let (mut bulk, mut single) = (model(), model());
+        for m in [&mut bulk, &mut single] {
+            m.set_temperature(45.0);
+            m.on_restore(bank, row, 0);
+        }
+        let cool = run_of(&rows, 0, 2, 1_000);
+        assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &cool), 2);
+        for m in [&mut bulk, &mut single] {
+            m.set_temperature(90.0);
+        }
+        // Row 700 first, idle just past its shortest 90 °C retention.
+        let hot = run_of(&rows, 1, 2, cool.at(1) + longest_quiet + 1);
+        assert_eq!(quiet_prefix_agrees(&mut bulk, &mut single, &hot), 0);
     }
 }

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut bench = TestBench::new(Manufacturer::B, 99);
         bench.set_temperature(75.0)?;
         let mut sim = DefenseSim::new(bench);
-        let o = sim.run_double_sided(d.as_mut(), RowAddr(5000), 150_000, None)?;
+        let o = sim.run_many_sided(d.as_mut(), RowAddr(5000), 1, 150_000, None)?;
         println!(
             "  {:<12} flips {:>4}  refreshes {:>6}  throttle {:>7.2} ms",
             o.defense,
