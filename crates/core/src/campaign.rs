@@ -279,7 +279,6 @@ pub fn module_id(mfr: rh_dram::Manufacturer, module_seed: u64) -> String {
 pub struct CampaignRunner {
     policy: RetryPolicy,
     checkpoint: Option<PathBuf>,
-    wait_backoff: bool,
     executor: ExecutorConfig,
     cancel: CancelToken,
     fail_fast: bool,
@@ -302,14 +301,6 @@ impl CampaignRunner {
     /// resumes from it if it already exists.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Actually sleeps the scheduled backoff before each retry. Off by
-    /// default: the simulated bench has no physical transient to wait
-    /// out, and the schedule is still computed and reported either way.
-    pub fn with_real_backoff(mut self, wait: bool) -> Self {
-        self.wait_backoff = wait;
         self
     }
 
@@ -539,7 +530,6 @@ impl CampaignRunner {
                 Err(e) => e,
             };
             let error = err.to_string();
-            // Bound first, so the lock is released before any backoff sleep.
             let outcome = lock(table).fail(grant.lease_id, &error, err.is_transient(), 0);
             match outcome {
                 FailOutcome::Retrying { backoff_ms } => {
@@ -551,9 +541,6 @@ impl CampaignRunner {
                         backoff_ms = backoff_ms,
                         error = error,
                     );
-                    if self.wait_backoff {
-                        std::thread::sleep(Duration::from_millis(backoff_ms));
-                    }
                 }
                 FailOutcome::Quarantined => {
                     rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);

@@ -23,6 +23,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Minimum spacing between `campaign.heartbeat` events.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
+
 /// Throughput-based remaining-time estimate, as a pure function so it
 /// can be tested without clocks: with `completed` of `total` modules
 /// done after `elapsed_ms`, assumes the observed rate holds.
@@ -132,7 +135,6 @@ impl ProgressSnapshot {
 #[derive(Debug)]
 pub struct ProgressTracker {
     t0: Instant,
-    heartbeat_interval: Duration,
     inner: Mutex<Inner>,
     /// Per-worker event-stream cursors (`worker -> (last_seq,
     /// acked_seq)`), published by the fleet coordinator's journal
@@ -149,23 +151,14 @@ impl Default for ProgressTracker {
 
 impl ProgressTracker {
     /// An empty tracker; the clock for `elapsed_ms`/ETA starts now.
-    /// Heartbeat events are rate-limited to one per second by default.
+    /// Heartbeat events are rate-limited to one per second.
     #[must_use]
     pub fn new() -> Self {
         Self {
             t0: Instant::now(),
-            heartbeat_interval: Duration::from_secs(1),
             inner: Mutex::new(Inner::default()),
             streams: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Overrides the minimum spacing between `campaign.heartbeat`
-    /// events. Zero emits one on every state change.
-    #[must_use]
-    pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = interval;
-        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -314,7 +307,7 @@ impl ProgressTracker {
         }
         let due = inner
             .last_heartbeat
-            .is_none_or(|last| last.elapsed() >= self.heartbeat_interval);
+            .is_none_or(|last| last.elapsed() >= HEARTBEAT_INTERVAL);
         if due {
             inner.last_heartbeat = Some(Instant::now());
             rh_obs::event!(

@@ -4,11 +4,12 @@
 //!
 //! Two guards, in this order of strength:
 //! - the counters of one instrumented rep must show the kernel ran:
-//!   row derivations came from the process-global cache and
-//!   sub-threshold activations took the columnar early-out, some of
-//!   them on the row's dose floor before any derivation. Falling back
-//!   to the scalar reference path zeroes the early-outs. These checks
-//!   run in every build;
+//!   the rep derived no row and built no surface (the process-global
+//!   caches served everything the warmup rep had made), and
+//!   sub-threshold activations took the columnar early-out, some on a
+//!   cached surface and some on the row's dose floor before any
+//!   derivation. Falling back to the scalar reference path zeroes the
+//!   early-outs. These checks run in every build;
 //! - in an optimized build, the whole rep (setup included) must sustain
 //!   at least [`MIN_HAMMERS_PER_SEC`]. Setup dominates the rep, so this
 //!   is mostly a bound on `Characterizer::new`.
@@ -99,13 +100,21 @@ fn columnar_kernel_runs_and_keeps_its_rate() {
     rep();
     rh_obs::uninstall();
     let counters = rec.counters();
-    let hits = counters.get(names::FAULTMODEL_CELLS_GLOBAL_HIT).copied().unwrap_or(0);
-    let early_outs = counters.get(names::FAULTMODEL_EVAL_EARLY_OUT).copied().unwrap_or(0);
-    let gated = counters.get(names::FAULTMODEL_EVAL_GATED).copied().unwrap_or(0);
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let derived = count(names::FAULTMODEL_ROW_DERIVE);
+    let built = count(names::FAULTMODEL_SURFACE_BUILD);
+    let early_outs = count(names::FAULTMODEL_EVAL_EARLY_OUT);
+    let gated = count(names::FAULTMODEL_EVAL_GATED);
     println!(
-        "columnar kernel: {hits} global-cache hits, {early_outs} early-outs ({gated} by the row floor)"
+        "columnar kernel: {derived} derivations and {built} surface builds after warmup, \
+         {early_outs} early-outs ({gated} by the row floor)"
     );
-    assert!(hits > 0, "process-global derivation cache never hit: {:?}", counters.keys());
-    assert!(early_outs > 0, "columnar early-out never taken; kernel path inactive?");
+    assert_eq!(
+        (derived, built),
+        (0, 0),
+        "the process-global caches did not serve the warmed rows: {:?}",
+        counters.keys()
+    );
+    assert!(early_outs > gated, "no sensing early-outed on a surface; kernel path inactive?");
     assert!(gated > 0, "no sensing was decided by the row floor before derivation");
 }

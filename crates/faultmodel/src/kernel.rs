@@ -8,14 +8,14 @@
 //! that work so an activation costs a handful of comparisons in the
 //! common case:
 //!
-//! 1. **Row kernel** ([`RowKernel`]): the row's cells laid out as
-//!    parallel arrays (byte/bit coordinates, base thresholds, window
-//!    bounds, packed orientation bits) — derived once per row.
-//! 2. **Temperature surface** ([`TempSurface`]): for one temperature,
-//!    the in-window cells sorted by effective threshold, with a packed
-//!    `u64` flip mask per cell aligned to the row's 64-bit data lanes
-//!    and per-lane aggregate orientation masks. Surfaces are memoized
-//!    per `(row, temperature)`, so repeated sweep points hit a cache.
+//! 1. **Temperature surface** ([`TempSurface`]): for one temperature,
+//!    the row's in-window cells in struct-of-arrays form (byte/bit
+//!    coordinates, word and mask, orientation), sorted by effective
+//!    threshold, plus per-lane aggregate orientation masks aligned to
+//!    the row's 64-bit data lanes.
+//! 2. **Memoization** (in [`crate::model`]): a surface is built once
+//!    per `(module, row, temperature)` and shared process-wide, so
+//!    repeated sensings and sweep points hit a cache.
 //! 3. **Noise bracketing**: the per-trial noise sample is bounded by
 //!    [`crate::cell::trial_noise_bounds`]; cells whose threshold falls
 //!    outside the `dose / noise` bracket are decided by one comparison
@@ -29,25 +29,8 @@
 //! per 64-bit word.
 
 use crate::cell::{trial_noise_at, trial_noise_bounds, CellVulnerability};
-use crate::lru::LruCache;
 use crate::profile::MfrProfile;
 use rh_dram::BitFlip;
-use std::sync::Arc;
-
-/// Temperature surfaces memoized per row kernel. Sweeps iterate
-/// temperature in the outer loop, so per-row reuse only needs the last
-/// few sweep points resident.
-const SURFACES_PER_ROW: usize = 4;
-
-/// One row's vulnerable cells in columnar layout, plus its memoized
-/// per-temperature surfaces.
-#[derive(Debug)]
-pub struct RowKernel {
-    /// The derivation this kernel was built from (shared with the
-    /// scalar path's cache, so both paths see the same population).
-    cells: Arc<Vec<CellVulnerability>>,
-    surfaces: LruCache<u64, Arc<TempSurface>>,
-}
 
 /// The response surface of one row at one temperature: every in-window
 /// cell with its effective threshold, sorted ascending so a dose maps
@@ -76,41 +59,6 @@ pub struct TempSurface {
     /// Noise bracket of the profile, cached.
     noise_lo: f64,
     noise_hi: f64,
-}
-
-impl RowKernel {
-    /// Builds the kernel over a derived cell population.
-    pub fn new(cells: Arc<Vec<CellVulnerability>>) -> Self {
-        Self { cells, surfaces: LruCache::new(SURFACES_PER_ROW) }
-    }
-
-    /// The cell population the kernel evaluates.
-    pub fn cells(&self) -> &Arc<Vec<CellVulnerability>> {
-        &self.cells
-    }
-
-    /// The memoized surface at `temperature`, building it on first use.
-    /// Returns the surface and whether it was freshly built.
-    pub fn surface(&mut self, profile: &MfrProfile, temperature: f64) -> (Arc<TempSurface>, bool) {
-        let key = temperature.to_bits();
-        let cells = Arc::clone(&self.cells);
-        let (s, built) = self
-            .surfaces
-            .get_or_insert_with(key, || Arc::new(TempSurface::build(profile, &cells, temperature)));
-        (Arc::clone(s), built)
-    }
-
-    /// The memoized surface for a `f64::to_bits` temperature key, if
-    /// this kernel already holds one.
-    pub fn cached_surface(&mut self, temp_bits: u64) -> Option<Arc<TempSurface>> {
-        self.surfaces.get(&temp_bits).map(Arc::clone)
-    }
-
-    /// Installs an externally built (or globally shared) surface under
-    /// a `f64::to_bits` temperature key.
-    pub fn insert_surface(&mut self, temp_bits: u64, surface: &Arc<TempSurface>) {
-        self.surfaces.insert(temp_bits, Arc::clone(surface));
-    }
 }
 
 impl TempSurface {
@@ -356,20 +304,6 @@ mod tests {
         // A position hosting both an anti- and a true-cell flips in
         // both fills; subtract the overlap before comparing.
         assert_eq!(got1, true_positions);
-    }
-
-    #[test]
-    fn kernel_memoizes_surfaces_per_temperature() {
-        let p = MfrProfile::for_manufacturer(Manufacturer::D);
-        let cells =
-            Arc::new(derive_row_cells(&p, 42, BankId(0), RowAddr(9), 8192, 512));
-        let mut k = RowKernel::new(cells);
-        let (_, miss1) = k.surface(&p, 75.0);
-        let (_, miss2) = k.surface(&p, 75.0);
-        let (_, miss3) = k.surface(&p, 80.0);
-        assert!(miss1, "first build must be a miss");
-        assert!(!miss2, "repeat temperature must hit the memo");
-        assert!(miss3, "new temperature must build");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use cell::{
     row_floor, trial_noise_at, trial_noise_bounds, CellVulnerability, TempWindow, NOISE_Z_BOUND,
 };
 pub use disturb::{g_off, g_on, DisturbanceUnits};
-pub use kernel::{RowKernel, TempSurface};
+pub use kernel::TempSurface;
 pub use lru::LruCache;
 pub use model::{EvalMode, RowHammerModel};
 pub use retention::RetentionCell;

@@ -1,7 +1,7 @@
 //! A small bounded map with least-recently-used eviction.
 //!
 //! The fault model's derived-state caches (vulnerable-cell populations,
-//! retention cells, columnar row kernels) were previously bounded by
+//! temperature surfaces, per-row memos) were previously bounded by
 //! wiping the whole map on overflow, so sweeps just past the capacity
 //! re-derived every row on every pass. This cache evicts exactly one
 //! entry — the least recently *used* — per overflowing insert, so a
@@ -70,11 +70,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.order.insert(self.tick, k);
         }
         Some(&mut slot.1)
-    }
-
-    /// Whether `key` is resident, *without* refreshing its recency.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry first if
@@ -197,7 +192,9 @@ mod tests {
                         let (v, miss) = lru.get_or_insert_with(key, || value);
                         prop_assert_eq!((*v, miss), scan.get_or_insert_with(key, value), "op {}", i);
                     }
-                    5 => prop_assert_eq!(lru.contains(&key), scan.map.contains_key(&key)),
+                    5 => {
+                        prop_assert_eq!(lru.map.contains_key(&key), scan.map.contains_key(&key))
+                    }
                     // Rare: a clear resets residency but not the counts.
                     _ if key == 0 => {
                         lru.clear();
@@ -205,7 +202,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                let mut resident: Vec<u8> = (0..12).filter(|k| lru.contains(k)).collect();
+                let mut resident: Vec<u8> = (0..12).filter(|k| lru.map.contains_key(k)).collect();
                 let mut expected: Vec<u8> = scan.map.keys().copied().collect();
                 resident.sort_unstable();
                 expected.sort_unstable();
@@ -241,9 +238,9 @@ mod tests {
         assert_eq!(c.len(), 4, "insert past capacity must keep the cache full");
         assert_eq!(c.evictions(), 1, "exactly one entry evicted");
         // Only the oldest (0) is gone.
-        assert!(!c.contains(&0));
+        assert!(!c.map.contains_key(&0));
         for i in 1..=4u32 {
-            assert!(c.contains(&i), "entry {i} wrongly evicted");
+            assert!(c.map.contains_key(&i), "entry {i} wrongly evicted");
         }
     }
 
@@ -256,8 +253,8 @@ mod tests {
         // Touch 0 so 1 becomes the oldest.
         assert_eq!(c.get(&0), Some(&0));
         c.insert(3, 3);
-        assert!(c.contains(&0), "recently used entry must survive");
-        assert!(!c.contains(&1), "least recently used entry must go");
+        assert!(c.map.contains_key(&0), "recently used entry must survive");
+        assert!(!c.map.contains_key(&1), "least recently used entry must go");
     }
 
     #[test]

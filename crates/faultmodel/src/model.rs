@@ -9,28 +9,26 @@
 
 use crate::cell::{derive_row_cells_with, row_floor, CellVulnerability};
 use crate::disturb::{self, DISTANCE2_WEIGHT};
-use crate::kernel::{RowKernel, TempSurface};
+use crate::kernel::TempSurface;
 use crate::lru::LruCache;
 use crate::profile::MfrProfile;
-use crate::retention::{derive_retention_cells, RetentionCell};
+use crate::retention::{self, derive_retention_cells, RetentionCell};
 use crate::variation;
 use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RoundRobin, RowAddr};
 use rh_obs::names;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::sync::Arc;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Per-model bound on cached vulnerable-cell populations.
-const CELLS_CACHE_CAP: usize = 4096;
-/// Per-model bound on cached retention-cell populations.
-const RETENTION_CACHE_CAP: usize = 8192;
-/// Per-model bound on columnar row kernels (each also memoizes a few
-/// temperature surfaces).
-const KERNEL_CACHE_CAP: usize = 2048;
-/// Per-model bound on memoized row dose floors.
-const FLOOR_CACHE_CAP: usize = 8192;
+/// Process-global bound on shared vulnerable-cell populations. A
+/// default-scale `repro all` derives ~6,500 distinct rows; holding
+/// them all lets every later target and worker reuse them.
+const CELLS_CACHE_CAP: usize = 8192;
 /// Process-global bound on shared temperature surfaces.
 const SURFACE_CACHE_CAP: usize = 4096;
+/// Per-model bound on each per-row scalar memo (dose floor, weakest
+/// retention time).
+const ROW_MEMO_CAP: usize = 8192;
 
 /// Which evaluation path [`RowHammerModel::flips_on_activate`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,48 +41,52 @@ pub enum EvalMode {
     ScalarReference,
 }
 
-/// Process-global L2 derivation caches, shared by every model instance.
-///
-/// Benchmarks and sweeps construct a fresh [`RowHammerModel`] per
-/// repetition; since every derivation is a pure function of
-/// `(profile, seed, geometry, bank, row)`, the populations can be
-/// shared across instances. Keyed by a salt folding all of those
-/// inputs, so distinct modules never alias.
-/// L2 cache key: `(derivation salt, bank, physical row)`.
+/// Cache key of a row's cell population: `(derivation salt, bank,
+/// physical row)`.
 type RowKey = (u64, u32, u32);
-/// Surface cache key: a [`RowKey`] plus the temperature's bit pattern.
+/// Cache key of a surface: a [`RowKey`] plus the temperature's bits.
 type SurfaceKey = (u64, u32, u32, u64);
 /// A process-global derivation cache of shared (`Arc`) values.
 type GlobalCache<K, V> = OnceLock<Mutex<LruCache<K, Arc<V>>>>;
-/// Locked view into a [`GlobalCache`].
-type CacheGuard<K, V> = MutexGuard<'static, LruCache<K, Arc<V>>>;
 
-static GLOBAL_CELLS: GlobalCache<RowKey, Vec<CellVulnerability>> = OnceLock::new();
-static GLOBAL_RETENTION: GlobalCache<RowKey, Vec<RetentionCell>> = OnceLock::new();
-/// Built temperature surfaces, keyed `(salt, bank, row, temp_bits)`.
-/// A surface is immutable once built, so instances can share it — this
-/// is what makes per-repetition model construction cheap in benches.
-static GLOBAL_SURFACES: GlobalCache<SurfaceKey, TempSurface> = OnceLock::new();
+/// Derived cell populations and built temperature surfaces, shared by
+/// every model instance in the process. Sweeps and benches construct a
+/// fresh [`RowHammerModel`] per repetition, and every derivation is a
+/// pure function of `(profile, seed, geometry, bank, row[,
+/// temperature])`; the salt in each key folds all of those but the
+/// coordinates, so distinct modules never alias.
+static CELLS: GlobalCache<RowKey, Vec<CellVulnerability>> = OnceLock::new();
+static SURFACES: GlobalCache<SurfaceKey, TempSurface> = OnceLock::new();
 
-fn global_cells() -> CacheGuard<RowKey, Vec<CellVulnerability>> {
-    GLOBAL_CELLS
-        .get_or_init(|| Mutex::new(LruCache::new(CELLS_CACHE_CAP)))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn global_retention() -> CacheGuard<RowKey, Vec<RetentionCell>> {
-    GLOBAL_RETENTION
-        .get_or_init(|| Mutex::new(LruCache::new(RETENTION_CACHE_CAP)))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn global_surfaces() -> CacheGuard<SurfaceKey, TempSurface> {
-    GLOBAL_SURFACES
-        .get_or_init(|| Mutex::new(LruCache::new(SURFACE_CACHE_CAP)))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Looks `key` up in a process-global cache of at most `cap` entries,
+/// building the value with `make` outside the lock on a miss (a racing
+/// duplicate build is identical, so either copy may stay). Returns the
+/// value and whether this call built it. Every eviction counts one
+/// `faultmodel.cache.evict`.
+fn shared<K: Eq + Hash + Clone, V>(
+    cache: &'static GlobalCache<K, V>,
+    cap: usize,
+    key: K,
+    make: impl FnOnce() -> V,
+) -> (Arc<V>, bool) {
+    let lock = || {
+        cache
+            .get_or_init(|| Mutex::new(LruCache::new(cap)))
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    };
+    let hit = lock().get(&key).map(Arc::clone);
+    if let Some(v) = hit {
+        return (v, false);
+    }
+    let v = Arc::new(make());
+    let mut cache = lock();
+    let evicted = cache.evictions();
+    cache.insert(key, Arc::clone(&v));
+    if cache.evictions() > evicted {
+        rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
+    }
+    (v, true)
 }
 
 /// The calibrated RowHammer fault model of one DRAM module.
@@ -108,24 +110,22 @@ pub struct RowHammerModel {
     derivation_salt: u64,
     /// Accumulated disturbance per (bank, physical row), hammer units.
     acc: HashMap<(u32, u32), f64>,
-    /// Cache of derived vulnerable-cell populations.
-    cells: LruCache<(u32, u32), Arc<Vec<CellVulnerability>>>,
     /// Memo of [`variation::column_weight`] for cell derivation,
     /// indexed `chip * columns + column`; NaN marks an entry not yet
     /// computed. Empty until the first derivation, and filled lazily:
     /// most models derive too few rows to repay a full table.
     column_weights: Vec<f64>,
-    /// Cache of columnar row kernels (Columnar mode).
-    kernels: LruCache<(u32, u32), RowKernel>,
     /// Memo of [`row_floor`] per (bank, physical row) (Columnar mode).
     /// Independent of `row_bytes`, so geometry changes keep it.
     floors: LruCache<(u32, u32), f64>,
+    /// Memo of each row's weakest retention time at the reference
+    /// temperature ([`retention::weakest_ref`]); also independent of
+    /// `row_bytes`.
+    weakest_retention: LruCache<(u32, u32), f64>,
     /// Incremented on every restore; salts per-trial threshold noise.
     trial_nonce: u64,
     /// Last restore time per (bank, physical row): the retention clock.
     last_restore: HashMap<(u32, u32), Picos>,
-    /// Cache of derived retention-weak cells.
-    retention_cells: LruCache<(u32, u32), Arc<Vec<RetentionCell>>>,
     /// Memoized `(t_on, t_off) -> (g_on, g_off)` of the last timing
     /// pair: hammer bursts repeat one timing, and `g_off` divides.
     timing_memo: Option<(Picos, Picos, f64, f64)>,
@@ -240,13 +240,11 @@ impl RowHammerModel {
             mode: EvalMode::Columnar,
             derivation_salt: Self::salt(&profile, module_seed, row_bytes, subarray_rows),
             acc: HashMap::new(),
-            cells: LruCache::new(CELLS_CACHE_CAP),
             column_weights: Vec::new(),
-            kernels: LruCache::new(KERNEL_CACHE_CAP),
-            floors: LruCache::new(FLOOR_CACHE_CAP),
+            floors: LruCache::new(ROW_MEMO_CAP),
+            weakest_retention: LruCache::new(ROW_MEMO_CAP),
             trial_nonce: 0,
             last_restore: HashMap::new(),
-            retention_cells: LruCache::new(RETENTION_CACHE_CAP),
             timing_memo: None,
             window: None,
         }
@@ -293,52 +291,28 @@ impl RowHammerModel {
     /// vulnerability by hammering); it exists for tests, examples, and
     /// defense studies that assume a profiling step already ran.
     pub fn row_cells(&mut self, bank: BankId, row: RowAddr) -> Arc<Vec<CellVulnerability>> {
-        let key = (bank.0, row.0);
-        if let Some(c) = self.cells.get(&key) {
-            return Arc::clone(c);
-        }
-        let global_key = (self.derivation_salt, bank.0, row.0);
-        // Probe the process-global cache, deriving outside its lock on
-        // a miss (a racing duplicate derivation is identical anyway).
-        let cached = global_cells().get(&global_key).map(Arc::clone);
-        let derived = match cached {
-            Some(c) => {
-                rh_obs::counter(names::FAULTMODEL_CELLS_GLOBAL_HIT, 1);
-                c
+        let key = (self.derivation_salt, bank.0, row.0);
+        let (profile, seed) = (&self.profile, self.module_seed);
+        let (row_bytes, subarray_rows) = (self.row_bytes, self.subarray_rows);
+        let memo = &mut self.column_weights;
+        let (cells, derived) = shared(&CELLS, CELLS_CACHE_CAP, key, || {
+            let columns = row_bytes / 8;
+            if memo.is_empty() {
+                memo.resize(8 * columns, f64::NAN);
             }
-            None => {
-                rh_obs::counter(names::FAULTMODEL_ROW_DERIVE, 1);
-                let (profile, seed) = (&self.profile, self.module_seed);
-                let columns = self.row_bytes / 8;
-                let memo = &mut self.column_weights;
-                if memo.is_empty() {
-                    memo.resize(8 * columns, f64::NAN);
+            let weight = |chip: u8, column: u32| {
+                let w = &mut memo[chip as usize * columns + column as usize];
+                if w.is_nan() {
+                    *w = variation::column_weight(profile, seed, chip, column);
                 }
-                let d = Arc::new(derive_row_cells_with(
-                    profile,
-                    seed,
-                    bank,
-                    row,
-                    self.row_bytes,
-                    self.subarray_rows,
-                    |chip, column| {
-                        let w = &mut memo[chip as usize * columns + column as usize];
-                        if w.is_nan() {
-                            *w = variation::column_weight(profile, seed, chip, column);
-                        }
-                        *w
-                    },
-                ));
-                global_cells().insert(global_key, Arc::clone(&d));
-                d
-            }
-        };
-        let evicted = self.cells.evictions();
-        self.cells.insert(key, Arc::clone(&derived));
-        if self.cells.evictions() > evicted {
-            rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
-        }
-        derived
+                *w
+            };
+            derive_row_cells_with(profile, seed, bank, row, row_bytes, subarray_rows, weight)
+        });
+        let counter =
+            if derived { names::FAULTMODEL_ROW_DERIVE } else { names::FAULTMODEL_CELLS_GLOBAL_HIT };
+        rh_obs::counter(counter, 1);
+        cells
     }
 
     /// Accumulated disturbance (hammer units) on a physical row.
@@ -352,33 +326,8 @@ impl RowHammerModel {
     }
 
     /// Oracle access to the retention-weak cells of a physical row.
-    pub fn retention_cells(&mut self, bank: BankId, row: RowAddr) -> Arc<Vec<RetentionCell>> {
-        let key = (bank.0, row.0);
-        if let Some(c) = self.retention_cells.get(&key) {
-            return Arc::clone(c);
-        }
-        let global_key = (self.derivation_salt, bank.0, row.0);
-        let cached = global_retention().get(&global_key).map(Arc::clone);
-        let derived = match cached {
-            Some(c) => c,
-            None => {
-                let d = Arc::new(derive_retention_cells(
-                    &self.profile,
-                    self.module_seed,
-                    bank,
-                    row,
-                    self.row_bytes,
-                ));
-                global_retention().insert(global_key, Arc::clone(&d));
-                d
-            }
-        };
-        let evicted = self.retention_cells.evictions();
-        self.retention_cells.insert(key, Arc::clone(&derived));
-        if self.retention_cells.evictions() > evicted {
-            rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
-        }
-        derived
+    pub fn retention_cells(&self, bank: BankId, row: RowAddr) -> Vec<RetentionCell> {
+        derive_retention_cells(&self.profile, self.module_seed, bank, row, self.row_bytes)
     }
 
     /// Time the row has sat without a restore, as of `now`.
@@ -416,24 +365,33 @@ impl RowHammerModel {
     /// The shortest retention time (ps) among a row's retention-weak
     /// cells at the current temperature; infinite if it has none. An
     /// idle time at or below it leaks no cell (`RetentionCell::leaked`
-    /// is the strict `>` of the same comparison).
+    /// is the strict `>` of the same comparison). Bit for bit the
+    /// minimum of the cells' `retention_at`: multiplying by the
+    /// positive temperature factor preserves order, rounding included.
     fn min_retention(&mut self, bank: BankId, row: RowAddr) -> f64 {
-        let t = self.temperature;
-        self.retention_cells(bank, row)
-            .iter()
-            .map(|c| c.retention_at(t))
-            .fold(f64::INFINITY, f64::min)
+        let (profile, seed, row_bytes) = (&self.profile, self.module_seed, self.row_bytes);
+        let weakest = *self
+            .weakest_retention
+            .get_or_insert_with((bank.0, row.0), || {
+                retention::weakest_ref(&derive_retention_cells(profile, seed, bank, row, row_bytes))
+            })
+            .0;
+        weakest * retention::temperature_factor(self.temperature)
     }
 
-    /// The columnar kernel of a row, building (and caching) it on
-    /// first use.
-    fn kernel_mut(&mut self, bank: BankId, row: RowAddr) -> Option<&mut RowKernel> {
-        let key = (bank.0, row.0);
-        if !self.kernels.contains(&key) {
+    /// The row's memoized temperature surface, building it (and
+    /// deriving the row's cells if they are not cached) on a miss.
+    fn surface(&mut self, bank: BankId, row: RowAddr) -> Arc<TempSurface> {
+        let temperature = self.temperature;
+        let key = (self.derivation_salt, bank.0, row.0, temperature.to_bits());
+        let (surface, built) = shared(&SURFACES, SURFACE_CACHE_CAP, key, || {
             let cells = self.row_cells(bank, row);
-            self.kernels.insert(key, RowKernel::new(cells));
+            TempSurface::build(&self.profile, &cells, temperature)
+        });
+        if built {
+            rh_obs::counter(names::FAULTMODEL_SURFACE_BUILD, 1);
         }
-        self.kernels.get_mut(&key)
+        surface
     }
 }
 
@@ -445,10 +403,7 @@ impl DisturbanceModel for RowHammerModel {
             self.row_bytes = row_bytes;
             self.derivation_salt =
                 Self::salt(&self.profile, self.module_seed, row_bytes, self.subarray_rows);
-            self.cells.clear();
             self.column_weights.clear();
-            self.retention_cells.clear();
-            self.kernels.clear();
         }
     }
 
@@ -485,10 +440,11 @@ impl DisturbanceModel for RowHammerModel {
         let temperature = self.temperature;
         let mut flips = Vec::new();
         // Retention leakage: cells that sat unrefreshed past their
-        // (temperature-accelerated) retention time.
-        if idle > 0 {
-            let rcells = self.retention_cells(bank, row);
-            for c in rcells.iter() {
+        // (temperature-accelerated) retention time. Exactly the idle
+        // times above the row's shortest retention time leak a cell, so
+        // the cells are derived only then.
+        if idle > 0 && idle as f64 > self.min_retention(bank, row) {
+            for c in self.retention_cells(bank, row) {
                 if !c.leaked(idle, temperature) {
                     continue;
                 }
@@ -505,40 +461,14 @@ impl DisturbanceModel for RowHammerModel {
             let seed = self.module_seed;
             match self.mode {
                 EvalMode::Columnar => {
-                    let salt = self.derivation_salt;
                     if dose < self.floor(bank, row) {
                         // Below the floor is below every cell's gated
                         // threshold, so the kernel would early-out too:
                         // skip deriving the row and building its surface.
                         rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
                         rh_obs::counter(names::FAULTMODEL_EVAL_GATED, 1);
-                    } else if let Some(kernel) = self.kernel_mut(bank, row) {
-                        let tkey = temperature.to_bits();
-                        // L1 (per-kernel memo) → global L2 → build. The
-                        // build happens outside the global lock; a racing
-                        // duplicate is identical and harmless.
-                        let surface = match kernel.cached_surface(tkey) {
-                            Some(s) => s,
-                            None => {
-                                let gkey = (salt, bank.0, row.0, tkey);
-                                let cached = global_surfaces().get(&gkey).map(Arc::clone);
-                                let s = match cached {
-                                    Some(s) => s,
-                                    None => {
-                                        rh_obs::counter(names::FAULTMODEL_SURFACE_BUILD, 1);
-                                        let built = Arc::new(TempSurface::build(
-                                            &profile,
-                                            kernel.cells(),
-                                            temperature,
-                                        ));
-                                        global_surfaces().insert(gkey, Arc::clone(&built));
-                                        built
-                                    }
-                                };
-                                kernel.insert_surface(tkey, &s);
-                                s
-                            }
-                        };
+                    } else {
+                        let surface = self.surface(bank, row);
                         if surface.below_all(dose) {
                             rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
                         }

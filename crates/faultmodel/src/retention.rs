@@ -54,7 +54,7 @@ impl RetentionCell {
     /// Retention time at chip temperature `t` (°C): halves every
     /// [`HALVING_C`] above the reference.
     pub fn retention_at(&self, t: f64) -> f64 {
-        self.retention_ref * 2f64.powf((T_REF_C - t) / HALVING_C)
+        self.retention_ref * temperature_factor(t)
     }
 
     /// Whether the cell has leaked after sitting unrefreshed for
@@ -62,6 +62,20 @@ impl RetentionCell {
     pub fn leaked(&self, elapsed: Picos, t: f64) -> bool {
         (elapsed as f64) > self.retention_at(t)
     }
+}
+
+/// The factor [`RetentionCell::retention_at`] scales a reference
+/// retention time by at chip temperature `t` (°C).
+pub fn temperature_factor(t: f64) -> f64 {
+    2f64.powf((T_REF_C - t) / HALVING_C)
+}
+
+/// The shortest reference retention time among `cells`; infinite if
+/// there are none. Times `temperature_factor(t)` it is bit for bit the
+/// shortest `retention_at(t)`: rounding a product by a positive
+/// factor preserves order, so the weakest cell stays the weakest.
+pub fn weakest_ref(cells: &[RetentionCell]) -> f64 {
+    cells.iter().map(|c| c.retention_ref).fold(f64::INFINITY, f64::min)
 }
 
 /// Derives the retention-weak cells of one physical row (pure function

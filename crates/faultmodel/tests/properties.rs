@@ -1,8 +1,9 @@
 //! Property-based tests over the fault model's invariants.
 
 use proptest::prelude::*;
-use rh_dram::{BankId, DisturbanceModel, Manufacturer, RowAddr};
+use rh_dram::{BankId, DisturbanceModel, Manufacturer, Picos, RowAddr};
 use rh_faultmodel::cell::derive_row_cells;
+use rh_faultmodel::retention::{derive_retention_cells, temperature_factor, weakest_ref};
 use rh_faultmodel::{g_off, g_on, row_floor, trial_noise_bounds, MfrProfile, RowHammerModel};
 
 fn any_mfr() -> impl Strategy<Value = Manufacturer> {
@@ -69,6 +70,47 @@ proptest! {
                 prop_assert!(gated >= floor, "threshold {gated} < floor {floor} at {temp} C");
             }
         }
+    }
+}
+
+proptest! {
+    // The retention gate a sensing checks before it derives a row's
+    // retention cells: the weakest reference time times the
+    // temperature factor is exactly the shortest `retention_at`, so no
+    // idle up to it leaks a cell and the next representable idle
+    // above it leaks one, in the derived cells and through the model.
+    #[test]
+    fn retention_gate_is_exact(
+        mfr in any_mfr(),
+        seed in any::<u64>(),
+        bank in 0u32..16,
+        row in 0u32..65_536,
+        t in -50.0f64..150.0,
+    ) {
+        let p = MfrProfile::for_manufacturer(mfr);
+        let (bank, row) = (BankId(bank), RowAddr(row));
+        let cells = derive_retention_cells(&p, seed, bank, row, 8192);
+        let gate = weakest_ref(&cells) * temperature_factor(t);
+        let shortest = cells.iter().map(|c| c.retention_at(t)).fold(f64::INFINITY, f64::min);
+        prop_assert_eq!(gate.to_bits(), shortest.to_bits(), "gate {} vs {}", gate, shortest);
+        // The longest idle not above the gate, and the first above it.
+        let at = gate.floor() as Picos;
+        let above = gate.next_up().ceil() as Picos;
+        prop_assert!(at as f64 <= gate && above as f64 > gate);
+        prop_assert!(cells.iter().all(|c| !c.leaked(at, t)), "leak at idle {at}");
+        let weakest = cells.iter().find(|c| c.leaked(above, t));
+        prop_assert!(weakest.is_some(), "no leak at idle {above}");
+        // The model senses through the gate: nothing at `at`, and the
+        // leaking cell at `above` when the row holds its charged value.
+        let charged = if weakest.is_some_and(|c| c.anti_cell) { 0x00 } else { 0xFF };
+        let data = vec![charged; 8192];
+        let mut m = RowHammerModel::new(mfr, seed);
+        m.set_temperature(t);
+        m.on_restore(bank, row, 0);
+        prop_assert!(m.flips_on_activate(bank, row, &data, at).is_empty());
+        let flips = m.flips_on_activate(bank, row, &data, above);
+        let c = weakest.copied().unwrap_or(cells[0]);
+        prop_assert!(flips.iter().any(|f| (f.byte, f.bit) == (c.byte, c.bit)), "{flips:?}");
     }
 }
 
