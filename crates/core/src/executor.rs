@@ -1,22 +1,22 @@
-//! The supervised execution layer: a bounded work-stealing worker pool
-//! with per-task wall-clock deadlines and cooperative cancellation.
+//! The supervised execution layer: a bounded worker pool with per-task
+//! wall-clock deadlines and cooperative cancellation.
 //!
 //! The paper's campaigns sweep hundreds of modules; spawning one OS
 //! thread per module oversubscribes the host, and a single wedged bench
-//! (a hung host link, a dead temperature rig) blocks a scoped join
+//! (a hung host link, a dead temperature rig) would otherwise run
 //! forever. [`supervise`] fixes both:
 //!
-//! * **Bounded concurrency** — `max_workers` OS threads share the task
-//!   queue. Each worker owns a deque and steals from its siblings when
-//!   its own runs dry, so uneven module runtimes still saturate the
-//!   pool.
+//! * **Bounded concurrency** — `max_workers` OS threads take tasks in
+//!   order from one shared cursor (every task is known before the pool
+//!   starts), so uneven module runtimes still saturate the pool.
 //! * **Deadlines** — an optional watchdog thread wakes every
 //!   [`ExecutorConfig::watchdog_interval`], and when a task has been
 //!   running past [`ExecutorConfig::module_deadline`] it *decides* the
 //!   task's outcome itself (via the caller's `on_timeout`) and cancels
-//!   the task's [`CancelToken`]. The pool does not wait for the wedged
-//!   worker: the campaign completes, and the worker unwinds at its next
-//!   command boundary and rejoins the pool.
+//!   the task's [`CancelToken`]. The other workers go on with the
+//!   remaining tasks; the wedged worker unwinds at its next cancel
+//!   check, and its late result is dropped. `supervise` returns once
+//!   every worker has finished, the unwound one included.
 //! * **Cancellation** — every task gets a child of the caller's token.
 //!   Cancelling the root (SIGINT, `--fail-fast`) makes queued tasks
 //!   resolve through `on_cancelled` without running, while in-flight
@@ -27,9 +27,8 @@
 //! just as the watchdog fires cannot produce two outcomes.
 
 use rh_softmc::CancelToken;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use rh_obs::names;
 
@@ -96,7 +95,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Runs `work(idx, task_token)` for every `idx in 0..n` on a bounded
-/// work-stealing pool, enforcing `cfg`'s deadline with a watchdog.
+/// worker pool, enforcing `cfg`'s deadline with a watchdog.
 ///
 /// Each slot's outcome is produced by exactly one of:
 /// * `work` — the normal path (the worker that ran it decides);
@@ -110,9 +109,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// thread, right after the decision — the hook campaigns use to
 /// persist checkpoints and trip fail-fast cancellation.
 ///
-/// Returns all `n` results in task order. The call returns as soon as
-/// every slot is decided, which may be *before* a wedged worker has
-/// unwound; workers are detached from the rendezvous, never joined.
+/// Returns all `n` results in task order, once every worker thread has
+/// finished. A timed-out task is decided at its deadline, but its
+/// worker is still joined: the call waits for it to unwind at its next
+/// cancel check (the task token is cancelled at the timeout), then
+/// drops its late result.
 pub fn supervise<R, W, T, C, K>(
     cfg: &ExecutorConfig,
     cancel: &CancelToken,
@@ -141,23 +142,18 @@ where
             result: Mutex::new(None),
         })
         .collect();
-    // Deal tasks round-robin across per-worker deques; a worker pops
-    // its own front (LIFO-ish locality does not matter here) and
-    // steals from siblings' backs when empty.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for idx in 0..n {
-        lock(&queues[idx % workers]).push_back(idx);
-    }
-    let queued = AtomicUsize::new(n);
-    let decided = Mutex::new(0usize);
-    let all_done = Condvar::new();
-    // Every task is enqueued before the pool starts, so queue wait is
-    // simply pop time minus pool start.
+    // Every task is known before the pool starts: a worker takes the
+    // next one by bumping the cursor, and its queue wait is simply take
+    // time minus pool start. Both counters publish no other data (slot
+    // state has its own ordering, and results are read after the scope
+    // joins), so both are `Relaxed`; `decided` only ends the
+    // watchdog's loop.
+    let next = AtomicUsize::new(0);
+    let decided = AtomicUsize::new(0);
     let pool_start = Instant::now();
 
     // Decides slot `idx` with `r` if nobody has yet; the winner commits
-    // and bumps the rendezvous count.
+    // and bumps the decision count.
     let decide = |idx: usize, r: R, from: u8| -> bool {
         let won = slots[idx]
             .state
@@ -166,33 +162,29 @@ where
         if won {
             commit(idx, &r);
             *lock(&slots[idx].result) = Some(r);
-            let mut done = lock(&decided);
-            *done += 1;
-            if *done == n {
-                all_done.notify_all();
-            }
+            decided.fetch_add(1, Ordering::Relaxed);
         }
         won
     };
 
     std::thread::scope(|s| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let slots = &slots;
-            let queues = &queues;
-            let queued = &queued;
+            let next = &next;
             let work = &work;
             let on_cancelled = &on_cancelled;
             let decide = &decide;
-            s.spawn(move || while let Some(idx) = pop_task(queues, w) {
+            s.spawn(move || loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
+                }
                 if rh_obs::enabled() {
                     let wait_ns =
                         u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
                 }
-                rh_obs::gauge(
-                    names::EXECUTOR_QUEUE_DEPTH,
-                    queued.fetch_sub(1, Ordering::Relaxed).saturating_sub(1) as f64,
-                );
+                rh_obs::gauge(names::EXECUTOR_QUEUE_DEPTH, (n - idx - 1) as f64);
                 if cancel.is_cancelled() {
                     decide(idx, on_cancelled(idx), state::PENDING);
                     continue;
@@ -227,7 +219,7 @@ where
                 let mut span = rh_obs::span(names::EXECUTOR_WATCHDOG);
                 let mut ticks = 0u64;
                 let mut timeouts = 0u64;
-                while *lock(decided) < n {
+                while decided.load(Ordering::Relaxed) < n {
                     std::thread::park_timeout(interval);
                     ticks += 1;
                     for (idx, slot) in slots.iter().enumerate() {
@@ -242,8 +234,8 @@ where
                         if decide(idx, on_timeout(idx, elapsed), state::RUNNING) {
                             timeouts += 1;
                             // Unwind the wedged worker at its next
-                            // command boundary; it then rejoins the
-                            // pool for the remaining tasks.
+                            // cancel check; it then takes the next
+                            // task, if any is left.
                             slot.token.cancel();
                         }
                     }
@@ -253,38 +245,11 @@ where
                 span.set("deadline_ms", deadline.as_millis() as u64);
             });
         }
-
-        // Rendezvous on decisions, not on thread joins: a wedged worker
-        // must not block campaign completion. (The scope itself still
-        // joins its threads on exit; workers unwind promptly because a
-        // timed-out task's token is cancelled.)
-        let mut done = lock(&decided);
-        while *done < n {
-            done = all_done
-                .wait_timeout(done, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
     });
 
     let results: Vec<R> = slots.into_iter().filter_map(|s| lock(&s.result).take()).collect();
     assert_eq!(results.len(), n, "executor invariant: every slot decided exactly once");
     results
-}
-
-/// Pops the next task for worker `w`: own queue first, then steal from
-/// the back of the busiest-looking sibling.
-fn pop_task(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(idx) = lock(&queues[w]).pop_front() {
-        return Some(idx);
-    }
-    let k = queues.len();
-    for off in 1..k {
-        if let Some(idx) = lock(&queues[(w + off) % k]).pop_back() {
-            return Some(idx);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -399,6 +364,47 @@ mod tests {
     }
 
     #[test]
+    fn supervise_joins_a_timed_out_task_and_drops_its_late_result() {
+        let cfg = ExecutorConfig::with_workers(2).with_deadline(Duration::from_millis(20));
+        let timed_out = Mutex::new(None);
+        let unwound = Mutex::new(None);
+        let committed = Mutex::new(Vec::new());
+        let out = supervise(
+            &cfg,
+            &CancelToken::new(),
+            3,
+            |idx, token| {
+                if idx == 0 {
+                    while !token.is_cancelled() {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    // A slow unwind: still running long after the token
+                    // fired.
+                    std::thread::sleep(Duration::from_millis(200));
+                    *lock(&unwound) = Some(Instant::now());
+                    return "late";
+                }
+                "ok"
+            },
+            |_, _| {
+                *lock(&timed_out) = Some(Instant::now());
+                "timed-out"
+            },
+            |_| "cancelled",
+            |idx, r| lock(&committed).push((idx, *r)),
+        );
+        let returned = Instant::now();
+        let timed_out = lock(&timed_out).expect("the watchdog must time task 0 out");
+        let unwound = lock(&unwound).expect("supervise returned before task 0 unwound");
+        assert!(unwound <= returned);
+        assert!(returned - timed_out >= Duration::from_millis(200), "did not wait for the unwind");
+        assert_eq!(out, vec!["timed-out", "ok", "ok"]);
+        let mut committed = lock(&committed).clone();
+        committed.sort_unstable();
+        assert_eq!(committed, vec![(0, "timed-out"), (1, "ok"), (2, "ok")]);
+    }
+
+    #[test]
     fn cancelling_the_root_resolves_queued_tasks_without_running_them() {
         let cfg = ExecutorConfig::with_workers(1);
         let cancel = CancelToken::new();
@@ -446,9 +452,9 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_drains_an_unbalanced_queue() {
-        // One slow task dealt to worker 0 must not serialize the rest:
-        // worker 1 steals everything else while 0 is busy.
+    fn a_slow_task_does_not_serialize_the_rest() {
+        // While one worker is busy with the slow first task, the other
+        // takes everything else.
         let cfg = ExecutorConfig::with_workers(2);
         let start = Instant::now();
         let out = run_all(&cfg, 12, |idx| {
@@ -460,7 +466,7 @@ mod tests {
         assert_eq!(out.len(), 12);
         assert!(
             start.elapsed() < Duration::from_millis(400),
-            "siblings should steal around the slow task"
+            "the other worker should run around the slow task"
         );
     }
 }

@@ -29,7 +29,7 @@
 //!   with deterministic backoff, quarantine of sick modules, partial
 //!   results, and JSON checkpoint/resume.
 //! * [`executor`] — the supervised execution layer campaigns run on: a
-//!   bounded work-stealing worker pool with per-module wall-clock
+//!   bounded worker pool with per-module wall-clock
 //!   deadlines (watchdog) and cooperative cancellation.
 //! * [`fleet`] — the coordinator-side job table and lease state
 //!   machine for multi-process campaigns: leases with heartbeats,

@@ -1,9 +1,9 @@
 //! The bulk replay of [`DefenseSim::run_many_sided`] against its
 //! per-activation reference, over the `defense-matrix` roster × pairs
 //! {1, 2, 4, 8, 12} × a 20 K and a 150 K hammer budget (at 12 pairs the
-//! latter stops at the 64 ms window). Outcome, module clock, activation
-//! statistics and every row of the victim's ±(2·pairs + 2) neighborhood
-//! read back afterwards must all be equal.
+//! latter stops at the 64 ms window). Outcome, module clock and every
+//! row of the victim's ±(2·pairs + 2) neighborhood read back afterwards
+//! must all be equal.
 //!
 //! The full matrix needs `--release` (about 20 s); debug builds run the
 //! 20 K budget at 1, 2 and 12 pairs.
@@ -12,7 +12,7 @@ use rh_defense::traits::NoDefense;
 use rh_defense::{
     sim::DefenseSim, BlockHammer, Defense, DefenseOutcome, Graphene, Para, TargetRowRefresh, Twice,
 };
-use rh_dram::{AggressionStats, BankId, Manufacturer, RowAddr};
+use rh_dram::{BankId, Manufacturer, RowAddr};
 use rh_softmc::TestBench;
 
 const VICTIM: RowAddr = RowAddr(5000);
@@ -22,7 +22,6 @@ const VICTIM: RowAddr = RowAddr(5000);
 struct After {
     outcome: DefenseOutcome,
     now: u64,
-    stats: AggressionStats,
     /// Victim ±(2·pairs + 2), sensed after the run: pins the disturbance,
     /// restore clocks and trial nonce left in the fault model.
     neighborhood: Vec<Vec<u8>>,
@@ -49,9 +48,9 @@ fn run(defense: &mut dyn Defense, pairs: u8, hammers: u64, bulk: bool) -> After 
     }
     .unwrap();
     let m = sim.bench_mut().module_mut();
-    let (now, stats) = (m.now(), m.bank(BankId(0)).stats().clone());
+    let now = m.now();
     let neighborhood = rows.iter().map(|&r| m.read_row_direct(BankId(0), r).unwrap()).collect();
-    After { outcome, now, stats, neighborhood }
+    After { outcome, now, neighborhood }
 }
 
 fn matrix(make: fn() -> Box<dyn Defense>) {

@@ -1,11 +1,9 @@
-//! Per-bank state machine with timing-violation detection and
-//! activation bookkeeping.
+//! Per-bank state machine with timing-violation detection.
 
 use crate::error::DramError;
 use crate::geometry::{BankId, RowAddr};
 use crate::timing::{Picos, TimingParams};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The observable state of one DRAM bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,25 +31,6 @@ pub struct ClosedActivation {
     pub t_on: Picos,
 }
 
-/// Aggregate activation statistics of a bank, per physical row.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AggressionStats {
-    /// Activation count per physical row.
-    pub activations: HashMap<u32, u64>,
-}
-
-impl AggressionStats {
-    /// Activation count of `row` (0 if never activated).
-    pub fn count(&self, row: RowAddr) -> u64 {
-        self.activations.get(&row.0).copied().unwrap_or(0)
-    }
-
-    /// Total activations across all rows.
-    pub fn total(&self) -> u64 {
-        self.activations.values().sum()
-    }
-}
-
 /// One DRAM bank: a row buffer plus the timing state needed to validate
 /// command legality.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,7 +44,6 @@ pub struct Bank {
     /// The episode closed by the most recent PRE, awaiting its
     /// following off-time.
     pending: Option<ClosedActivation>,
-    stats: AggressionStats,
 }
 
 /// A fully-attributed hammer event: one activation episode of `row`
@@ -89,7 +67,6 @@ impl Bank {
             last_pre: None,
             last_act: None,
             pending: None,
-            stats: AggressionStats::default(),
         }
     }
 
@@ -104,29 +81,6 @@ impl Bank {
             BankState::Active { row, .. } => Some(row),
             BankState::Precharged => None,
         }
-    }
-
-    /// Activation statistics accumulated so far.
-    pub fn stats(&self) -> &AggressionStats {
-        &self.stats
-    }
-
-    /// Clears activation statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = AggressionStats::default();
-    }
-
-    /// Accounts `count` activation episodes of `row` delivered by a
-    /// bulk hammer path that bypasses the per-command state machine.
-    /// Keeps [`AggressionStats`] consistent between the program path
-    /// (one [`Bank::activate`] per episode) and the direct bulk paths,
-    /// so activation-counting consumers (e.g. TRR-style defenses) see
-    /// the same ledger either way.
-    pub fn record_bulk_activations(&mut self, row: RowAddr, count: u64) {
-        if count == 0 {
-            return;
-        }
-        *self.stats.activations.entry(row.0).or_insert(0) += count;
     }
 
     /// Activates `row` at time `now`.
@@ -165,7 +119,6 @@ impl Bank {
         }
         self.state = BankState::Active { row, since: now };
         self.last_act = Some(now);
-        *self.stats.activations.entry(row.0).or_insert(0) += 1;
         Ok(event)
     }
 
@@ -312,36 +265,6 @@ mod tests {
             Err(DramError::TimingViolation { parameter: "tRCD", .. })
         ));
         assert_eq!(b.column_access(tp.t_rcd, &tp, true).unwrap(), RowAddr(9));
-    }
-
-    #[test]
-    fn stats_count_activations() {
-        let tp = t();
-        let mut b = Bank::new(BankId(0));
-        for i in 0..3u64 {
-            let now = i * tp.t_rc();
-            b.activate(now, RowAddr(4), &tp, true).unwrap();
-            b.precharge(now + tp.t_ras, &tp, true).unwrap();
-        }
-        assert_eq!(b.stats().count(RowAddr(4)), 3);
-        assert_eq!(b.stats().total(), 3);
-        b.reset_stats();
-        assert_eq!(b.stats().total(), 0);
-    }
-
-    #[test]
-    fn bulk_activations_merge_with_per_command_stats() {
-        let tp = t();
-        let mut b = Bank::new(BankId(0));
-        b.activate(0, RowAddr(4), &tp, true).unwrap();
-        b.precharge(tp.t_ras, &tp, true).unwrap();
-        b.record_bulk_activations(RowAddr(4), 150_000);
-        b.record_bulk_activations(RowAddr(5), 150_000);
-        b.record_bulk_activations(RowAddr(6), 0);
-        assert_eq!(b.stats().count(RowAddr(4)), 150_001);
-        assert_eq!(b.stats().count(RowAddr(5)), 150_000);
-        assert_eq!(b.stats().count(RowAddr(6)), 0);
-        assert_eq!(b.stats().total(), 300_001);
     }
 
     #[test]

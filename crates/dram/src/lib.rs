@@ -51,7 +51,7 @@ pub mod module;
 pub mod population;
 pub mod timing;
 
-pub use bank::{AggressionStats, Bank, BankState};
+pub use bank::{Bank, BankState};
 pub use command::{Command, TimedCommand};
 pub use data::{count_flips, flip_positions, DataPattern, PatternKind};
 pub use energy::{EnergyModel, Picojoules};

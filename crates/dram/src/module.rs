@@ -526,7 +526,6 @@ impl DramModule {
         // itself, clearing any disturbance accumulated on it.
         self.sense_and_restore(bank, phys);
         self.model.on_hammer(bank, phys, count, t_on, t_off);
-        self.banks[bank.0 as usize].record_bulk_activations(phys, count);
         self.now += count * (t_on + t_off);
         Ok(())
     }
@@ -573,13 +572,6 @@ impl DramModule {
         rh_obs::counter(names::DRAM_HAMMER_EPISODES, n);
         let k = phys.len() as u64;
         let start = (start as u64 % k) as usize;
-        // Row `i` gets one episode per full cycle, plus one if it is
-        // among the first `n % k` rows from `start`.
-        for (i, &row) in phys.iter().enumerate() {
-            let from_start = (i as u64 + k - start as u64) % k;
-            self.banks[bank.0 as usize]
-                .record_bulk_activations(row, n / k + u64::from(from_start < n % k));
-        }
         let mut run = RoundRobin { bank, rows: &phys, start, n, t_on, t_off, now: self.now };
         while run.n > 0 {
             let quiet = self.model.hammer_quiet_prefix(&run).min(run.n);
@@ -636,8 +628,6 @@ impl DramModule {
         self.sense_and_restore(bank, phys_r);
         self.model.on_hammer(bank, phys_l, count, t_on, t_off);
         self.model.on_hammer(bank, phys_r, count, t_on, t_off);
-        self.banks[bank.0 as usize].record_bulk_activations(phys_l, count);
-        self.banks[bank.0 as usize].record_bulk_activations(phys_r, count);
         self.now += count * 2 * (t_on + t_off);
         // The interleaved program restores each aggressor on every
         // episode, so their mutual distance-2 disturbance never reaches
@@ -773,20 +763,6 @@ mod tests {
         let t = m.config().timing;
         m.hammer_direct(BankId(0), RowAddr(4), 1000, t.t_ras, t.t_rp).unwrap();
         assert_eq!(m.now(), 1000 * t.t_rc());
-    }
-
-    #[test]
-    fn bulk_hammer_paths_account_activation_stats() {
-        let mut m = module();
-        let t = m.config().timing;
-        let b = BankId(0);
-        let phys4 = m.config().mapping.logical_to_physical(RowAddr(4));
-        let phys6 = m.config().mapping.logical_to_physical(RowAddr(6));
-        m.hammer_direct(b, RowAddr(4), 1000, t.t_ras, t.t_rp).unwrap();
-        m.hammer_pair_direct(b, RowAddr(4), RowAddr(6), 500, t.t_ras, t.t_rp).unwrap();
-        assert_eq!(m.bank(b).stats().count(phys4), 1500);
-        assert_eq!(m.bank(b).stats().count(phys6), 500);
-        assert_eq!(m.bank(b).stats().total(), 2000);
     }
 
     #[test]
@@ -931,7 +907,6 @@ mod tests {
                     let case = format!("quiet {quiet:?}, start {start}, n {n}");
                     assert_eq!(*bulk_log.lock().unwrap(), *single_log.lock().unwrap(), "{case}");
                     assert_eq!(bulk.now(), single.now(), "{case}");
-                    assert_eq!(bulk.bank(b).stats(), single.bank(b).stats(), "{case}");
                     for &row in &rows {
                         assert_eq!(bulk.peek_row(b, row), single.peek_row(b, row), "{case}");
                     }
@@ -949,8 +924,6 @@ mod tests {
         assert!(matches!(e, Err(DramError::RowOutOfRange { .. })));
         assert_eq!(m.now(), now);
         assert_eq!(log.lock().unwrap().calls.len(), calls);
-        let phys = m.config().mapping.logical_to_physical(RowAddr(5));
-        assert_eq!(m.bank(BankId(1)).stats().count(phys), 0);
     }
 
     #[test]

@@ -2,9 +2,34 @@
 
 use proptest::prelude::*;
 use rh_dram::{
-    count_flips, flip_positions, BankId, Command, DataPattern, DramModule, Manufacturer,
-    ModuleConfig, PatternKind, RowAddr, RowMapping, TimedCommand,
+    count_flips, flip_positions, BankId, BitFlip, Command, DataPattern, DisturbanceModel,
+    DramModule, Manufacturer, ModuleConfig, PatternKind, Picos, RowAddr, RowMapping, TimedCommand,
 };
+use std::sync::{Arc, Mutex};
+
+/// One `on_hammer` call: row, count, on-time, off-time.
+type Hammer = (RowAddr, u64, Picos, Picos);
+
+/// Logs every `on_hammer` call; flips nothing.
+struct HammerLog(Arc<Mutex<Vec<Hammer>>>);
+
+impl DisturbanceModel for HammerLog {
+    fn on_hammer(&mut self, _: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos) {
+        self.0.lock().unwrap().push((row, count, t_on, t_off));
+    }
+
+    fn flips_on_activate(&mut self, _: BankId, _: RowAddr, _: &[u8], _: Picos) -> Vec<BitFlip> {
+        Vec::new()
+    }
+
+    fn on_restore(&mut self, _: BankId, _: RowAddr, _: Picos) {}
+
+    fn set_temperature(&mut self, _: f64) {}
+
+    fn temperature(&self) -> f64 {
+        0.0
+    }
+}
 
 fn any_mfr() -> impl Strategy<Value = Manufacturer> {
     prop::sample::select(Manufacturer::ALL.to_vec())
@@ -125,8 +150,10 @@ proptest! {
     }
 
     #[test]
-    fn command_hammer_loop_counts_activations(n in 1u64..50) {
-        let mut m = DramModule::new(ModuleConfig::ddr4(Manufacturer::D));
+    fn command_hammer_loop_delivers_every_episode(n in 1u64..50) {
+        let hammers = Arc::new(Mutex::new(Vec::new()));
+        let model = HammerLog(Arc::clone(&hammers));
+        let mut m = DramModule::with_model(ModuleConfig::ddr4(Manufacturer::D), Box::new(model));
         let t = m.config().timing;
         let b = BankId(0);
         let mut at = 0;
@@ -136,8 +163,10 @@ proptest! {
             m.issue(&TimedCommand { at, cmd: Command::Pre { bank: b } }).unwrap();
             at += t.t_rp;
         }
+        m.flush_hammers();
         // Direct mapping for Mfr. D: logical row 10 is physical row 10.
-        prop_assert_eq!(m.bank(b).stats().count(RowAddr(10)), n);
+        let want = vec![(RowAddr(10), 1, t.t_ras, t.t_rp); n as usize];
+        prop_assert_eq!(&*hammers.lock().unwrap(), &want);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A small bounded map with least-recently-used eviction.
 //!
-//! The fault model's derived-state caches (vulnerable-cell populations,
-//! temperature surfaces, per-row memos) were previously bounded by
+//! The fault model's process-global derivation caches (vulnerable-cell
+//! populations, temperature surfaces) were previously bounded by
 //! wiping the whole map on overflow, so sweeps just past the capacity
 //! re-derived every row on every pass. This cache evicts exactly one
 //! entry — the least recently *used* — per overflowing insert, so a
@@ -58,18 +58,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.get_mut(key).map(|v| &*v)
-    }
-
-    /// Looks up `key` mutably, refreshing its recency on a hit.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.tick += 1;
         let slot = self.map.get_mut(key)?;
         let old = std::mem::replace(&mut slot.0, self.tick);
         if let Some(k) = self.order.remove(&old) {
             self.order.insert(self.tick, k);
         }
-        Some(&mut slot.1)
+        Some(&slot.1)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry first if
@@ -86,25 +81,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
         self.order.insert(self.tick, key.clone());
         self.map.insert(key, (self.tick, value));
-    }
-
-    /// Looks up `key`, inserting `make()` on a miss. Returns the value
-    /// and whether it was a miss (freshly built).
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> (&V, bool) {
-        let miss = !self.map.contains_key(&key);
-        if miss {
-            let value = make();
-            self.insert(key.clone(), value);
-        } else {
-            self.get_mut(&key);
-        }
-        (&self.map[&key].1, miss)
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
     }
 }
 
@@ -144,19 +120,6 @@ mod tests {
             }
             self.map.insert(key, (self.tick, value));
         }
-
-        fn get_or_insert_with(&mut self, key: u8, value: u32) -> (u32, bool) {
-            let miss = !self.map.contains_key(&key);
-            if miss {
-                self.insert(key, value);
-            } else {
-                self.tick += 1;
-            }
-            let tick = self.tick;
-            let slot = self.map.get_mut(&key).unwrap();
-            slot.0 = tick;
-            (slot.1, miss)
-        }
     }
 
     proptest! {
@@ -165,7 +128,7 @@ mod tests {
         #[test]
         fn ordered_eviction_matches_min_tick_scan(
             capacity in 1usize..=8,
-            ops in prop::collection::vec((0u8..7, 0u8..12, 0u32..1000), 0..300),
+            ops in prop::collection::vec((0u8..4, 0u8..12, 0u32..1000), 0..300),
         ) {
             let mut lru = LruCache::new(capacity);
             let mut scan = ScanLru { map: HashMap::new(), capacity, tick: 0, evictions: 0 };
@@ -176,31 +139,9 @@ mod tests {
                         scan.insert(key, value);
                     }
                     2 => prop_assert_eq!(lru.get(&key).copied(), scan.get(key), "op {}", i),
-                    3 => {
-                        let got = lru.get_mut(&key).map(|v| {
-                            *v += 1;
-                            *v
-                        });
-                        let want = scan.get(key).map(|v| {
-                            let slot = scan.map.get_mut(&key).unwrap();
-                            slot.1 = v + 1;
-                            v + 1
-                        });
-                        prop_assert_eq!(got, want, "op {}", i);
-                    }
-                    4 => {
-                        let (v, miss) = lru.get_or_insert_with(key, || value);
-                        prop_assert_eq!((*v, miss), scan.get_or_insert_with(key, value), "op {}", i);
-                    }
-                    5 => {
+                    _ => {
                         prop_assert_eq!(lru.map.contains_key(&key), scan.map.contains_key(&key))
                     }
-                    // Rare: a clear resets residency but not the counts.
-                    _ if key == 0 => {
-                        lru.clear();
-                        scan.map.clear();
-                    }
-                    _ => {}
                 }
                 let mut resident: Vec<u8> = (0..12).filter(|k| lru.map.contains_key(k)).collect();
                 let mut expected: Vec<u8> = scan.map.keys().copied().collect();
@@ -266,15 +207,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 0);
         assert_eq!(c.get(&1), Some(&11));
-    }
-
-    #[test]
-    fn get_or_insert_reports_miss_then_hit() {
-        let mut c = LruCache::new(2);
-        let (v, miss) = c.get_or_insert_with(7, || 70);
-        assert_eq!((*v, miss), (70, true));
-        let (v, miss) = c.get_or_insert_with(7, || unreachable!("must not rebuild"));
-        assert_eq!((*v, miss), (70, false));
     }
 
     #[test]

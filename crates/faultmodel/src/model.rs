@@ -26,9 +26,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 const CELLS_CACHE_CAP: usize = 8192;
 /// Process-global bound on shared temperature surfaces.
 const SURFACE_CACHE_CAP: usize = 4096;
-/// Per-model bound on each per-row scalar memo (dose floor, weakest
-/// retention time).
-const ROW_MEMO_CAP: usize = 8192;
 
 /// Which evaluation path [`RowHammerModel::flips_on_activate`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,24 +105,15 @@ pub struct RowHammerModel {
     /// Key salt of the global derivation caches: folds profile
     /// fingerprint, module seed, and geometry.
     derivation_salt: u64,
-    /// Accumulated disturbance per (bank, physical row), hammer units.
-    acc: HashMap<(u32, u32), f64>,
+    /// Everything the model keeps per (bank, physical row).
+    rows: HashMap<(u32, u32), RowState>,
     /// Memo of [`variation::column_weight`] for cell derivation,
     /// indexed `chip * columns + column`; NaN marks an entry not yet
     /// computed. Empty until the first derivation, and filled lazily:
     /// most models derive too few rows to repay a full table.
     column_weights: Vec<f64>,
-    /// Memo of [`row_floor`] per (bank, physical row) (Columnar mode).
-    /// Independent of `row_bytes`, so geometry changes keep it.
-    floors: LruCache<(u32, u32), f64>,
-    /// Memo of each row's weakest retention time at the reference
-    /// temperature ([`retention::weakest_ref`]); also independent of
-    /// `row_bytes`.
-    weakest_retention: LruCache<(u32, u32), f64>,
     /// Incremented on every restore; salts per-trial threshold noise.
     trial_nonce: u64,
-    /// Last restore time per (bank, physical row): the retention clock.
-    last_restore: HashMap<(u32, u32), Picos>,
     /// Memoized `(t_on, t_off) -> (g_on, g_off)` of the last timing
     /// pair: hammer bursts repeat one timing, and `g_off` divides.
     timing_memo: Option<(Picos, Picos, f64, f64)>,
@@ -133,24 +121,52 @@ pub struct RowHammerModel {
     window: Option<QuietWindow>,
 }
 
+/// The state of one (bank, physical row). A row without an entry is
+/// in the default state: no dose, never restored, nothing memoized.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowState {
+    /// Disturbance accumulated since the last restore, in hammer units.
+    /// 0.0 is "no dose": `0.0 + units == units` exactly, and no dose is
+    /// negative.
+    acc: f64,
+    /// When the row was last restored: its retention clock.
+    last_restore: Option<Picos>,
+    /// Memo of [`row_floor`] (Columnar mode). Independent of
+    /// `row_bytes` and temperature, so nothing invalidates it.
+    floor: Option<f64>,
+    /// Memo of the row's weakest retention time at the reference
+    /// temperature ([`retention::weakest_ref`]); also independent of
+    /// `row_bytes` and temperature.
+    weakest: Option<f64>,
+}
+
+impl RowState {
+    /// Time the row has sat without a restore, as of `now`.
+    fn idle(&self, now: Picos) -> Picos {
+        now.saturating_sub(self.last_restore.unwrap_or(now))
+    }
+
+    /// The row's weakest retention time at the reference temperature,
+    /// taken from its retention `cells` on first use.
+    fn weakest(&mut self, cells: impl FnOnce() -> Vec<RetentionCell>) -> f64 {
+        *self.weakest.get_or_insert_with(|| retention::weakest_ref(&cells()))
+    }
+}
+
 /// The layout of a round-robin run's window (every row within ±2 of
 /// an aggressor), kept across [`DisturbanceModel::hammer_quiet_prefix`]
-/// calls while the bank, the aggressors and the temperature stay the
-/// same: a defense simulation replays the same run thousands of times.
+/// calls while the bank and the aggressors stay the same: a defense
+/// simulation replays the same run thousands of times.
 struct QuietWindow {
     bank: u32,
     aggressors: Vec<RowAddr>,
-    temperature_bits: u64,
     /// Rows in the window, ascending; slot `i` holds `touched[i]`.
     touched: Vec<u32>,
     /// Per aggressor position, the slots its episode touches.
     episodes: Vec<EpisodeSlots>,
-    /// Per slot: the row's shortest retention time, once needed.
-    retention: Vec<Option<f64>>,
-    /// Per slot: working copies of the `acc` and `last_restore`
-    /// entries, loaded at the start of each call.
-    acc: Vec<Option<f64>>,
-    last: Vec<Option<Picos>>,
+    /// Per slot: a working copy of the row's state, loaded at the start
+    /// of each call and written back at its end.
+    rows: Vec<RowState>,
 }
 
 /// The window slots of one aggressor's episode: its own, then its
@@ -163,7 +179,7 @@ struct EpisodeSlots {
 }
 
 impl QuietWindow {
-    fn new(run: &RoundRobin<'_>, rows_per_bank: u32, temperature: f64) -> Self {
+    fn new(run: &RoundRobin<'_>, rows_per_bank: u32) -> Self {
         let rows = i64::from(rows_per_bank);
         // The same clamp as `on_hammer`.
         let near = |row: RowAddr, d: i64| {
@@ -187,23 +203,12 @@ impl QuietWindow {
                 EpisodeSlots { me: slot(r.0), d1: side(1), d2: side(2) }
             })
             .collect();
-        let n = touched.len();
-        Self {
-            bank: run.bank.0,
-            aggressors: run.rows.to_vec(),
-            temperature_bits: temperature.to_bits(),
-            touched,
-            episodes,
-            retention: vec![None; n],
-            acc: vec![None; n],
-            last: vec![None; n],
-        }
+        let rows = vec![RowState::default(); touched.len()];
+        Self { bank: run.bank.0, aggressors: run.rows.to_vec(), touched, episodes, rows }
     }
 
-    fn fits(&self, run: &RoundRobin<'_>, temperature: f64) -> bool {
-        self.bank == run.bank.0
-            && self.aggressors == run.rows
-            && self.temperature_bits == temperature.to_bits()
+    fn fits(&self, run: &RoundRobin<'_>) -> bool {
+        self.bank == run.bank.0 && self.aggressors == run.rows
     }
 }
 
@@ -214,7 +219,7 @@ impl std::fmt::Debug for RowHammerModel {
             .field("module_seed", &self.module_seed)
             .field("temperature", &self.temperature)
             .field("mode", &self.mode)
-            .field("rows_accumulating", &self.acc.len())
+            .field("rows_accumulating", &self.rows.values().filter(|s| s.acc != 0.0).count())
             .finish()
     }
 }
@@ -239,12 +244,9 @@ impl RowHammerModel {
             rows_per_bank: u32::MAX,
             mode: EvalMode::Columnar,
             derivation_salt: Self::salt(&profile, module_seed, row_bytes, subarray_rows),
-            acc: HashMap::new(),
+            rows: HashMap::new(),
             column_weights: Vec::new(),
-            floors: LruCache::new(ROW_MEMO_CAP),
-            weakest_retention: LruCache::new(ROW_MEMO_CAP),
             trial_nonce: 0,
-            last_restore: HashMap::new(),
             timing_memo: None,
             window: None,
         }
@@ -317,32 +319,19 @@ impl RowHammerModel {
 
     /// Accumulated disturbance (hammer units) on a physical row.
     pub fn accumulated(&self, bank: BankId, row: RowAddr) -> f64 {
-        self.acc.get(&(bank.0, row.0)).copied().unwrap_or(0.0)
+        self.rows.get(&(bank.0, row.0)).map_or(0.0, |s| s.acc)
     }
 
     /// Clears all accumulated disturbance (e.g., between tests).
     pub fn reset_disturbance(&mut self) {
-        self.acc.clear();
+        for s in self.rows.values_mut() {
+            s.acc = 0.0;
+        }
     }
 
     /// Oracle access to the retention-weak cells of a physical row.
     pub fn retention_cells(&self, bank: BankId, row: RowAddr) -> Vec<RetentionCell> {
         derive_retention_cells(&self.profile, self.module_seed, bank, row, self.row_bytes)
-    }
-
-    /// Time the row has sat without a restore, as of `now`.
-    fn idle_time(&self, bank: BankId, row: RowAddr, now: Picos) -> Picos {
-        now.saturating_sub(self.last_restore.get(&(bank.0, row.0)).copied().unwrap_or(now))
-    }
-
-    /// The row's [`row_floor`]: no dose below it can flip any of the
-    /// row's cells, at any temperature or trial nonce.
-    fn floor(&mut self, bank: BankId, row: RowAddr) -> f64 {
-        let (profile, seed, subarray_rows) = (&self.profile, self.module_seed, self.subarray_rows);
-        *self
-            .floors
-            .get_or_insert_with((bank.0, row.0), || row_floor(profile, seed, bank, row, subarray_rows))
-            .0
     }
 
     /// Distance-1 hammer units of `count` episodes with the given
@@ -360,23 +349,6 @@ impl RowHammerModel {
         // Same association order as `disturb::units_distance1`, so the
         // memo changes nothing about the accumulated values.
         0.5 * count as f64 * gon * goff
-    }
-
-    /// The shortest retention time (ps) among a row's retention-weak
-    /// cells at the current temperature; infinite if it has none. An
-    /// idle time at or below it leaks no cell (`RetentionCell::leaked`
-    /// is the strict `>` of the same comparison). Bit for bit the
-    /// minimum of the cells' `retention_at`: multiplying by the
-    /// positive temperature factor preserves order, rounding included.
-    fn min_retention(&mut self, bank: BankId, row: RowAddr) -> f64 {
-        let (profile, seed, row_bytes) = (&self.profile, self.module_seed, self.row_bytes);
-        let weakest = *self
-            .weakest_retention
-            .get_or_insert_with((bank.0, row.0), || {
-                retention::weakest_ref(&derive_retention_cells(profile, seed, bank, row, row_bytes))
-            })
-            .0;
-        weakest * retention::temperature_factor(self.temperature)
     }
 
     /// The row's memoized temperature surface, building it (and
@@ -416,14 +388,14 @@ impl DisturbanceModel for RowHammerModel {
         for d in [-1i64, 1] {
             let v = row.0 as i64 + d;
             if v >= 0 && v < rows {
-                *self.acc.entry((bank.0, v as u32)).or_insert(0.0) += units;
+                self.rows.entry((bank.0, v as u32)).or_default().acc += units;
             }
         }
         // Weak distance-2 coupling.
         for d in [-2i64, 2] {
             let v = row.0 as i64 + d;
             if v >= 0 && v < rows {
-                *self.acc.entry((bank.0, v as u32)).or_insert(0.0) += units * DISTANCE2_WEIGHT;
+                self.rows.entry((bank.0, v as u32)).or_default().acc += units * DISTANCE2_WEIGHT;
             }
         }
     }
@@ -435,15 +407,34 @@ impl DisturbanceModel for RowHammerModel {
         data: &[u8],
         now: Picos,
     ) -> Vec<BitFlip> {
-        let dose = self.accumulated(bank, row);
-        let idle = self.idle_time(bank, row, now);
         let temperature = self.temperature;
+        let (profile, seed, mode) = (self.profile, self.module_seed, self.mode);
+        let (row_bytes, subarray_rows) = (self.row_bytes, self.subarray_rows);
+        let state = self.rows.entry((bank.0, row.0)).or_default();
+        let (dose, idle) = (state.acc, state.idle(now));
+        // Exactly the idle times above the row's shortest retention time
+        // at `temperature` leak a cell (`RetentionCell::leaked` is the
+        // strict `>` of the same comparison): multiplying by the
+        // positive temperature factor preserves order, rounding
+        // included, so the product is bit for bit the minimum of the
+        // cells' `retention_at`.
+        let leaks = idle > 0
+            && idle as f64
+                > state.weakest(|| derive_retention_cells(&profile, seed, bank, row, row_bytes))
+                    * retention::temperature_factor(temperature);
+        // Below the row's floor no dose can flip any cell, at any
+        // temperature or trial nonce.
+        let gated = mode == EvalMode::Columnar
+            && dose >= 1.0
+            && dose
+                < *state
+                    .floor
+                    .get_or_insert_with(|| row_floor(&profile, seed, bank, row, subarray_rows));
         let mut flips = Vec::new();
         // Retention leakage: cells that sat unrefreshed past their
-        // (temperature-accelerated) retention time. Exactly the idle
-        // times above the row's shortest retention time leak a cell, so
-        // the cells are derived only then.
-        if idle > 0 && idle as f64 > self.min_retention(bank, row) {
+        // (temperature-accelerated) retention time, derived only when
+        // one of them leaks.
+        if leaks {
             for c in self.retention_cells(bank, row) {
                 if !c.leaked(idle, temperature) {
                     continue;
@@ -457,11 +448,9 @@ impl DisturbanceModel for RowHammerModel {
         }
         if dose >= 1.0 {
             let nonce = self.trial_nonce;
-            let profile = self.profile;
-            let seed = self.module_seed;
-            match self.mode {
+            match mode {
                 EvalMode::Columnar => {
-                    if dose < self.floor(bank, row) {
+                    if gated {
                         // Below the floor is below every cell's gated
                         // threshold, so the kernel would early-out too:
                         // skip deriving the row and building its surface.
@@ -501,32 +490,34 @@ impl DisturbanceModel for RowHammerModel {
     }
 
     fn on_restore(&mut self, bank: BankId, row: RowAddr, now: Picos) {
-        self.acc.remove(&(bank.0, row.0));
-        self.last_restore.insert((bank.0, row.0), now);
+        let state = self.rows.entry((bank.0, row.0)).or_default();
+        state.acc = 0.0;
+        state.last_restore = Some(now);
         self.trial_nonce = self.trial_nonce.wrapping_add(1);
     }
 
-    /// Runs the episodes on locals: the `acc` and `last_restore` entries
-    /// of every row within ±2 of an aggressor, loaded once and written
-    /// back once. An episode is quiet when its sensing reaches neither
-    /// branch of [`flips_on_activate`](Self::flips_on_activate): the
-    /// aggressor's dose is below 1 unit, and it has sat idle for no
-    /// time or for no longer than its shortest retention time. A quiet
-    /// episode then does exactly what `on_restore` + `on_hammer(.., 1,
-    /// ..)` do: clear the aggressor's entry, stamp its restore time,
-    /// and add the same one-episode units, one `+=` at a time, to its
-    /// neighbours' entries (an absent entry stays distinct from 0.0).
+    /// Runs the episodes on a local copy of the state of every row
+    /// within ±2 of an aggressor, loaded once and written back once. An
+    /// episode is quiet when its sensing reaches neither branch of
+    /// [`flips_on_activate`](Self::flips_on_activate): the aggressor's
+    /// dose is below 1 unit, and it has sat idle for no time or for no
+    /// longer than its shortest retention time. A quiet episode then
+    /// does exactly what `on_restore` + `on_hammer(.., 1, ..)` do:
+    /// clear the aggressor's dose, stamp its restore time, and add the
+    /// same one-episode units, one `+=` at a time, to its neighbours'
+    /// doses.
     fn hammer_quiet_prefix(&mut self, run: &RoundRobin<'_>) -> u64 {
         let units = self.units(1, run.t_on, run.t_off);
         let units2 = units * DISTANCE2_WEIGHT;
+        let factor = retention::temperature_factor(self.temperature);
+        let (profile, seed, row_bytes) = (self.profile, self.module_seed, self.row_bytes);
         let mut w = match self.window.take() {
-            Some(w) if w.fits(run, self.temperature) => w,
-            _ => QuietWindow::new(run, self.rows_per_bank, self.temperature),
+            Some(w) if w.fits(run) => w,
+            _ => QuietWindow::new(run, self.rows_per_bank),
         };
         let bank = run.bank.0;
-        for (i, &row) in w.touched.iter().enumerate() {
-            w.acc[i] = self.acc.get(&(bank, row)).copied();
-            w.last[i] = self.last_restore.get(&(bank, row)).copied();
+        for (state, &row) in w.rows.iter_mut().zip(&w.touched) {
+            *state = self.rows.get(&(bank, row)).copied().unwrap_or_default();
         }
         let k = run.rows.len();
         let mut pos = run.start % k;
@@ -534,39 +525,29 @@ impl DisturbanceModel for RowHammerModel {
         while applied < run.n {
             let EpisodeSlots { me, d1, d2 } = w.episodes[pos];
             let at = run.at(applied);
-            if w.acc[me].unwrap_or(0.0) >= 1.0 {
+            let state = &mut w.rows[me];
+            if state.acc >= 1.0 {
                 break;
             }
-            let idle = at.saturating_sub(w.last[me].unwrap_or(at));
-            if idle > 0 {
-                let min = match w.retention[me] {
-                    Some(min) => min,
-                    None => *w.retention[me].insert(self.min_retention(run.bank, run.rows[pos])),
-                };
-                if idle as f64 > min {
-                    break;
-                }
+            let idle = state.idle(at);
+            let cells = || derive_retention_cells(&profile, seed, run.bank, run.rows[pos], row_bytes);
+            if idle > 0 && idle as f64 > state.weakest(cells) * factor {
+                break;
             }
-            w.acc[me] = None;
-            w.last[me] = Some(at);
+            state.acc = 0.0;
+            state.last_restore = Some(at);
             for s in d1.into_iter().flatten() {
-                w.acc[s] = Some(w.acc[s].unwrap_or(0.0) + units);
+                w.rows[s].acc += units;
             }
             for s in d2.into_iter().flatten() {
-                w.acc[s] = Some(w.acc[s].unwrap_or(0.0) + units2);
+                w.rows[s].acc += units2;
             }
             applied += 1;
             pos = if pos + 1 == k { 0 } else { pos + 1 };
         }
         if applied > 0 {
-            for (i, &row) in w.touched.iter().enumerate() {
-                match w.acc[i] {
-                    Some(v) => self.acc.insert((bank, row), v),
-                    None => self.acc.remove(&(bank, row)),
-                };
-                if let Some(at) = w.last[i] {
-                    self.last_restore.insert((bank, row), at);
-                }
+            for (state, &row) in w.rows.iter().zip(&w.touched) {
+                self.rows.insert((bank, row), *state);
             }
             self.trial_nonce = self.trial_nonce.wrapping_add(applied);
         }
@@ -728,12 +709,17 @@ mod tests {
         assert_eq!(m.accumulated(BankId(0), RowAddr(1022)), 500.0);
         assert_eq!(m.accumulated(BankId(0), RowAddr(1024)), 0.0);
         assert_eq!(m.accumulated(BankId(0), RowAddr(1025)), 0.0);
-        assert_eq!(m.acc.len(), 2, "only in-range victims may accumulate");
+        assert_eq!(dosed_rows(&m), 2, "only in-range victims may accumulate");
         // And the bottom row clamps below zero, as before.
         m.reset_disturbance();
         m.on_hammer(BankId(0), RowAddr(0), 1000, 34_500, 16_500);
         assert_eq!(m.accumulated(BankId(0), RowAddr(1)), 500.0);
-        assert_eq!(m.acc.len(), 2);
+        assert_eq!(dosed_rows(&m), 2);
+    }
+
+    /// Rows holding a dose.
+    fn dosed_rows(m: &RowHammerModel) -> usize {
+        m.rows.values().filter(|s| s.acc != 0.0).count()
     }
 
     #[test]
@@ -853,13 +839,19 @@ mod tests {
         assert_ne!(*ca, *cc);
     }
 
-    /// `acc` (as bit patterns), `last_restore` and `trial_nonce`:
-    /// everything an episode changes.
+    /// Every row's dose (as bit patterns) and restore time, and
+    /// `trial_nonce`: everything an episode changes.
     type EpisodeState = (Vec<((u32, u32), u64)>, Vec<((u32, u32), Picos)>, u64);
 
     fn episode_state(m: &RowHammerModel) -> EpisodeState {
-        let mut acc: Vec<_> = m.acc.iter().map(|(&k, v)| (k, v.to_bits())).collect();
-        let mut last: Vec<_> = m.last_restore.iter().map(|(&k, &t)| (k, t)).collect();
+        let mut acc: Vec<_> = m
+            .rows
+            .iter()
+            .filter(|(_, s)| s.acc != 0.0)
+            .map(|(&k, s)| (k, s.acc.to_bits()))
+            .collect();
+        let mut last: Vec<_> =
+            m.rows.iter().filter_map(|(&k, s)| Some((k, s.last_restore?))).collect();
         acc.sort_unstable();
         last.sort_unstable();
         (acc, last, m.trial_nonce)
