@@ -94,7 +94,9 @@
 //! leases with bounded backoff, commits exactly one result per module
 //! (late zombie replies are rejected), and with `--checkpoint` +
 //! `--resume` survives its own crash by re-running only in-flight
-//! leases. See DESIGN.md §11 for the lease state machine.
+//! leases. See DESIGN.md §11 for the lease state machine. `--workload`
+//! names the experiment every module runs: any entry of
+//! `rh_bench::EXPERIMENTS` (the usage text lists them; DESIGN.md §16).
 //!
 //! `--net-fault-scenario` arms seeded *network* chaos (a
 //! `NetFaultPlan` preset — `none`, `flaky-link`, `slow-link`,
@@ -167,7 +169,7 @@ fn usage() -> ! {
          targets: {} | defense-matrix | all\n\
          fleet workloads: {}",
         targets().join(" | "),
-        rh_bench::fleet_workloads().join(" | ")
+        rh_bench::EXPERIMENTS.map(|(name, _)| name).join(" | ")
     );
     std::process::exit(2);
 }
@@ -306,17 +308,10 @@ fn replay_main(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(mfr) = rh_dram::Manufacturer::ALL.into_iter().find(|m| format!("{m:?}") == token.mfr)
-    else {
-        eprintln!("repro analyze replay: unknown manufacturer '{}'", token.mfr);
-        return ExitCode::FAILURE;
-    };
-    let scale = match token.scale.as_str() {
-        "Smoke" => Scale::Smoke,
-        "Default" => Scale::Default,
-        "Paper" => Scale::Paper,
-        other => {
-            eprintln!("repro analyze replay: unknown scale '{other}'");
+    let spec = match rh_bench::JobSpec::from_replay(&token) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("repro analyze replay: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -325,17 +320,10 @@ fn replay_main(argv: &[String]) -> ExitCode {
         token.workload, token.mfr, token.index, token.seed, token.scale,
         token.net_plan, token.net_seed, token.trace_id,
     );
-    let payload = rh_bench::job_payload(
-        mfr,
-        token.index as usize,
-        token.seed,
-        scale,
-        &token.workload,
-    );
     // Single-process, fault-free: the job itself is deterministic in
-    // its payload, so the net-fault posture of the original run must
-    // not change the committed bits.
-    let result = match rh_bench::execute_payload(&payload, &rh_softmc::CancelToken::new()) {
+    // its spec, so the net-fault posture of the original run must not
+    // change the committed bits.
+    let result = match spec.execute(&rh_softmc::CancelToken::new()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro analyze replay: execution failed: {e}");
@@ -450,7 +438,8 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     if let Some(spec) = net_fault {
-        match load_net_fault_plan(&spec, net_fault_seed.unwrap_or(0)) {
+        let preset = rh_obs::NetFaultPlan::preset(&spec, net_fault_seed.unwrap_or(0));
+        match load_plan("net-fault scenario", &spec, preset) {
             Ok(plan) => cfg.fault = Some(plan),
             Err(e) => {
                 eprintln!("repro serve: {e}");
@@ -459,16 +448,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     interrupt::install();
-    {
-        let token = cfg.cancel.clone();
-        std::thread::spawn(move || loop {
-            if interrupt::FIRED.load(Ordering::SeqCst) {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    interrupt::cancel_on_signal(&cfg.cancel);
     match rh_bench::run_worker(&cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -501,22 +481,13 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(s) => cfg.seed = s,
                 None => usage(),
             },
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(args.next()),
             "--modules" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(m) if m >= 1 => cfg.modules_per_mfr = m,
                 _ => usage(),
             },
             "--workload" => match args.next() {
-                Some(w) if rh_bench::fleet_workloads().contains(&w.as_str()) => {
-                    cfg.workload = w;
-                }
+                Some(w) if rh_bench::experiment(&w).is_some() => cfg.workload = w,
                 _ => usage(),
             },
             "--lease-ms" => match args.next().and_then(|s| s.parse().ok()) {
@@ -570,7 +541,8 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     if let Some(spec) = net_fault {
         // Default the chaos seed to the run seed so a chaos run is
         // replayable from its command line alone.
-        match load_net_fault_plan(&spec, net_fault_seed.unwrap_or(cfg.seed)) {
+        let preset = rh_obs::NetFaultPlan::preset(&spec, net_fault_seed.unwrap_or(cfg.seed));
+        match load_plan("net-fault scenario", &spec, preset) {
             Ok(plan) => {
                 cfg.net_fault = Some(plan);
                 // Replay tokens record the scenario by its CLI name.
@@ -593,16 +565,7 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     interrupt::install();
-    {
-        let token = cfg.cancel.clone();
-        std::thread::spawn(move || loop {
-            if interrupt::FIRED.load(Ordering::SeqCst) {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    interrupt::cancel_on_signal(&cfg.cancel);
     let obs = ObsSetup::with_telemetry(None, None, &telemetry, &cfg.cancel);
     cfg.progress = obs.progress();
     // Reuse the telemetry recorder for trace capture when one is up;
@@ -644,24 +607,15 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     code
 }
 
-/// Resolves `--net-fault-scenario` (preset name or JSON file path).
-fn load_net_fault_plan(spec: &str, seed: u64) -> Result<rh_obs::NetFaultPlan, String> {
-    if let Some(plan) = rh_obs::NetFaultPlan::preset(spec, seed) {
+/// Resolves `--fault-scenario` or `--net-fault-scenario`: the named
+/// `preset`, or else the plan in the JSON file at `spec`.
+fn load_plan<P: serde::Deserialize>(what: &str, spec: &str, preset: Option<P>) -> Result<P, String> {
+    if let Some(plan) = preset {
         return Ok(plan);
     }
     let raw = std::fs::read_to_string(spec)
-        .map_err(|e| format!("net-fault scenario '{spec}': not a preset and unreadable: {e}"))?;
-    serde_json::from_str(&raw).map_err(|e| format!("net-fault scenario '{spec}': bad JSON: {e}"))
-}
-
-/// Resolves `--fault-scenario` (preset name or JSON file path).
-fn load_fault_plan(spec: &str, seed: u64) -> Result<FaultPlan, String> {
-    if let Some(plan) = FaultPlan::preset(spec, seed) {
-        return Ok(plan);
-    }
-    let raw = std::fs::read_to_string(spec)
-        .map_err(|e| format!("fault scenario '{spec}': not a preset and unreadable: {e}"))?;
-    serde_json::from_str(&raw).map_err(|e| format!("fault scenario '{spec}': bad JSON: {e}"))
+        .map_err(|e| format!("{what} '{spec}': not a preset and unreadable: {e}"))?;
+    serde_json::from_str(&raw).map_err(|e| format!("{what} '{spec}': bad JSON: {e}"))
 }
 
 /// Async-signal-safe interrupt latch: the handler only sets an atomic;
@@ -692,6 +646,29 @@ mod interrupt {
 
     #[cfg(not(unix))]
     pub fn install() {}
+
+    /// Starts the monitor thread that turns the latch into a
+    /// cooperative cancellation of `token`.
+    pub fn cancel_on_signal(token: &rh_softmc::CancelToken) {
+        let token = token.clone();
+        std::thread::spawn(move || loop {
+            if FIRED.load(Ordering::SeqCst) {
+                token.cancel();
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        });
+    }
+}
+
+/// The value of `--scale`: `smoke`, `default` or `paper`.
+fn parse_scale(arg: Option<String>) -> Scale {
+    match arg.as_deref() {
+        Some("smoke") => Scale::Smoke,
+        Some("default") => Scale::Default,
+        Some("paper") => Scale::Paper,
+        _ => usage(),
+    }
 }
 
 fn main() -> ExitCode {
@@ -726,14 +703,7 @@ fn main() -> ExitCode {
     }
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(args.next()),
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) => cfg.seed = s,
                 None => usage(),
@@ -843,7 +813,8 @@ fn main() -> ExitCode {
         wanted.push("defense-matrix".to_string());
     }
     if let Some(spec) = &scenario {
-        match load_fault_plan(spec, fault_seed.unwrap_or(cfg.seed)) {
+        let preset = FaultPlan::preset(spec, fault_seed.unwrap_or(cfg.seed));
+        match load_plan("fault scenario", spec, preset) {
             Ok(plan) => cfg.faults = Some(plan),
             Err(e) => {
                 eprintln!("repro: {e}");
@@ -866,19 +837,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // Translate the signal latch into a cooperative cancellation of the
-    // operator token: in-flight campaign modules unwind at their next
-    // command boundary and checkpoint as cancelled-free state.
-    {
-        let token = cfg.cancel.clone();
-        std::thread::spawn(move || loop {
-            if interrupt::FIRED.load(Ordering::SeqCst) {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    // In-flight campaign modules unwind at their next command boundary
+    // and checkpoint as cancelled-free state.
+    interrupt::cancel_on_signal(&cfg.cancel);
 
     let obs = ObsSetup::with_telemetry(trace_out, metrics_out, &telemetry, &cfg.cancel);
     cfg.progress = obs.progress();

@@ -7,7 +7,7 @@
 //! worker-process spawning, `Retry-After`-honoring backoff, fleet-wide
 //! progress aggregation, and cancellation fan-out. See DESIGN.md §11.
 
-use crate::worker::{fleet_module_id, job_payload};
+use crate::worker::{fleet_module_id, JobSpec};
 use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
     FleetReport, JobGrant, JobTable,
@@ -41,8 +41,8 @@ pub struct FleetConfig {
     pub scale: Scale,
     /// Modules per manufacturer.
     pub modules_per_mfr: usize,
-    /// Workload every module runs (see
-    /// [`crate::worker::fleet_workloads`]).
+    /// Workload every module runs: the name of a
+    /// [`crate::EXPERIMENTS`] entry.
     pub workload: String,
     /// Lease duration (ms): a worker must finish or be polled alive
     /// within this, or its job is re-dispatched.
@@ -182,10 +182,14 @@ fn fleet_jobs(cfg: &FleetConfig) -> Vec<(String, Value)> {
     let mut jobs = Vec::new();
     for mfr in Manufacturer::ALL {
         for index in 0..cfg.modules_per_mfr {
-            jobs.push((
-                fleet_module_id(mfr, index, cfg.seed),
-                job_payload(mfr, index, cfg.seed, cfg.scale, &cfg.workload),
-            ));
+            let spec = JobSpec {
+                mfr,
+                index,
+                seed: cfg.seed,
+                scale: cfg.scale,
+                workload: cfg.workload.clone(),
+            };
+            jobs.push((fleet_module_id(mfr, index, cfg.seed), spec.to_json_value()));
         }
     }
     jobs

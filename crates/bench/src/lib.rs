@@ -13,13 +13,10 @@ pub mod top;
 pub mod worker;
 
 pub use fleet::{fleet_text, run_fleet, run_fleet_local, FleetConfig};
-pub use worker::{
-    execute_payload, fleet_module_id, fleet_workloads, job_payload, run_worker, WorkerConfig,
-};
+pub use worker::{execute_payload, fleet_module_id, run_worker, JobSpec, WorkerConfig};
 
 pub use runners::{
-    run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput, TelemetryOptions,
+    experiment, run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput,
+    TelemetryOptions, EXPERIMENTS,
 };
-pub use soak::{
-    run_soak, run_soak_tracked, soak_one_tracked, SoakReport, SoakScenario, SoakStats,
-};
+pub use soak::{run_soak_tracked, soak_one_tracked, SoakReport, SoakScenario, SoakStats};

@@ -15,7 +15,6 @@ use rh_dram::{ddr4_modules_of, BankId, Manufacturer, RowAddr};
 use rh_softmc::{CancelToken, FaultPlan, Program, TestBench};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
-use std::any::Any;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -470,6 +469,47 @@ fn campaign_output(
     RunOutput { target, text, data, report: Some(report.clone()) }
 }
 
+/// One campaign experiment: its name and an `rh_core::experiments`
+/// function run on one module, with the result as JSON. [`EXPERIMENTS`]
+/// is the only list of them: `repro` targets run them as campaigns, and
+/// `repro fleet` ships their names as job kinds, which workers and
+/// `repro analyze replay` look up in the same table.
+pub type Experiment = (&'static str, fn(&mut Characterizer) -> Result<Value, CharError>);
+
+const TEMP_RANGES: Experiment =
+    ("temp_ranges", |ch| Ok(temperature::cell_temp_ranges(ch)?.to_json_value()));
+const ROW_VARIATION: Experiment =
+    ("row_variation", |ch| Ok(spatial::row_variation(ch)?.to_json_value()));
+const BER_VS_TEMPERATURE: Experiment =
+    ("ber_vs_temperature", |ch| Ok(temperature::ber_vs_temperature(ch)?.to_json_value()));
+const HCFIRST_VS_TEMPERATURE: Experiment =
+    ("hcfirst_vs_temperature", |ch| Ok(temperature::hcfirst_vs_temperature(ch)?.to_json_value()));
+const ROW_ACTIVE_ANALYSIS: Experiment =
+    ("row_active_analysis", |ch| Ok(rowactive::row_active_analysis(ch)?.to_json_value()));
+const COLUMN_MAP: Experiment = ("column_map", |ch| Ok(spatial::column_map(ch)?.to_json_value()));
+const SUBARRAY_HCFIRST: Experiment =
+    ("subarray_hcfirst", |ch| Ok(spatial::subarray_hcfirst(ch)?.to_json_value()));
+const DOSE_RESPONSE: Experiment =
+    ("dose_response", |ch| Ok(dose::dose_response(ch)?.to_json_value()));
+
+/// Every campaign experiment.
+pub const EXPERIMENTS: [Experiment; 8] = [
+    TEMP_RANGES,
+    ROW_VARIATION,
+    BER_VS_TEMPERATURE,
+    HCFIRST_VS_TEMPERATURE,
+    ROW_ACTIVE_ANALYSIS,
+    COLUMN_MAP,
+    SUBARRAY_HCFIRST,
+    DOSE_RESPONSE,
+];
+
+/// The [`EXPERIMENTS`] entry called `name`.
+#[must_use]
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|(n, _)| *n == name)
+}
+
 /// Everything that can change a campaign's result.
 #[derive(Debug, PartialEq)]
 struct ExperimentKey {
@@ -485,16 +525,13 @@ struct ExperimentKey {
 
 /// One experiment's campaign: `(mfr, module index, result)` in module
 /// order, plus the resilience report.
-type Campaign<T> = (Vec<(Manufacturer, usize, T)>, CampaignReport);
+type Campaign = Arc<(Vec<(Manufacturer, usize, Value)>, CampaignReport)>;
 
 /// The in-process experiment registry of a [`RunConfig`] and its
 /// clones. It holds only clean campaigns: a quarantined, timed-out or
 /// cancelled one is recomputed by the next target that needs it.
 #[derive(Clone, Default)]
-pub struct ExperimentRegistry(Arc<Mutex<Vec<(ExperimentKey, StoredCampaign)>>>);
-
-/// A [`Campaign`] of any result type, downcast on the way out.
-type StoredCampaign = Arc<dyn Any + Send + Sync>;
+pub struct ExperimentRegistry(Arc<Mutex<Vec<(ExperimentKey, Campaign)>>>);
 
 impl std::fmt::Debug for ExperimentRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -507,18 +544,14 @@ impl std::fmt::Debug for ExperimentRegistry {
 /// manufacturer as one campaign, or hands back the clean campaign an
 /// earlier target of this config already ran. A cancelled config skips
 /// the registry, so it reports the cancellation as a fresh one would.
-fn run_campaign<T>(
+fn run_campaign(
     cfg: &RunConfig,
     target: &str,
-    experiment: &'static str,
+    (name, run): &Experiment,
     modules_per_mfr: usize,
-    f: impl Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-) -> Result<Arc<Campaign<T>>, CharError>
-where
-    T: Send + Sync + Serialize + Deserialize + 'static,
-{
+) -> Result<Campaign, CharError> {
     let key = ExperimentKey {
-        experiment,
+        experiment: name,
         scale: cfg.scale,
         seed: cfg.seed,
         modules_per_mfr,
@@ -529,9 +562,8 @@ where
     let registry = &cfg.experiments.0;
     if !cfg.cancel.is_cancelled() {
         let held = registry.lock().unwrap_or_else(PoisonError::into_inner);
-        let hit = held.iter().find(|(k, _)| *k == key);
-        if let Some(hit) = hit.and_then(|(_, c)| Arc::clone(c).downcast().ok()) {
-            return Ok(hit);
+        if let Some((_, hit)) = held.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(hit));
         }
     }
     let mut meta: Vec<(String, Manufacturer, usize)> = Vec::new();
@@ -545,7 +577,7 @@ where
             }));
         }
     }
-    let out = campaign_runner(cfg, target).run(tasks, f)?;
+    let out = campaign_runner(cfg, target).run(tasks, run)?;
     let results = out
         .results
         .into_iter()
@@ -565,6 +597,12 @@ where
     Ok(ran)
 }
 
+/// A campaign's results as the renderer's type.
+fn decode<T: Deserialize>(ran: &Campaign) -> Result<Vec<(Manufacturer, usize, T)>, CharError> {
+    let err = |e| CharError::Checkpoint { detail: format!("result does not decode: {e}") };
+    ran.0.iter().map(|(m, i, v)| Ok((*m, *i, T::from_json_value(v).map_err(err)?))).collect()
+}
+
 /// The `data` shape of one-module-per-manufacturer targets.
 fn by_mfr<T>(results: &[(Manufacturer, usize, T)]) -> Vec<(String, &T)> {
     results.iter().map(|(m, _, t)| (m.to_string(), t)).collect()
@@ -580,8 +618,8 @@ fn run_table2() -> RunOutput {
 }
 
 fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, "cell_temp_ranges", 1, temperature::cell_temp_ranges)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, target, &TEMP_RANGES, 1)?;
+    let results: Vec<(_, _, temperature::TempRangeAnalysis)> = decode(&ran)?;
     let mut text = String::new();
     if target == "table3" {
         let rows: Vec<(&str, &temperature::TempRangeAnalysis)> = results
@@ -591,40 +629,39 @@ fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, C
         text = report::table3(&rows);
         text.push_str("paper: 99.1% / 98.9% / 98.0% / 99.2%\n");
     } else {
-        for (m, _, a) in results {
+        for (m, _, a) in &results {
             text.push_str(&report::fig3(&m.to_string(), a));
             text.push('\n');
         }
         text.push_str("paper all-temps corner: 14.2% / 17.4% / 9.6% / 29.8%\n");
     }
-    Ok(campaign_output(target, text, by_mfr(results), campaign))
+    Ok(campaign_output(target, text, by_mfr(&results), &ran.1))
 }
 
 fn run_fig4(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "fig4", "ber_vs_temperature", 1, temperature::ber_vs_temperature)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, "fig4", &BER_VS_TEMPERATURE, 1)?;
+    let results: Vec<(_, _, temperature::BerVsTemperature)> = decode(&ran)?;
     let mut text = String::new();
-    for (m, _, f) in results {
+    for (m, _, f) in &results {
         text.push_str(&report::fig4(&m.to_string(), f));
         text.push('\n');
     }
     text.push_str(
         "paper trend 50->90C (victim): A up ~+100%, B down ~-20%, C up ~+40%, D up ~+200%\n",
     );
-    Ok(campaign_output("fig4", text, by_mfr(results), campaign))
+    Ok(campaign_output("fig4", text, by_mfr(&results), &ran.1))
 }
 
 fn run_fig5(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran =
-        run_campaign(cfg, "fig5", "hcfirst_vs_temperature", 1, temperature::hcfirst_vs_temperature)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, "fig5", &HCFIRST_VS_TEMPERATURE, 1)?;
+    let results: Vec<(_, _, temperature::HcFirstVsTemperature)> = decode(&ran)?;
     let mut text = String::new();
-    for (m, _, f) in results {
+    for (m, _, f) in &results {
         text.push_str(&report::fig5(&m.to_string(), f));
         text.push('\n');
     }
     text.push_str("paper crossings at 50->90C: A P45, B P67, C P71, D P40; magnitude ratio ~4x\n");
-    Ok(campaign_output("fig5", text, by_mfr(results), campaign))
+    Ok(campaign_output("fig5", text, by_mfr(&results), &ran.1))
 }
 
 fn run_fig6() -> Result<RunOutput, CharError> {
@@ -648,10 +685,10 @@ fn run_fig6() -> Result<RunOutput, CharError> {
 }
 
 fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, "row_active_analysis", 1, rowactive::row_active_analysis)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, target, &ROW_ACTIVE_ANALYSIS, 1)?;
+    let results: Vec<(_, _, rowactive::RowActiveAnalysis)> = decode(&ran)?;
     let mut text = String::new();
-    for (m, _, a) in results {
+    for (m, _, a) in &results {
         let label = m.to_string();
         match target {
             "fig7" => text.push_str(&report::fig_ber_sweep("Fig. 7", &label, a, true)),
@@ -667,17 +704,16 @@ fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Cha
         "fig9" => text.push_str("paper BER drop at 40.5ns: 6.3x / 2.9x / 4.9x / 5.0x\n"),
         _ => text.push_str("paper HCfirst increase: 33.8% / 24.7% / 50.1% / 33.7%\n"),
     }
-    Ok(campaign_output(target, text, by_mfr(results), campaign))
+    Ok(campaign_output(target, text, by_mfr(&results), &ran.1))
 }
 
 fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran =
-        run_campaign(cfg, "fig11", "row_variation", cfg.modules_per_mfr, spatial::row_variation)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, "fig11", &ROW_VARIATION, cfg.modules_per_mfr)?;
+    let results: Vec<(_, _, spatial::RowVariation)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
     let mut last_mfr = None;
-    for (mfr, i, rv) in results {
+    for (mfr, i, rv) in &results {
         if last_mfr.is_some() && last_mfr != Some(*mfr) {
             text.push('\n');
         }
@@ -687,15 +723,15 @@ fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
     }
     text.push('\n');
     text.push_str("paper: P99 >= 1.6x, P95 >= 2.0x, P90 >= 2.2x the most vulnerable row\n");
-    Ok(campaign_output("fig11", text, data, campaign))
+    Ok(campaign_output("fig11", text, data, &ran.1))
 }
 
 fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, "column_map", 1, spatial::column_map)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, target, &COLUMN_MAP, 1)?;
+    let results: Vec<(_, _, spatial::ColumnMap)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
-    for (m, _, cm) in results {
+    for (m, _, cm) in &results {
         let label = m.to_string();
         let row = if target == "fig12" {
             text.push_str(&report::fig12(&label, cm));
@@ -713,15 +749,15 @@ fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Char
     } else {
         "paper CV=0 share: Mfr. B 50.9%, Mfr. C 16.6%; CV=1 share: A 59.8%, C 30.6%, D 29.1%\n"
     });
-    Ok(campaign_output(target, text, data, campaign))
+    Ok(campaign_output(target, text, data, &ran.1))
 }
 
 fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
     // The subarray regression and similarity studies need several
     // modules per manufacturer for a stable picture.
     let modules = cfg.modules_per_mfr.max(3);
-    let ran = run_campaign(cfg, target, "subarray_hcfirst", modules, spatial::subarray_hcfirst)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, target, &SUBARRAY_HCFIRST, modules)?;
+    let results: Vec<(_, _, Vec<spatial::SubarrayPoint>)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
     for mfr in Manufacturer::ALL {
@@ -753,7 +789,7 @@ fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Char
     } else {
         text.push_str("paper: same-module P5 ~0.975 (Mfr. C); cross-module P5 down to 0.66\n");
     }
-    Ok(campaign_output(target, text, data, campaign))
+    Ok(campaign_output(target, text, data, &ran.1))
 }
 
 fn run_observations(cfg: &RunConfig) -> Result<RunOutput, CharError> {
@@ -1237,10 +1273,10 @@ fn run_memctl() -> Result<RunOutput, CharError> {
 /// BER-vs-hammer-count dose response (the basis of the paper's 150 K
 /// choice, §4.2 footnote 3).
 fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "hcsweep", "dose_response", 1, dose::dose_response)?;
-    let (results, campaign) = &*ran;
+    let ran = run_campaign(cfg, "hcsweep", &DOSE_RESPONSE, 1)?;
+    let results: Vec<(_, _, dose::DoseResponse)> = decode(&ran)?;
     let mut text = String::from("BER vs hammer count (75C, WCDP)\n");
-    for (m, _, d) in results {
+    for (m, _, d) in &results {
         text.push_str(&format!("{m}:\n"));
         for p in &d.points {
             text.push_str(&format!(
@@ -1252,7 +1288,7 @@ fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         }
     }
     text.push_str("paper: 150K chosen as attack-realistic and sufficient on every module\n");
-    Ok(campaign_output("hcsweep", text, by_mfr(results), campaign))
+    Ok(campaign_output("hcsweep", text, by_mfr(&results), &ran.1))
 }
 
 /// Benign-workload overhead of the defense roster (the performance
@@ -1470,6 +1506,31 @@ mod tests {
                 assert_eq!(reused.data, fresh.data, "{target} data");
             }
             assert_eq!(held_campaigns(&shared), 1, "{group:?} ran its campaign once");
+        }
+    }
+
+    /// Cross-transport oracle: every experiment commits, per module
+    /// id, the same JSON through the fleet's job path as through the
+    /// campaign the registry holds.
+    #[test]
+    fn fleet_jobs_commit_what_campaigns_hold() {
+        let cfg = RunConfig { modules_per_mfr: 1, ..smoke() };
+        for experiment @ (name, _) in &EXPERIMENTS {
+            let ran = run_campaign(&cfg, "oracle", experiment, 1).unwrap();
+            let fleet = crate::run_fleet_local(&crate::FleetConfig {
+                seed: cfg.seed,
+                scale: cfg.scale,
+                modules_per_mfr: 1,
+                workload: name.to_string(),
+                ..crate::FleetConfig::default()
+            })
+            .unwrap();
+            let held: Vec<(String, &Value)> =
+                ran.0.iter().map(|(m, i, v)| (campaign_module_id(*m, &cfg, *i), v)).collect();
+            let committed: Vec<(String, &Value)> =
+                fleet.results.iter().map(|(id, v)| (id.clone(), v)).collect();
+            assert_eq!(held.len(), 4, "{name}");
+            assert_eq!(held, committed, "{name}");
         }
     }
 

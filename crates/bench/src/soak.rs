@@ -407,17 +407,9 @@ pub fn soak_one_tracked(
     })
 }
 
-/// Runs `soak_one_tracked` for every seed, collecting pass/fail per scenario.
-/// `progress` is called with one line per finished scenario.
-pub fn run_soak(
-    seeds: impl IntoIterator<Item = u64>,
-    dir: &Path,
-    progress: impl FnMut(&str),
-) -> SoakReport {
-    run_soak_tracked(seeds, dir, progress, None)
-}
-
-/// [`run_soak`] with an optional live-progress tracker shared by every
+/// Runs `soak_one_tracked` for every seed, collecting pass/fail per
+/// scenario. `progress` is called with one line per finished scenario;
+/// `tracker`, when given, is the live-progress tracker shared by every
 /// scenario's campaigns.
 pub fn run_soak_tracked(
     seeds: impl IntoIterator<Item = u64>,

@@ -32,14 +32,13 @@
 //! and still match a single-process run.
 
 use crate::runners::{campaign_module_id, characterizer_armed, RunConfig};
-use rh_core::experiments::{spatial, temperature};
 use rh_core::fleet::JobGrant;
-use rh_core::{CharError, Scale};
+use rh_core::{CharError, ReplayToken, Scale};
 use rh_dram::Manufacturer;
 use rh_obs::names;
 use rh_obs::{EventKind, EventRing, HttpRequest, HttpResponse, JobEvent, TelemetrySource};
 use rh_softmc::CancelToken;
-use serde::{Deserialize as _, Value};
+use serde::{Deserialize, Serialize, Value};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,18 +78,59 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Builds the deterministic wire payload for one module's job. The
-/// coordinator calls this when populating its job table; the worker's
-/// [`execute_payload`] inverts it.
-#[must_use]
-pub fn job_payload(mfr: Manufacturer, index: usize, seed: u64, scale: Scale, workload: &str) -> Value {
-    json!({
-        "mfr": format!("{mfr:?}"),
-        "index": index,
-        "seed": seed,
-        "scale": format!("{scale:?}"),
-        "workload": workload,
-    })
+/// One fleet job: the [`crate::EXPERIMENTS`] entry named `workload`
+/// on module `index` of `mfr`. Its JSON is the wire payload the
+/// coordinator grants and the fields replay tokens are minted from.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct JobSpec {
+    /// Manufacturer of the module.
+    pub mfr: Manufacturer,
+    /// Module index within the manufacturer.
+    pub index: usize,
+    /// Base seed, exactly as `repro --seed`.
+    pub seed: u64,
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Name of the experiment to run.
+    pub workload: String,
+}
+
+impl JobSpec {
+    /// The job a replay token names.
+    ///
+    /// # Errors
+    ///
+    /// [`CharError::Checkpoint`] when the token's manufacturer or scale
+    /// is unknown.
+    pub fn from_replay(token: &ReplayToken) -> Result<Self, CharError> {
+        let name = |s: &str| Value::Str(s.to_string());
+        Ok(Self {
+            mfr: Manufacturer::from_json_value(&name(&token.mfr)).map_err(malformed)?,
+            index: usize::try_from(token.index).map_err(malformed)?,
+            seed: token.seed,
+            scale: Scale::from_json_value(&name(&token.scale)).map_err(malformed)?,
+            workload: token.workload.clone(),
+        })
+    }
+
+    /// Runs the job to completion (or cancellation) on a fresh bench,
+    /// built exactly like a campaign's first attempt. Deterministic in
+    /// the spec, so re-dispatched runs are bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// [`CharError`] from the characterization itself, an unknown
+    /// workload, or cancellation.
+    pub fn execute(&self, cancel: &CancelToken) -> Result<Value, CharError> {
+        let (_, run) = crate::experiment(&self.workload)
+            .ok_or_else(|| malformed(format!("unknown workload '{}'", self.workload)))?;
+        let cfg = RunConfig { seed: self.seed, scale: self.scale, ..RunConfig::default() };
+        run(&mut characterizer_armed(self.mfr, &cfg, self.index, 1, cancel)?)
+    }
+}
+
+fn malformed(what: impl std::fmt::Display) -> CharError {
+    CharError::Checkpoint { detail: format!("fleet payload: {what}") }
 }
 
 /// The stable module id of one fleet job — identical to the campaign
@@ -101,55 +141,13 @@ pub fn fleet_module_id(mfr: Manufacturer, index: usize, seed: u64) -> String {
     campaign_module_id(mfr, &RunConfig { seed, ..RunConfig::default() }, index)
 }
 
-/// Workload names [`execute_payload`] understands.
-#[must_use]
-pub fn fleet_workloads() -> &'static [&'static str] {
-    &["row_variation", "temp_ranges"]
-}
-
-/// Executes one job payload to completion (or cancellation), building
-/// a fresh bench exactly like a campaign attempt would. Deterministic
-/// in the payload; the attempt number only re-derives fault streams,
-/// and fleet payloads are fault-free, so re-dispatched runs are
-/// bit-identical.
+/// Decodes a [`JobSpec`] payload and executes it.
 ///
 /// # Errors
 ///
-/// [`CharError`] from the characterization itself, a malformed
-/// payload, or cancellation.
+/// As [`JobSpec::execute`], plus a payload that is not a `JobSpec`.
 pub fn execute_payload(payload: &Value, cancel: &CancelToken) -> Result<Value, CharError> {
-    let malformed = |what: &str| CharError::Checkpoint { detail: format!("fleet payload: {what}") };
-    let mfr_name = payload.field("mfr").as_str().ok_or_else(|| malformed("missing mfr"))?;
-    let mfr = Manufacturer::ALL
-        .into_iter()
-        .find(|m| format!("{m:?}") == mfr_name)
-        .ok_or_else(|| malformed("unknown mfr"))?;
-    let index = payload.field("index").as_u64().ok_or_else(|| malformed("missing index"))? as usize;
-    let seed = payload.field("seed").as_u64().ok_or_else(|| malformed("missing seed"))?;
-    let scale = match payload.field("scale").as_str() {
-        Some("Smoke") => Scale::Smoke,
-        Some("Default") => Scale::Default,
-        Some("Paper") => Scale::Paper,
-        _ => return Err(malformed("unknown scale")),
-    };
-    let workload =
-        payload.field("workload").as_str().ok_or_else(|| malformed("missing workload"))?;
-
-    let cfg = RunConfig { seed, scale, ..RunConfig::default() };
-    let mut ch = characterizer_armed(mfr, &cfg, index, 1, cancel)?;
-    match workload {
-        "row_variation" => {
-            let r = spatial::row_variation(&mut ch)?;
-            serde_json::to_value(r)
-                .map_err(|e| CharError::Checkpoint { detail: format!("serialize result: {e}") })
-        }
-        "temp_ranges" => {
-            let r = temperature::cell_temp_ranges(&mut ch)?;
-            serde_json::to_value(r)
-                .map_err(|e| CharError::Checkpoint { detail: format!("serialize result: {e}") })
-        }
-        other => Err(malformed(&format!("unknown workload '{other}'"))),
-    }
+    JobSpec::from_json_value(payload).map_err(malformed)?.execute(cancel)
 }
 
 /// Byte budget for one job's trace segment in a Done poll reply.
@@ -724,7 +722,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use rh_obs::{http_get, http_post};
-    use serde::Serialize as _;
 
     fn start_worker(
         slots: usize,
@@ -758,10 +755,84 @@ mod tests {
         (handle, addr, cancel)
     }
 
+    /// The job of module 0 of `mfr`.
+    fn spec(mfr: Manufacturer, seed: u64, scale: Scale, workload: &str) -> JobSpec {
+        JobSpec { mfr, index: 0, seed, scale, workload: workload.to_string() }
+    }
+
+    #[test]
+    fn job_spec_is_the_old_wire_payload() {
+        let job = JobSpec { index: 3, ..spec(Manufacturer::C, 42, Scale::Paper, "column_map") };
+        // The payload `job_payload` built with `json!` before `JobSpec`.
+        let old = json!({
+            "mfr": format!("{:?}", Manufacturer::C),
+            "index": 3usize,
+            "seed": 42u64,
+            "scale": format!("{:?}", Scale::Paper),
+            "workload": "column_map",
+        });
+        let text = job.to_json_value().to_string();
+        assert_eq!(text, old.to_string());
+        assert_eq!(
+            text,
+            r#"{"mfr":"C","index":3,"seed":42,"scale":"Paper","workload":"column_map"}"#
+        );
+        for mfr in Manufacturer::ALL {
+            for scale in [Scale::Smoke, Scale::Default, Scale::Paper] {
+                let job = spec(mfr, u64::MAX, scale, "dose_response");
+                assert_eq!(JobSpec::from_json_value(&job.to_json_value()), Ok(job));
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_payloads_are_errors() {
+        let good = spec(Manufacturer::A, 7, Scale::Smoke, "row_variation").to_json_value();
+        let with = |key: &str, value: Value| {
+            let Value::Object(mut pairs) = good.clone() else { unreachable!() };
+            pairs.retain(|(k, _)| k != key);
+            if !value.is_null() {
+                pairs.push((key.to_string(), value));
+            }
+            Value::Object(pairs)
+        };
+        let bad = [
+            ("workload", with("workload", json!("fig4"))),
+            ("mfr", with("mfr", json!("MfrA"))),
+            ("scale", with("scale", json!("smoke"))),
+            ("index", with("index", json!(-1))),
+            ("seed", with("seed", Value::Null)),
+            ("not an object", json!([1, 2])),
+        ];
+        for (what, payload) in bad {
+            let err = execute_payload(&payload, &CancelToken::new())
+                .expect_err(&format!("{what}: {payload}"));
+            assert!(
+                matches!(&err, CharError::Checkpoint { detail } if detail.starts_with("fleet payload: ")),
+                "{what}: {err}"
+            );
+        }
+        let token = |mfr: &str, scale: &str| ReplayToken {
+            workload: "row_variation".to_string(),
+            mfr: mfr.to_string(),
+            index: 0,
+            seed: 7,
+            scale: scale.to_string(),
+            net_plan: "none".to_string(),
+            net_seed: 0,
+            result_hash: 0,
+            trace_id: 0,
+        };
+        let job = JobSpec::from_replay(&token("A", "Smoke")).unwrap();
+        assert_eq!(job.to_json_value(), good);
+        assert!(JobSpec::from_replay(&token("MfrA", "Smoke")).is_err());
+        assert!(JobSpec::from_replay(&token("A", "smoke")).is_err());
+    }
+
     fn grant(lease_id: u64, generation: u32) -> JobGrant {
         JobGrant {
             module_id: fleet_module_id(Manufacturer::A, 0, 7),
-            payload: job_payload(Manufacturer::A, 0, 7, Scale::Smoke, "row_variation"),
+            payload: spec(Manufacturer::A, 7, Scale::Smoke, "row_variation").to_json_value(),
             lease_id,
             generation,
             lease_ms: 5_000,
@@ -854,7 +925,7 @@ mod tests {
         // Occupy the only slot with a slow job (Default scale).
         let slow = JobGrant {
             module_id: fleet_module_id(Manufacturer::B, 0, 9),
-            payload: job_payload(Manufacturer::B, 0, 9, Scale::Default, "row_variation"),
+            payload: spec(Manufacturer::B, 9, Scale::Default, "row_variation").to_json_value(),
             lease_id: 10,
             generation: 1,
             lease_ms: 60_000,
@@ -902,7 +973,7 @@ mod tests {
         // Occupy the only slot with a slow job.
         let slow = JobGrant {
             module_id: fleet_module_id(Manufacturer::B, 0, 9),
-            payload: job_payload(Manufacturer::B, 0, 9, Scale::Default, "row_variation"),
+            payload: spec(Manufacturer::B, 9, Scale::Default, "row_variation").to_json_value(),
             lease_id: 20,
             generation: 1,
             lease_ms: 60_000,
@@ -1015,6 +1086,18 @@ mod tests {
         // Wrong method on a job route is 405, not 400.
         let r = http_get(&addr, "/shutdown", timeout).unwrap();
         assert_eq!(r.status, 405);
+        // A well-formed grant of an unknown workload is admitted, and
+        // the job fails instead of panicking the worker.
+        let g = JobGrant {
+            payload: spec(Manufacturer::A, 7, Scale::Smoke, "fig4").to_json_value(),
+            ..grant(1, 1)
+        };
+        let r = http_post(&addr, "/job", &g.to_json_value().to_string(), timeout).unwrap();
+        assert_eq!(r.status, 202, "submit: {}", r.body);
+        let v = poll_until_done(&addr, 1);
+        assert_eq!(v.field("state").as_str(), Some("failed"), "{v:?}");
+        let error = v.field("error").as_str().unwrap();
+        assert!(error.contains("unknown workload 'fig4'"), "{error}");
         cancel.cancel();
         handle.join().unwrap();
     }

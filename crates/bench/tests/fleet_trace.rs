@@ -6,9 +6,8 @@
 //! every committed result must carry a replay token that re-executes
 //! single-process to the identical bits.
 
-use rh_bench::{execute_payload, job_payload, run_fleet, FleetConfig};
+use rh_bench::{run_fleet, FleetConfig, JobSpec};
 use rh_core::{fnv1a64, ReplayToken, Scale};
-use rh_dram::Manufacturer;
 use rh_obs::analyze::analyze_fleet_dir;
 use rh_softmc::CancelToken;
 use std::io::BufRead;
@@ -114,12 +113,9 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
     let token_str = committed[0].replay_token.as_deref().expect("token present");
     let token = ReplayToken::parse(token_str).unwrap_or_else(|e| panic!("token parse: {e}"));
     assert_ne!(token.trace_id, 0, "a traced run must stamp the trace into the token");
-    let mfr = Manufacturer::ALL
-        .into_iter()
-        .find(|m| format!("{m:?}") == token.mfr)
-        .expect("token names a real manufacturer");
-    let payload = job_payload(mfr, token.index as usize, token.seed, Scale::Smoke, &token.workload);
-    let replayed = execute_payload(&payload, &CancelToken::new()).expect("replay executes");
+    let job = JobSpec::from_replay(&token).expect("token names a real module");
+    assert_eq!(job.scale, Scale::Smoke);
+    let replayed = job.execute(&CancelToken::new()).expect("replay executes");
     assert_eq!(
         fnv1a64(replayed.to_string().as_bytes()),
         token.result_hash,

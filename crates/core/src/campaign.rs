@@ -447,7 +447,7 @@ impl CampaignRunner {
         let table = table.into_inner().unwrap_or_else(PoisonError::into_inner);
         for (outcome, value) in table.outcomes() {
             if let Some(v) = value {
-                let t = T::from_json_value(&v).map_err(|e| CharError::Checkpoint {
+                let t = T::from_owned_json_value(v).map_err(|e| CharError::Checkpoint {
                     detail: format!("result for {} does not decode: {e}", outcome.id),
                 })?;
                 results.push((outcome.id.clone(), t));

@@ -243,7 +243,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct ReplayToken {
     /// Worker workload name (e.g. `row_variation`).
     pub workload: String,
-    /// Manufacturer debug name (e.g. `MfrA`).
+    /// Manufacturer debug name (e.g. `A`).
     pub mfr: String,
     /// Module index within the manufacturer.
     pub index: u64,
