@@ -1450,9 +1450,7 @@ pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError>
         "chipkill" => run_chipkill(cfg),
         "ablation" => run_ablation(cfg),
         "defense-matrix" => run_defense_matrix(cfg),
-        other => Err(CharError::Infra(rh_softmc::SoftMcError::InvalidProgram {
-            reason: format!("unknown repro target '{other}'"),
-        })),
+        other => Err(CharError::InvalidInput { detail: format!("unknown repro target '{other}'") }),
     }
 }
 

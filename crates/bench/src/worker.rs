@@ -100,8 +100,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`CharError::Checkpoint`] when the token's manufacturer or scale
-    /// is unknown.
+    /// [`CharError::InvalidInput`] when the token's manufacturer or
+    /// scale is unknown.
     pub fn from_replay(token: &ReplayToken) -> Result<Self, CharError> {
         let name = |s: &str| Value::Str(s.to_string());
         Ok(Self {
@@ -130,7 +130,7 @@ impl JobSpec {
 }
 
 fn malformed(what: impl std::fmt::Display) -> CharError {
-    CharError::Checkpoint { detail: format!("fleet payload: {what}") }
+    CharError::InvalidInput { detail: format!("fleet payload: {what}") }
 }
 
 /// The stable module id of one fleet job — identical to the campaign
@@ -808,7 +808,7 @@ mod tests {
             let err = execute_payload(&payload, &CancelToken::new())
                 .expect_err(&format!("{what}: {payload}"));
             assert!(
-                matches!(&err, CharError::Checkpoint { detail } if detail.starts_with("fleet payload: ")),
+                matches!(&err, CharError::InvalidInput { detail } if detail.starts_with("fleet payload: ")),
                 "{what}: {err}"
             );
         }

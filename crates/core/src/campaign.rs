@@ -20,11 +20,18 @@
 //! backoff, quarantine and timeout, and reads and writes the
 //! checkpoint, so a campaign and a fleet resume from the same file
 //! format; resuming skips finished modules and reproduces the same
-//! final report. The runner keeps the executor slots, the `campaign.*`
+//! final report.
+//!
+//! The runner itself is a bounded worker pool: `max_workers` scoped
+//! threads take modules in order from one cursor, an optional watchdog
+//! times out modules past their wall-clock deadline, and cancellation
+//! (the caller's token on SIGINT, or fail-fast) resolves queued modules
+//! without running them. A module's terminal outcome is decided only
+//! under the table's lock, by whichever of worker, watchdog or
+//! cancellation gets there first; the runner adds the `campaign.*`
 //! telemetry, progress and fail-fast.
 
 use crate::error::CharError;
-use crate::executor::{self, lock, ExecutorConfig};
 use crate::fleet::{fnv1a64, splitmix64, CommitOutcome, FailOutcome, FleetPolicy, JobTable};
 use crate::progress::ProgressTracker;
 use crate::Characterizer;
@@ -32,11 +39,66 @@ use rh_softmc::CancelToken;
 use serde::{Deserialize, Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use rh_obs::names;
 
 pub use crate::fleet::verify_checkpoint;
+
+/// How often the watchdog scans running modules for overruns.
+const WATCHDOG_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Worker-pool width and per-module deadline of a campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecutorConfig {
+    /// Worker threads in the pool (clamped to ≥ 1 and to the number of
+    /// modules). Defaults to the host's available parallelism.
+    pub max_workers: usize,
+    /// Wall-clock budget per module; `None` disables the watchdog.
+    pub module_deadline: Option<Duration>,
+}
+
+impl Default for ExecutorConfig {
+    fn default() -> Self {
+        Self {
+            max_workers: std::thread::available_parallelism().map_or(4, usize::from),
+            module_deadline: None,
+        }
+    }
+}
+
+impl ExecutorConfig {
+    /// A config with `max_workers` workers and no deadline.
+    pub fn with_workers(max_workers: usize) -> Self {
+        Self { max_workers, ..Self::default() }
+    }
+
+    /// Sets the per-module deadline.
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.module_deadline = Some(deadline);
+        self
+    }
+}
+
+/// Recovers from a poisoned lock: a panicking module is caught before
+/// it can leave the table half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the pool shares under one lock: the job table, which decides
+/// every outcome, and which modules are running undecided.
+struct Board {
+    table: JobTable,
+    /// `Some(start)` from when a worker takes module `idx` until
+    /// someone decides it: the worker when it returns, or the watchdog
+    /// when it times the module out. Whoever takes it records the
+    /// decision.
+    started: Vec<Option<Instant>>,
+    /// Modules decided so far; the watchdog stops when all are.
+    decided: usize,
+}
 
 /// Turns a caught panic payload into a readable detail string.
 fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -327,9 +389,10 @@ impl CampaignRunner {
 
     /// Shares a live [`ProgressTracker`] with this campaign: [`run`]
     /// admits the task count, marks modules running while a worker
-    /// holds them, and records each terminal status exactly once from
-    /// the executor's commit hook. The same tracker may be reused
-    /// across sequential campaigns (totals accumulate).
+    /// holds them, and records each terminal status exactly once, under
+    /// the job table's lock where the status is decided. The same
+    /// tracker may be reused across sequential campaigns (totals
+    /// accumulate).
     ///
     /// [`run`]: CampaignRunner::run
     pub fn with_progress(mut self, progress: Arc<ProgressTracker>) -> Self {
@@ -368,60 +431,115 @@ impl CampaignRunner {
         if let Some(path) = &self.checkpoint {
             table.with_checkpoint(path)?;
         }
-        let table = Mutex::new(table);
+        let n = tasks.len();
+        let board = Mutex::new(Board { table, started: vec![None; n], decided: 0 });
 
         if let Some(progress) = &self.progress {
-            progress.add_modules(tasks.len());
+            progress.add_modules(n);
         }
 
         // Internal campaign token: a child of the caller's, so
         // fail-fast and watchdog cancellations never poison the token
-        // the operator handed in.
+        // the operator handed in. Each module runs under its own child,
+        // which the watchdog cancels at the deadline.
         let campaign_token = self.cancel.child();
-        let deadline_ms =
-            self.executor.module_deadline.map_or(0, |d| d.as_millis() as u64);
+        let tokens: Vec<CancelToken> = (0..n).map(|_| campaign_token.child()).collect();
 
-        // A slot's decision is `Some(elapsed)` when the watchdog timed
-        // the module out; the table records everything else.
-        executor::supervise(
-            &self.executor,
-            &campaign_token,
-            tasks.len(),
-            // Normal path: skip a module the checkpoint already
-            // finished, or run its attempts under the task's own token.
-            |idx, token| {
-                let task = &tasks[idx];
-                let _running = self.progress.as_ref().map(ProgressTracker::running_guard);
-                // The table states an unfinished job as `Cancelled`.
-                if matches!(lock(&table).status(&task.id), ModuleStatus::Cancelled { .. }) {
-                    self.run_one(task, &f, token, &table);
-                } else {
-                    rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = task.id.as_str());
-                }
-                None
-            },
-            // Watchdog path: the module overran its deadline.
-            |_idx, elapsed| Some(elapsed),
-            // Cancelled while still queued: never ran at all.
-            |idx| {
-                rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_CANCELLED,
-                    module = tasks[idx].id.as_str(),
-                    ran = false,
-                );
-                None
-            },
-            // Commit hook: runs exactly once per module on the deciding
-            // thread — apply a timeout, then report progress and trip
-            // fail-fast.
-            |idx, timed_out: &Option<Duration>| {
-                let id = tasks[idx].id.as_str();
-                let status = {
-                    let mut table = lock(&table);
-                    if let Some(elapsed) = timed_out {
-                        let elapsed_ms = elapsed.as_millis() as u64;
-                        if table.time_out(id, elapsed_ms, deadline_ms) {
+        // Records module `idx` as decided, with the status the table
+        // states for it: progress, then fail-fast.
+        let decide = |board: &mut Board, idx: usize| {
+            board.decided += 1;
+            let status = board.table.status(&tasks[idx].id);
+            if let Some(progress) = &self.progress {
+                progress.record_status(&status);
+            }
+            if self.fail_fast && !status.is_success() {
+                campaign_token.cancel();
+            }
+        };
+
+        // Every module is known before the pool starts: a worker takes
+        // the next one by bumping the cursor, and its queue wait is
+        // simply take time minus pool start. The cursor publishes no
+        // other data (the board has its lock), so it is `Relaxed`.
+        let next = AtomicUsize::new(0);
+        let pool_start = Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..self.executor.max_workers.min(n).max(1) {
+                s.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        break;
+                    }
+                    if rh_obs::enabled() {
+                        let wait_ns =
+                            u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
+                    }
+                    rh_obs::gauge(names::EXECUTOR_QUEUE_DEPTH, (n - idx - 1) as f64);
+                    let task = &tasks[idx];
+                    if campaign_token.is_cancelled() {
+                        // Cancelled while still queued: never runs.
+                        rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                        rh_obs::event!(
+                            names::CAMPAIGN_CANCELLED,
+                            module = task.id.as_str(),
+                            ran = false,
+                        );
+                        decide(&mut lock(&board), idx);
+                        continue;
+                    }
+                    // The table states an unfinished job as `Cancelled`;
+                    // a module the checkpoint already finished is skipped.
+                    let unfinished = {
+                        let mut board = lock(&board);
+                        board.started[idx] = Some(Instant::now());
+                        matches!(board.table.status(&task.id), ModuleStatus::Cancelled { .. })
+                    };
+                    {
+                        let _running = self.progress.as_ref().map(ProgressTracker::running_guard);
+                        if unfinished {
+                            self.run_one(task, &f, &tokens[idx], &board);
+                        } else {
+                            rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = task.id.as_str());
+                        }
+                    }
+                    // Unless the watchdog already timed the module out,
+                    // this worker decides it.
+                    let mut board = lock(&board);
+                    if board.started[idx].take().is_some() {
+                        decide(&mut board, idx);
+                    }
+                });
+            }
+
+            if let Some(deadline) = &self.executor.module_deadline {
+                s.spawn(|| {
+                    let deadline = *deadline;
+                    let mut span = rh_obs::span(names::EXECUTOR_WATCHDOG);
+                    let deadline_ms = deadline.as_millis() as u64;
+                    let mut ticks = 0u64;
+                    let mut timeouts = 0u64;
+                    while lock(&board).decided < n {
+                        std::thread::sleep(WATCHDOG_INTERVAL);
+                        ticks += 1;
+                        let mut board = lock(&board);
+                        for idx in 0..n {
+                            let Some(t0) = board.started[idx] else { continue };
+                            let elapsed = t0.elapsed();
+                            let elapsed_ms = elapsed.as_millis() as u64;
+                            let id = tasks[idx].id.as_str();
+                            if elapsed <= deadline
+                                || !board.table.time_out(id, elapsed_ms, deadline_ms)
+                            {
+                                continue;
+                            }
+                            // Decided here: the worker's late commit
+                            // turns stale, and it unwinds at its next
+                            // cancel check.
+                            board.started[idx] = None;
+                            tokens[idx].cancel();
+                            timeouts += 1;
                             rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
                             rh_obs::event!(
                                 names::CAMPAIGN_TIMEOUT,
@@ -429,22 +547,19 @@ impl CampaignRunner {
                                 elapsed_ms = elapsed_ms,
                                 deadline_ms = deadline_ms,
                             );
+                            decide(&mut board, idx);
                         }
                     }
-                    table.status(id)
-                };
-                if let Some(progress) = &self.progress {
-                    progress.record_status(&status);
-                }
-                if self.fail_fast && !status.is_success() {
-                    campaign_token.cancel();
-                }
-            },
-        );
+                    span.set("ticks", ticks);
+                    span.set("timeouts", timeouts);
+                    span.set("deadline_ms", deadline_ms);
+                });
+            }
+        });
 
         let mut outcomes = Vec::with_capacity(tasks.len());
         let mut results = Vec::new();
-        let table = table.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let table = board.into_inner().unwrap_or_else(PoisonError::into_inner).table;
         for (outcome, value) in table.outcomes() {
             if let Some(v) = value {
                 let t = T::from_owned_json_value(v).map_err(|e| CharError::Checkpoint {
@@ -467,7 +582,7 @@ impl CampaignRunner {
         task: &ModuleTask<'_>,
         f: &F,
         token: &CancelToken,
-        table: &Mutex<JobTable>,
+        board: &Mutex<Board>,
     ) where
         T: Serialize,
         F: Fn(&mut Characterizer) -> Result<T, CharError>,
@@ -486,7 +601,7 @@ impl CampaignRunner {
                 );
                 break "cancelled";
             }
-            let Ok(grant) = lock(table).grant(&task.id, "local", 0) else { break "timed_out" };
+            let Ok(grant) = lock(board).table.grant(&task.id, "local", 0) else { break "timed_out" };
             attempt = grant.generation;
             let attempt_result = {
                 let mut attempt_span = rh_obs::span(names::CAMPAIGN_ATTEMPT);
@@ -500,7 +615,7 @@ impl CampaignRunner {
             };
             let err = match attempt_result {
                 Ok(t) => {
-                    if lock(table).commit(grant.lease_id, t.to_json_value())
+                    if lock(board).table.commit(grant.lease_id, t.to_json_value())
                         != CommitOutcome::Committed
                     {
                         break "timed_out";
@@ -530,7 +645,7 @@ impl CampaignRunner {
                 Err(e) => e,
             };
             let error = err.to_string();
-            let outcome = lock(table).fail(grant.lease_id, &error, err.is_transient(), 0);
+            let outcome = lock(board).table.fail(grant.lease_id, &error, err.is_transient(), 0);
             match outcome {
                 FailOutcome::Retrying { backoff_ms } => {
                     rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
@@ -567,7 +682,7 @@ mod tests {
     use crate::Scale;
     use rh_dram::Manufacturer;
     use rh_softmc::TestBench;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     fn smoke_task(seed: u64) -> ModuleTask<'static> {
         ModuleTask::new(module_id(Manufacturer::D, seed), move |_attempt, cancel| {
@@ -579,6 +694,182 @@ mod tests {
 
     fn transient() -> CharError {
         CharError::Infra(rh_softmc::SoftMcError::HostLink { op: "test".into() })
+    }
+
+    /// A module that runs `body` and then fails for keeps, so the pool
+    /// can be exercised without building a bench.
+    fn probe_task<'a>(i: u64, body: impl Fn() + Send + Sync + 'a) -> ModuleTask<'a> {
+        ModuleTask::new(format!("probe-{i:03}"), move |_attempt, _token| {
+            body();
+            Err(CharError::Infra(rh_softmc::SoftMcError::Unresponsive { after_ops: 0 }))
+        })
+    }
+
+    #[test]
+    fn live_modules_never_exceed_max_workers() {
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let tasks = (0..100)
+            .map(|i| {
+                probe_task(i, || {
+                    peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(1));
+                    live.fetch_sub(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(4))
+            .run(tasks, |_| panic!("a probe module never builds"))
+            .unwrap();
+        assert_eq!(out.report.quarantined, 100);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=4).contains(&peak), "{peak} modules live at once with max_workers=4");
+    }
+
+    #[test]
+    fn zero_workers_still_completes() {
+        // max_workers is clamped to ≥ 1.
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(0))
+            .run((100..103).map(smoke_task).collect(), |ch| Ok(ch.bench().module_seed()))
+            .unwrap();
+        assert!(out.report.is_clean());
+        assert_eq!(out.results.iter().map(|(_, s)| *s).collect::<Vec<_>>(), [100, 101, 102]);
+    }
+
+    #[test]
+    fn a_slow_module_does_not_serialize_the_rest() {
+        // Module 0 waits for the eleven others; on a serialized pool it
+        // would wait out its whole budget.
+        let finished = AtomicUsize::new(0);
+        let waited_out = AtomicBool::new(false);
+        let tasks = (0..12)
+            .map(|i| {
+                let (finished, waited_out) = (&finished, &waited_out);
+                probe_task(i, move || {
+                    if i > 0 {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        return;
+                    }
+                    let start = Instant::now();
+                    while finished.load(Ordering::SeqCst) < 11 {
+                        if start.elapsed() > Duration::from_secs(10) {
+                            waited_out.store(true, Ordering::SeqCst);
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                })
+            })
+            .collect();
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(2))
+            .run(tasks, |_| panic!("a probe module never builds"))
+            .unwrap();
+        assert_eq!(out.report.quarantined, 12);
+        assert!(!waited_out.load(Ordering::SeqCst), "the other worker never ran around the slow module");
+    }
+
+    #[test]
+    fn cancelling_the_root_resolves_queued_modules_without_running_them() {
+        let root = CancelToken::new();
+        let ran = AtomicUsize::new(0);
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(1))
+            .with_cancel(root.clone())
+            .run((110..120).map(smoke_task).collect(), |ch| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                // The first module trips the campaign-wide cancel.
+                root.cancel();
+                Ok(ch.bench().module_seed())
+            })
+            .unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(out.results, vec![(module_id(Manufacturer::D, 110), 110)]);
+        assert_eq!(out.report.cancelled, 9);
+        assert!(out.report.outcomes[1..]
+            .iter()
+            .all(|o| o.status == ModuleStatus::Cancelled { attempts: 0 }));
+    }
+
+    /// A smoke module whose bench gets its task token only after setup,
+    /// so the deadline can interrupt `f` but never the build.
+    fn late_token_task(seed: u64) -> ModuleTask<'static> {
+        ModuleTask::new(module_id(Manufacturer::D, seed), move |_attempt, token| {
+            let mut ch = Characterizer::new(TestBench::new(Manufacturer::D, seed), Scale::Smoke)?;
+            ch.bench_mut().set_cancel_token(token.clone());
+            Ok(ch)
+        })
+    }
+
+    #[test]
+    fn run_joins_a_timed_out_module_and_drops_its_late_result() {
+        let progress = Arc::new(ProgressTracker::new());
+        let unwound = Mutex::new(None);
+        let out: CampaignOutput<u64> = CampaignRunner::new()
+            .with_executor(ExecutorConfig::with_workers(2).with_deadline(Duration::from_secs(2)))
+            .with_progress(Arc::clone(&progress))
+            .run((130..133).map(late_token_task).collect(), |ch| {
+                let seed = ch.bench().module_seed();
+                if seed == 130 {
+                    // Wedge until the watchdog cancels the task token,
+                    // then unwind slowly and return a late `Ok`.
+                    while ch.bench().check_cancelled("wedge").is_ok() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(200));
+                    *lock(&unwound) = Some(Instant::now());
+                }
+                Ok(seed)
+            })
+            .unwrap();
+        let returned = Instant::now();
+        let unwound = lock(&unwound).expect("the watchdog never cancelled the wedged module");
+        assert!(unwound <= returned, "run returned before the timed-out module unwound");
+        assert!(matches!(
+            out.report.outcomes[0].status,
+            ModuleStatus::TimedOut { deadline_ms: 2_000, .. }
+        ));
+        assert_eq!(out.results.iter().map(|(_, s)| *s).collect::<Vec<_>>(), [131, 132]);
+        let snap = progress.snapshot();
+        assert_eq!((snap.succeeded, snap.timed_out, snap.running), (2, 1, 0));
+    }
+
+    #[test]
+    fn progress_sees_each_module_once_when_worker_and_watchdog_race() {
+        // Module i runs for one bench build plus 2·i ms against a
+        // deadline of one build plus 3 ms, so the watchdog's timeout and
+        // the worker's commit or failure land close together.
+        let t0 = Instant::now();
+        Characterizer::new(TestBench::new(Manufacturer::D, 140), Scale::Smoke).unwrap();
+        let deadline = t0.elapsed() + Duration::from_millis(3);
+        for round in 0..20u64 {
+            let progress = Arc::new(ProgressTracker::new());
+            let tasks = (140..148).map(smoke_task).collect();
+            let out: CampaignOutput<u64> = CampaignRunner::new()
+                .with_executor(ExecutorConfig::with_workers(3).with_deadline(deadline))
+                .with_progress(Arc::clone(&progress))
+                .run(tasks, |ch| {
+                    let seed = ch.bench().module_seed();
+                    std::thread::sleep(Duration::from_millis(2 * (seed - 140)));
+                    if (seed + round) % 3 == 0 {
+                        return Err(CharError::Infra(rh_softmc::SoftMcError::Unresponsive {
+                            after_ops: 1,
+                        }));
+                    }
+                    Ok(seed)
+                })
+                .unwrap();
+            let snap = progress.snapshot();
+            let r = &out.report;
+            assert_eq!((snap.total, snap.completed(), snap.running), (8, 8, 0), "round {round}");
+            assert_eq!(
+                (snap.succeeded, snap.recovered, snap.quarantined, snap.timed_out, snap.cancelled),
+                (r.succeeded, r.recovered, r.quarantined, r.timed_out, r.cancelled),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

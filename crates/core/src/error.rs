@@ -39,6 +39,13 @@ pub enum CharError {
         /// The panic payload, if it was a string.
         detail: String,
     },
+    /// A request names something that does not exist or does not
+    /// decode: an unknown target, a malformed fleet payload or replay
+    /// token. Never transient: the same input fails the same way.
+    InvalidInput {
+        /// What was wrong with the input.
+        detail: String,
+    },
     /// Reading or writing a campaign checkpoint failed.
     Checkpoint {
         /// What went wrong (I/O errors are not `Clone`, so the message
@@ -93,6 +100,7 @@ impl fmt::Display for CharError {
             CharError::WorkerPanicked { detail } => {
                 write!(f, "campaign worker panicked: {detail}")
             }
+            CharError::InvalidInput { detail } => write!(f, "invalid input: {detail}"),
             CharError::Checkpoint { detail } => {
                 write!(f, "campaign checkpoint error: {detail}")
             }
@@ -151,6 +159,10 @@ mod tests {
         assert_eq!(p.to_string(), "campaign worker panicked: index out of bounds");
         assert!(Error::source(&p).is_none());
         assert!(!p.is_transient());
+
+        let i = CharError::InvalidInput { detail: "unknown repro target 'fig99'".into() };
+        assert_eq!(i.to_string(), "invalid input: unknown repro target 'fig99'");
+        assert!(!i.is_transient());
 
         let c = CharError::Checkpoint { detail: "bad JSON at byte 7".into() };
         assert_eq!(c.to_string(), "campaign checkpoint error: bad JSON at byte 7");

@@ -9,7 +9,7 @@ use crate::metrics::{Characterizer, BER_HAMMERS};
 use rh_dram::RowAddr;
 use rh_obs::names;
 use rh_stats::{
-    coefficient_of_variation, ks_statistic, normalized_bhattacharyya, pearson, percentile,
+    coefficient_of_variation, ks_statistic, normalized_bhattacharyya, percentile,
     Histogram2d, LinearFit,
 };
 use serde::{Deserialize, Serialize};
@@ -265,14 +265,6 @@ pub struct SimilarityCdf {
     pub cross_module_ks: Vec<f64>,
 }
 
-impl SimilarityCdf {
-    /// 5th percentile of a population (the paper annotates P5/P95), or
-    /// `None` when no pairs were collected.
-    pub fn p5(xs: &[f64]) -> Option<f64> {
-        percentile(xs, 5.0)
-    }
-}
-
 /// Computes the Fig. 15 populations from per-module subarray samples
 /// (pure).
 pub fn subarray_similarity(per_module: &[Vec<SubarrayPoint>]) -> SimilarityCdf {
@@ -312,14 +304,6 @@ pub fn subarray_similarity(per_module: &[Vec<SubarrayPoint>]) -> SimilarityCdf {
         same_module_ks: same_ks,
         cross_module_ks: cross_ks,
     }
-}
-
-/// Pearson correlation of the Fig.-14 min-vs-avg relation (a secondary
-/// check alongside the OLS fit's R²).
-pub fn subarray_correlation(points: &[SubarrayPoint]) -> Option<f64> {
-    let xs: Vec<f64> = points.iter().map(|p| p.avg).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.min).collect();
-    pearson(&xs, &ys)
 }
 
 #[cfg(test)]

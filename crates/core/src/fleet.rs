@@ -9,7 +9,7 @@
 //! and guarantees that every module commits **exactly one** result no
 //! matter how many workers raced on it. It has two transports:
 //! [`CampaignRunner`](crate::CampaignRunner) runs each lease on an
-//! in-process executor slot, and `rh_bench::fleet` ships leases to
+//! in-process worker thread, and `rh_bench::fleet` ships leases to
 //! `repro serve` workers over HTTP. Each transport emits its own
 //! telemetry (`campaign.*` or `fleet.*`); the table emits only what
 //! is common to both, such as checkpoint saves.

@@ -27,10 +27,9 @@
 //!   figure.
 //! * [`campaign`] — resilient multi-module campaigns: bounded retry
 //!   with deterministic backoff, quarantine of sick modules, partial
-//!   results, and JSON checkpoint/resume.
-//! * [`executor`] — the supervised execution layer campaigns run on: a
-//!   bounded worker pool with per-module wall-clock
-//!   deadlines (watchdog) and cooperative cancellation.
+//!   results, and JSON checkpoint/resume, on a bounded worker pool
+//!   with per-module wall-clock deadlines (watchdog) and cooperative
+//!   cancellation.
 //! * [`fleet`] — the coordinator-side job table and lease state
 //!   machine for multi-process campaigns: leases with heartbeats,
 //!   re-dispatch on expiry, at-most-once result commit, and
@@ -54,7 +53,6 @@
 pub mod campaign;
 pub mod config;
 pub mod error;
-pub mod executor;
 pub mod experiments;
 pub mod fleet;
 pub mod mapping_re;
@@ -66,7 +64,7 @@ pub mod wcdp;
 
 pub use campaign::{
     module_id, verify_checkpoint, CampaignOutput, CampaignReport, CampaignRunner,
-    ModuleOutcome, ModuleStatus, ModuleTask, RetryPolicy,
+    ExecutorConfig, ModuleOutcome, ModuleStatus, ModuleTask, RetryPolicy,
 };
 pub use config::{Scale, TestPlan};
 pub use error::CharError;
@@ -74,6 +72,5 @@ pub use fleet::{
     fnv1a64, mint_replay_token, CommitOutcome, FailOutcome,
     FleetModuleOutcome, FleetPolicy, FleetReport, JobGrant, JobTable, LeaseState, ReplayToken,
 };
-pub use executor::ExecutorConfig;
 pub use metrics::{BerMeasurement, Characterizer};
 pub use progress::{ProgressSnapshot, ProgressTracker};

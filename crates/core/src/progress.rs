@@ -4,7 +4,7 @@
 //! A [`ProgressTracker`] is shared (as an `Arc`) between a
 //! [`CampaignRunner`](crate::campaign::CampaignRunner) — which admits
 //! the module total, marks modules running via RAII guards, and
-//! records terminal statuses from the executor's commit hook — and
+//! records each terminal status where the job table decides it — and
 //! whatever wants to watch the campaign: the telemetry server's
 //! `/progress` endpoint, `repro top`, or a test. Every state change
 //! also publishes the `campaign.progress.*` gauges and, rate-limited,
@@ -189,7 +189,8 @@ impl ProgressTracker {
     }
 
     /// Records one module's terminal status. Call exactly once per
-    /// module (the executor's commit hook has exactly that shape).
+    /// module (the campaign runner records under the job table's lock,
+    /// where the module's outcome is decided).
     pub fn record_status(&self, status: &ModuleStatus) {
         let mut inner = self.lock();
         match status {

@@ -59,21 +59,13 @@ pub struct DefenseSim {
     bench: TestBench,
     mapping: RowMapping,
     bank: BankId,
-    /// Interval between simulated REF commands (ps); `None` withholds
-    /// refresh entirely (the characterization mode).
-    refresh_interval: Option<Picos>,
 }
 
 impl DefenseSim {
     /// Creates a simulator on a fresh test bench.
     pub fn new(bench: TestBench) -> Self {
         let mapping = bench.module().config().mapping;
-        Self { bench, mapping, bank: BankId(0), refresh_interval: Some(7_800_000) }
-    }
-
-    /// Sets (or disables) the periodic REF stream.
-    pub fn set_refresh_interval(&mut self, interval: Option<Picos>) {
-        self.refresh_interval = interval;
+        Self { bench, mapping, bank: BankId(0) }
     }
 
     /// The underlying bench.
@@ -206,7 +198,7 @@ impl DefenseSim {
             duration: 0,
         };
         let mut now: Picos = 0;
-        let mut next_ref = self.refresh_interval.unwrap_or(Picos::MAX);
+        let mut next_ref = timing.t_refi;
         let step = timing.t_ras + timing.t_rp;
         'attack: for _ in 0..hammers {
             for (i, &phys) in aggressors.iter().enumerate() {
@@ -216,7 +208,7 @@ impl DefenseSim {
                 while now >= next_ref {
                     let acts = defense.on_ref();
                     self.apply_actions(acts, victim, &mut now, &mut outcome, &mut backlog)?;
-                    next_ref += self.refresh_interval.unwrap_or(Picos::MAX);
+                    next_ref += timing.t_refi;
                 }
                 match replay {
                     Replay::Bulk => backlog.n += 1,

@@ -244,11 +244,6 @@ impl DramModule {
         self.now
     }
 
-    /// Mutable access to the installed disturbance model.
-    pub fn model_mut(&mut self) -> &mut dyn DisturbanceModel {
-        self.model.as_mut()
-    }
-
     /// Shared access to the installed disturbance model.
     pub fn model(&self) -> &dyn DisturbanceModel {
         self.model.as_ref()

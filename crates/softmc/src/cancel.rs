@@ -10,8 +10,8 @@
 //!
 //! Tokens form a tree: [`CancelToken::child`] derives a token that
 //! trips when either it *or any ancestor* is cancelled. A campaign
-//! holds the root (wired to SIGINT/SIGTERM in `repro`); the executor
-//! hands each module task a child so a watchdog can cancel one
+//! holds the root (wired to SIGINT/SIGTERM in `repro`); the campaign
+//! runner hands each module task a child so a watchdog can cancel one
 //! overrunning module without touching its siblings.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -87,11 +87,6 @@ impl TestBench {
         self.temperature.set_sensor_fault(plan.sensor_fault_for(self.module_seed));
     }
 
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     /// Installs a cooperative cancellation token. Every subsequent
     /// bench operation checks it at its command boundary and unwinds
     /// with [`SoftMcError::Cancelled`] once it fires. Supervised

@@ -156,30 +156,6 @@ impl Program {
             .unwrap_or_else(|e| unreachable!("builder produced invalid hammer loop: {e}"))
     }
 
-    /// A single-sided hammer loop: repeatedly activate one aggressor
-    /// row (used for row-mapping reverse engineering, §4.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn single_sided_hammer(
-        bank: BankId,
-        aggressor: RowAddr,
-        count: u64,
-        t_on: Picos,
-        t_off: Picos,
-    ) -> Self {
-        assert!(count > 0, "hammer count must be positive");
-        let body = vec![
-            Instr::Act { bank, row: aggressor },
-            Instr::Wait { ps: t_on },
-            Instr::Pre { bank },
-            Instr::Wait { ps: t_off },
-        ];
-        Self::new(vec![Instr::Loop { count, body }])
-            .unwrap_or_else(|e| unreachable!("builder produced invalid hammer loop: {e}"))
-    }
-
     /// The Aggressor-On attack sequence of §8.1 Improvement 3: each
     /// activation is followed by `reads` column READs (at tCCD spacing),
     /// which keeps the aggressor row open ≈5× longer while looking like
