@@ -1,7 +1,7 @@
 //! RowHammer access patterns and a uniform attack executor.
 
 use rh_core::{CharError, Characterizer};
-use rh_dram::{Picos, RowAddr};
+use rh_dram::{Picos, RowAddr, RowFill};
 use serde::{Deserialize, Serialize};
 
 /// How the attacker arranges aggressor rows around the victim.
@@ -84,9 +84,8 @@ pub fn execute(
             .hammer_single_sided(bank, logical, hammers, Some(t_on), Some(t_off))?;
     }
     let logical = ch.logical_of(victim);
-    let read = ch.bench_mut().module_mut().read_row_direct(bank, logical)?;
-    let expect = data.row_fill(victim, 0, read.len());
-    let flips = rh_dram::count_flips(&read, &expect);
+    let read = ch.bench_mut().module_mut().read_row_view(bank, logical)?;
+    let flips = read.count_flips(RowFill::new(data, victim, 0));
     let duration = hammers * aggressors.len() as u64 * (t_on + t_off);
     Ok(AttackOutcome { flips, hammers, duration })
 }

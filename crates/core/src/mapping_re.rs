@@ -6,7 +6,7 @@
 
 use crate::config::Scale;
 use crate::error::CharError;
-use rh_dram::{BankId, DataPattern, PatternKind, RowAddr, RowMapping};
+use rh_dram::{BankId, DataPattern, PatternKind, RowAddr, RowFill, RowMapping};
 use rh_softmc::TestBench;
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +48,6 @@ pub fn observe_adjacencies(
     // orientation: every cell's susceptible value is present in one of
     // the two fills, and we count any mismatch.
     let pattern = DataPattern::new(PatternKind::Checkered, 0);
-    let row_bytes = bench.module().row_bytes();
     let mut out = Vec::with_capacity(count as usize);
     for i in 0..count {
         let aggressor = RowAddr(512 + 9 * i);
@@ -57,8 +56,7 @@ pub fn observe_adjacencies(
         // each row against its own written fill below.
         for d in -WINDOW..=WINDOW {
             let row = aggressor.offset(d);
-            let fill = pattern.row_fill(row, d, row_bytes);
-            bench.module_mut().write_row_direct(bank, row, &fill)?;
+            bench.module_mut().write_row_fill(bank, row, RowFill::new(pattern, row, d))?;
         }
         bench.hammer_single_sided(bank, aggressor, RE_HAMMERS, None, None)?;
         // Count flips in each window row.
@@ -68,9 +66,8 @@ pub fn observe_adjacencies(
                 continue;
             }
             let row = aggressor.offset(d);
-            let read = bench.module_mut().read_row_direct(bank, row)?;
-            let expect = pattern.row_fill(row, d, row_bytes);
-            let n = rh_dram::count_flips(&read, &expect);
+            let read = bench.module_mut().read_row_view(bank, row)?;
+            let n = read.count_flips(RowFill::new(pattern, row, d));
             if n > 0 {
                 flips.push((n, row));
             }

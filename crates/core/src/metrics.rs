@@ -7,7 +7,7 @@ use crate::config::Scale;
 use crate::error::CharError;
 use crate::mapping_re;
 use crate::wcdp;
-use rh_dram::{BankId, DataPattern, Picos, RowAddr, RowMapping};
+use rh_dram::{BankId, DataPattern, Picos, RowAddr, RowFill, RowMapping};
 use rh_softmc::TestBench;
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
@@ -133,12 +133,11 @@ impl Characterizer {
         if (victim_phys.0 as i64) < radius || victim_phys.0 as i64 + radius >= rows as i64 {
             return Err(CharError::VictimOutOfRange { row: victim_phys.0 });
         }
-        let row_bytes = self.bench.module().row_bytes();
         for d in -radius..=radius {
             let phys = RowAddr((victim_phys.0 as i64 + d) as u32);
             let logical = self.mapping.physical_to_logical(phys);
-            let fill = pattern.row_fill(phys, d, row_bytes);
-            self.bench.module_mut().write_row_direct(self.bank, logical, &fill)?;
+            let fill = RowFill::new(pattern, phys, d);
+            self.bench.module_mut().write_row_fill(self.bank, logical, fill)?;
         }
         Ok(())
     }
@@ -171,9 +170,8 @@ impl Characterizer {
     ) -> Result<u64, CharError> {
         let phys = RowAddr((victim_phys.0 as i64 + d) as u32);
         let logical = self.mapping.physical_to_logical(phys);
-        let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        let expect = pattern.row_fill(phys, d, read.len());
-        Ok(rh_dram::count_flips(&read, &expect))
+        let read = self.bench.module_mut().read_row_view(self.bank, logical)?;
+        Ok(read.count_flips(RowFill::new(pattern, phys, d)))
     }
 
     /// One double-sided hammer test (§4.2): writes the neighborhood,
@@ -227,9 +225,8 @@ impl Characterizer {
     ) -> Result<Vec<(u32, u8)>, CharError> {
         self.write_and_hammer(victim_phys, pattern, hammers, None, None)?;
         let logical = self.mapping.physical_to_logical(victim_phys);
-        let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        let expect = pattern.row_fill(victim_phys, 0, read.len());
-        Ok(rh_dram::flip_positions(&read, &expect))
+        let read = self.bench.module_mut().read_row_view(self.bank, logical)?;
+        Ok(read.flip_positions(RowFill::new(pattern, victim_phys, 0)))
     }
 
     /// Whether a single double-sided test at `hammers` flips any bit in
@@ -528,7 +525,7 @@ mod tests {
     }
 
     fn victim_bytes(ch: &Characterizer, row: RowAddr) -> Vec<u8> {
-        ch.bench().module().peek_row(ch.bank(), ch.logical_of(row)).unwrap().to_vec()
+        ch.bench().module().peek_row(ch.bank(), ch.logical_of(row)).unwrap()
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::config::Scale;
 use crate::error::CharError;
-use rh_dram::{BankId, DataPattern, PatternKind, RowAddr, RowMapping};
+use rh_dram::{BankId, DataPattern, PatternKind, RowAddr, RowFill, RowMapping};
 use rh_softmc::TestBench;
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +75,6 @@ pub fn score_patterns(
     bank: BankId,
     scale: Scale,
 ) -> Result<Vec<PatternScore>, CharError> {
-    let row_bytes = bench.module().row_bytes();
     let radius = scale.neighborhood_radius() as i64;
     let seed = bench.module_seed();
     let victims = victim_sample(bench.module().geometry().rows_per_bank, scale)?;
@@ -87,16 +86,14 @@ pub fn score_patterns(
             for d in -radius..=radius {
                 let phys = RowAddr((victim.0 as i64 + d) as u32);
                 let logical = mapping.physical_to_logical(phys);
-                let fill = pattern.row_fill(phys, d, row_bytes);
-                bench.module_mut().write_row_direct(bank, logical, &fill)?;
+                bench.module_mut().write_row_fill(bank, logical, RowFill::new(pattern, phys, d))?;
             }
             let left = mapping.physical_to_logical(RowAddr(victim.0 - 1));
             let right = mapping.physical_to_logical(RowAddr(victim.0 + 1));
             bench.hammer_double_sided(bank, left, right, WCDP_HAMMERS, None, None)?;
             let logical = mapping.physical_to_logical(victim);
-            let read = bench.module_mut().read_row_direct(bank, logical)?;
-            let expect = pattern.row_fill(victim, 0, row_bytes);
-            flips += rh_dram::count_flips(&read, &expect);
+            let read = bench.module_mut().read_row_view(bank, logical)?;
+            flips += read.count_flips(RowFill::new(pattern, victim, 0));
         }
         scores.push(PatternScore { kind, flips });
     }

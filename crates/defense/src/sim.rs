@@ -7,10 +7,19 @@
 //! improvements do).
 
 use crate::traits::{Defense, DefenseAction};
-use rh_dram::{BankId, DramError, DramModule, Picos, RowAddr, RowMapping};
+use rh_dram::{
+    BankId, DataPattern, DramError, DramModule, PatternKind, Picos, RowAddr, RowFill, RowMapping,
+};
 use rh_softmc::{SoftMcError, TestBench};
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
+
+/// An all-zeros row: rowstripe writes 0x00 at even distance.
+const ZEROS: RowFill = RowFill {
+    pattern: DataPattern { kind: PatternKind::Rowstripe, seed: 0 },
+    row: RowAddr(0),
+    distance: 0,
+};
 
 /// The outcome of one attack-vs-defense run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,13 +177,12 @@ impl DefenseSim {
     ) -> Result<DefenseOutcome, SoftMcError> {
         let timing = self.bench.module().config().timing;
         let budget = time_budget.unwrap_or(timing.t_refw);
-        let row_bytes = self.bench.module().row_bytes();
         // Victim neighborhood: all zeros (anti-cells flip).
         let reach = 2 * i64::from(pairs);
         for d in -reach..=reach {
             let phys = victim.offset(d);
             let logical = self.mapping.physical_to_logical(phys);
-            self.bench.module_mut().write_row_direct(self.bank, logical, &vec![0u8; row_bytes])?;
+            self.bench.module_mut().write_row_fill(self.bank, logical, ZEROS)?;
         }
         let mut aggressors = Vec::with_capacity(2 * pairs as usize);
         for d in 1..=i64::from(pairs) {
@@ -229,8 +237,8 @@ impl DefenseSim {
         backlog.flush(self.bench.module_mut(), self.bank)?;
         outcome.duration = now;
         let logical = self.mapping.physical_to_logical(victim);
-        let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = rh_dram::count_flips(&read, &vec![0u8; read.len()]);
+        let read = self.bench.module_mut().read_row_view(self.bank, logical)?;
+        outcome.victim_flips = read.count_flips(ZEROS);
         Ok(outcome)
     }
 }

@@ -3,6 +3,7 @@
 //! eight physically-adjacent rows on each side.
 
 use crate::geometry::RowAddr;
+use crate::row::RowView;
 use serde::{Deserialize, Serialize};
 
 /// One of the seven data patterns used by the paper's characterization
@@ -95,97 +96,130 @@ impl DataPattern {
     /// Produces the full row fill for the physical row `row` at signed
     /// `distance` from the victim row.
     pub fn row_fill(self, row: RowAddr, distance: i64, row_bytes: usize) -> Vec<u8> {
-        match self.fill_byte(distance) {
-            Some(b) => vec![b; row_bytes],
-            None => {
-                // Deterministic per-row pseudo-random stream (splitmix64).
-                let mut state = self
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(u64::from(row.0).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-                let mut out = Vec::with_capacity(row_bytes);
-                while out.len() < row_bytes {
-                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    z ^= z >> 31;
-                    out.extend_from_slice(&z.to_le_bytes());
-                }
-                out.truncate(row_bytes);
-                out
-            }
-        }
+        FillWords::of(self, row, distance).bytes(row_bytes)
+    }
+
+    /// Word `k` of [`row_fill`](Self::row_fill): its bytes `8k..8k + 8`
+    /// as a little-endian `u64`, in O(1) for every pattern.
+    pub fn fill_word(self, row: RowAddr, distance: i64, k: u32) -> u64 {
+        FillWords::of(self, row, distance).word(k)
     }
 
     /// The bit stored by this pattern at (`row` at `distance`,
     /// byte `byte`, bit `bit`): `true` = 1.
     pub fn bit_at(self, row: RowAddr, distance: i64, byte: usize, bit: u8) -> bool {
-        match self.fill_byte(distance) {
-            Some(b) => (b >> bit) & 1 == 1,
-            None => {
-                let fill = self.row_fill(row, distance, byte + 1);
-                (fill[byte] >> bit) & 1 == 1
+        let word = self.fill_word(row, distance, (byte / 8) as u32);
+        (word >> ((byte % 8) * 8 + usize::from(bit))) & 1 == 1
+    }
+}
+
+/// The word generator of one row fill: a splatted uniform byte, or the
+/// origin of the row's splitmix64 stream. Splitmix64 is counter-based,
+/// so word `k` of the random pattern is the mix of `origin + (k + 1) ·
+/// γ`, with no walk over the words before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FillWords {
+    /// Every byte of the row is the same.
+    Uniform(u64),
+    /// The per-row pseudo-random stream of [`PatternKind::Random`].
+    Random(u64),
+}
+
+/// Splitmix64's increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl FillWords {
+    pub(crate) fn of(pattern: DataPattern, row: RowAddr, distance: i64) -> Self {
+        match pattern.fill_byte(distance) {
+            Some(b) => FillWords::Uniform(u64::from_le_bytes([b; 8])),
+            None => FillWords::Random(
+                pattern
+                    .seed
+                    .wrapping_mul(GAMMA)
+                    .wrapping_add(u64::from(row.0).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+            ),
+        }
+    }
+
+    /// The fill's first `len` bytes.
+    pub(crate) fn bytes(self, len: usize) -> Vec<u8> {
+        match self {
+            FillWords::Uniform(w) => vec![w as u8; len],
+            FillWords::Random(_) => {
+                let mut out = Vec::with_capacity(len.next_multiple_of(8));
+                for k in 0..len.div_ceil(8) as u32 {
+                    out.extend_from_slice(&self.word(k).to_le_bytes());
+                }
+                out.truncate(len);
+                out
+            }
+        }
+    }
+
+    /// Word `k` of the fill (bytes `8k..8k + 8`, little-endian).
+    #[inline]
+    pub(crate) fn word(self, k: u32) -> u64 {
+        match self {
+            FillWords::Uniform(w) => w,
+            FillWords::Random(origin) => {
+                let mut z = origin.wrapping_add((u64::from(k) + 1).wrapping_mul(GAMMA));
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
             }
         }
     }
 }
 
+/// A row written with a data pattern, as its descriptor: the `pattern`,
+/// the `row` whose address seeds the random stream, and the signed
+/// `distance` from the victim that picks the fill byte. It stands for
+/// the bytes `pattern.row_fill(row, distance, row_bytes)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RowFill {
+    /// The Table-1 pattern.
+    pub pattern: DataPattern,
+    /// The row passed to [`DataPattern::row_fill`] (usually physical).
+    pub row: RowAddr,
+    /// Signed distance from the victim row.
+    pub distance: i64,
+}
+
+impl RowFill {
+    /// The fill `pattern.row_fill(row, distance, _)`.
+    pub fn new(pattern: DataPattern, row: RowAddr, distance: i64) -> Self {
+        Self { pattern, row, distance }
+    }
+
+    pub(crate) fn words(self) -> FillWords {
+        FillWords::of(self.pattern, self.row, self.distance)
+    }
+
+    /// The fill's bytes for a row of `row_bytes`.
+    pub fn bytes(self, row_bytes: usize) -> Vec<u8> {
+        self.pattern.row_fill(self.row, self.distance, row_bytes)
+    }
+}
+
 /// Number of bits that differ between a read row and its expected fill.
 ///
-/// This and [`flip_positions`] are the one row-diff kernel every
-/// metric ends in: the rows are compared as little-endian `u64` words,
-/// equal words are skipped and only differing words are popcounted. The
-/// baseline x86-64 target has no POPCNT instruction, so a byte-wise
-/// `(a ^ b).count_ones()` loop costs 8–12 µs per 8 KiB row, against
-/// under 1 µs word-wise. Rows of unequal length are compared over the
-/// shorter one.
+/// This, [`flip_positions`] and the diffs of [`RowView`] are the one
+/// row-diff kernel every metric ends in: the rows are compared as
+/// little-endian `u64` words, equal words are skipped and only
+/// differing words are popcounted. The baseline x86-64 target has no
+/// POPCNT instruction, so a byte-wise `(a ^ b).count_ones()` loop costs
+/// 8–12 µs per 8 KiB row, against under 1 µs word-wise. Rows of unequal
+/// length are compared over the shorter one.
+///
+/// [`RowView`]: crate::RowView
 pub fn count_flips(read: &[u8], expect: &[u8]) -> u64 {
-    let mut n = 0u64;
-    for_each_diff_word(read, expect, |_, diff| n += u64::from(diff.count_ones()));
-    n
+    RowView::bytes(read).count_diff(&RowView::bytes(expect))
 }
 
 /// The `(byte, bit)` positions where a read row differs from its
 /// expected fill, in ascending order (see [`count_flips`]).
 pub fn flip_positions(read: &[u8], expect: &[u8]) -> Vec<(u32, u8)> {
-    let mut out = Vec::new();
-    for_each_diff_word(read, expect, |offset, mut diff| {
-        while diff != 0 {
-            let pos = diff.trailing_zeros();
-            diff &= diff - 1;
-            out.push((offset + pos / 8, (pos % 8) as u8));
-        }
-    });
-    out
-}
-
-/// Calls `f(byte_offset, read_word ^ expect_word)` for every 64-bit
-/// little-endian word that differs, in ascending order. A trailing
-/// partial word is zero-padded.
-fn for_each_diff_word(read: &[u8], expect: &[u8], mut f: impl FnMut(u32, u64)) {
-    let len = read.len().min(expect.len());
-    let (read_words, read_tail) = read[..len].as_chunks::<8>();
-    let (expect_words, expect_tail) = expect[..len].as_chunks::<8>();
-    let mut offset = 0u32;
-    for (a, b) in read_words.iter().zip(expect_words) {
-        let diff = u64::from_le_bytes(*a) ^ u64::from_le_bytes(*b);
-        if diff != 0 {
-            f(offset, diff);
-        }
-        offset += 8;
-    }
-    let diff = tail_word(read_tail) ^ tail_word(expect_tail);
-    if diff != 0 {
-        f(offset, diff);
-    }
-}
-
-/// A partial word (under 8 bytes), zero-padded, little-endian.
-fn tail_word(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(word)
+    RowView::bytes(read).diff_positions(&RowView::bytes(expect))
 }
 
 #[cfg(test)]
@@ -241,14 +275,64 @@ mod tests {
     fn bit_at_matches_row_fill() {
         for kind in PatternKind::ALL {
             let p = DataPattern::new(kind, 9);
-            let fill = p.row_fill(RowAddr(3), 1, 16);
-            for (byte, fill_byte) in fill.iter().enumerate() {
-                for bit in 0..8 {
-                    assert_eq!(
-                        p.bit_at(RowAddr(3), 1, byte, bit),
-                        (fill_byte >> bit) & 1 == 1,
-                        "{kind:?} byte {byte} bit {bit}"
-                    );
+            for distance in [-2i64, -1, 0, 1] {
+                let fill = p.row_fill(RowAddr(3), distance, 21);
+                for (byte, fill_byte) in fill.iter().enumerate() {
+                    for bit in 0..8 {
+                        assert_eq!(
+                            p.bit_at(RowAddr(3), distance, byte, bit),
+                            (fill_byte >> bit) & 1 == 1,
+                            "{kind:?} d {distance} byte {byte} bit {bit}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The random stream as it was first written: one sequential
+    /// splitmix64 walk per row, the reference the counter-based
+    /// [`FillWords`] must reproduce byte for byte.
+    fn sequential_fill(p: DataPattern, row: RowAddr, distance: i64, row_bytes: usize) -> Vec<u8> {
+        if let Some(b) = p.fill_byte(distance) {
+            return vec![b; row_bytes];
+        }
+        let mut state = p
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(u64::from(row.0).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let mut out = Vec::new();
+        while out.len() < row_bytes {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            out.extend_from_slice(&z.to_le_bytes());
+        }
+        out.truncate(row_bytes);
+        out
+    }
+
+    #[test]
+    fn fill_word_matches_row_fill_for_every_pattern() {
+        // 8200 and 13 are not multiples of 8: the last word's bytes past
+        // the row are not part of the fill.
+        for kind in PatternKind::ALL {
+            for seed in [0u64, 9, u64::MAX] {
+                for row in [RowAddr(0), RowAddr(3), RowAddr(65_535)] {
+                    for distance in -8i64..=8 {
+                        let p = DataPattern::new(kind, seed);
+                        for row_bytes in [8usize, 13, 8200] {
+                            let fill = p.row_fill(row, distance, row_bytes);
+                            assert_eq!(fill, sequential_fill(p, row, distance, row_bytes));
+                            for (k, chunk) in fill.chunks(8).enumerate() {
+                                let word = p.fill_word(row, distance, k as u32).to_le_bytes();
+                                let case = format!("{kind:?} seed {seed} {row:?} d {distance}");
+                                assert_eq!(chunk, &word[..chunk.len()], "{case} word {k}");
+                            }
+                        }
+                    }
                 }
             }
         }

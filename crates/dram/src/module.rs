@@ -5,9 +5,11 @@
 
 use crate::bank::{Bank, HammerEvent};
 use crate::command::{Command, TimedCommand};
+use crate::data::RowFill;
 use crate::error::DramError;
 use crate::geometry::{BankId, DramGeometry, Manufacturer, RowAddr};
 use crate::mapping::RowMapping;
+use crate::row::{RowView, StoredRow};
 use crate::timing::{Picos, TimingParams};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -40,10 +42,16 @@ pub trait DisturbanceModel: Send {
 
     /// The bit flips to materialize in `row` when its cells are sensed
     /// at time `now` (i.e., on activation), given the currently stored
-    /// `data`. `now` lets the model account time-dependent error
-    /// mechanisms (retention loss) alongside RowHammer disturbance.
-    fn flips_on_activate(&mut self, bank: BankId, row: RowAddr, data: &[u8], now: Picos)
-        -> Vec<BitFlip>;
+    /// `data`, read lane by lane. `now` lets the model account
+    /// time-dependent error mechanisms (retention loss) alongside
+    /// RowHammer disturbance.
+    fn flips_on_activate(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        data: &RowView<'_>,
+        now: Picos,
+    ) -> Vec<BitFlip>;
 
     /// Notifies the model that `row`'s cells were restored to full
     /// charge at time `now` (activation restore, refresh, or an
@@ -119,7 +127,13 @@ pub struct NullDisturbance {
 impl DisturbanceModel for NullDisturbance {
     fn on_hammer(&mut self, _: BankId, _: RowAddr, _: u64, _: Picos, _: Picos) {}
 
-    fn flips_on_activate(&mut self, _: BankId, _: RowAddr, _: &[u8], _: Picos) -> Vec<BitFlip> {
+    fn flips_on_activate(
+        &mut self,
+        _: BankId,
+        _: RowAddr,
+        _: &RowView<'_>,
+        _: Picos,
+    ) -> Vec<BitFlip> {
         Vec::new()
     }
 
@@ -185,17 +199,29 @@ impl ModuleConfig {
 /// A simulated DRAM module (one rank of lock-step chips).
 ///
 /// Rows are stored sparsely: only written rows consume memory, so
-/// full-density geometries cost nothing until touched. The module is
-/// driven either through the timed command interface ([`issue`]) — used
-/// by the SoftMC program executor — or through the direct row-level API
-/// (`write_row_direct` / `read_row_direct` / `hammer_direct`) used by
-/// bulk experiment fast paths.
+/// full-density geometries cost nothing until touched. A row written
+/// with a data pattern ([`write_row_fill`]) is stored as its
+/// [`RowFill`] descriptor plus the bits flipped since, a few dozen
+/// bytes; only arbitrary bytes ([`write_row_direct`], the command-path
+/// `WR`) are stored as bytes. Bytes are built only for a caller that
+/// asks for them ([`read_row_direct`], [`peek_row`]); the fault model
+/// and [`read_row_view`] read 64-bit lanes through a [`RowView`].
+///
+/// The module is driven either through the timed command interface
+/// ([`issue`]) — used by the SoftMC program executor — or through the
+/// direct row-level API (`write_row_fill` / `read_row_view` /
+/// `hammer_direct` and friends) used by bulk experiment fast paths.
 ///
 /// [`issue`]: DramModule::issue
+/// [`write_row_fill`]: DramModule::write_row_fill
+/// [`write_row_direct`]: DramModule::write_row_direct
+/// [`read_row_direct`]: DramModule::read_row_direct
+/// [`read_row_view`]: DramModule::read_row_view
+/// [`peek_row`]: DramModule::peek_row
 pub struct DramModule {
     cfg: ModuleConfig,
     banks: Vec<Bank>,
-    storage: HashMap<(u32, u32), Box<[u8]>>,
+    storage: HashMap<(u32, u32), StoredRow>,
     model: Box<dyn DisturbanceModel>,
     now: Picos,
 }
@@ -335,14 +361,13 @@ impl DramModule {
                 let timing = self.cfg.timing;
                 let enforce = self.cfg.enforce_timings;
                 let phys = self.banks[bank.0 as usize].column_access(tc.at, &timing, enforce)?;
+                let row_bytes = self.row_bytes();
                 let data = self
                     .storage
                     .get(&(bank.0, phys.0))
                     .ok_or(DramError::UninitializedRow { bank: *bank, row: phys })?;
-                let off = (*column as usize) * 8;
-                let mut beat = [0u8; 8];
-                beat.copy_from_slice(&data[off..off + 8]);
-                Ok(Some(beat))
+                assert!((*column as usize) * 8 < row_bytes, "column {column} outside the row");
+                Ok(Some(data.view(row_bytes).word(*column).to_le_bytes()))
             }
             Command::Wr { bank, column, data } => {
                 self.check_bank(*bank)?;
@@ -353,9 +378,9 @@ impl DramModule {
                 let row = self
                     .storage
                     .entry((bank.0, phys.0))
-                    .or_insert_with(|| vec![0u8; row_bytes].into_boxed_slice());
+                    .or_insert_with(|| StoredRow::Bytes(vec![0u8; row_bytes].into_boxed_slice()));
                 let off = (*column as usize) * 8;
-                row[off..off + 8].copy_from_slice(data);
+                row.bytes_mut(row_bytes)[off..off + 8].copy_from_slice(data);
                 Ok(None)
             }
             Command::Ref | Command::Nop => Ok(None),
@@ -384,15 +409,9 @@ impl DramModule {
     /// the stored data and restores the cells (clearing accumulated
     /// disturbance). Mirrors what a row activation does physically.
     fn sense_and_restore(&mut self, bank: BankId, phys: RowAddr) {
-        let now = self.now;
-        if let Some(data) = self.storage.get_mut(&(bank.0, phys.0)) {
-            let flips = self.model.flips_on_activate(bank, phys, data, now);
-            if !flips.is_empty() {
-                rh_obs::counter(names::DRAM_FLIP, flips.len() as u64);
-            }
-            for f in flips {
-                data[f.byte as usize] ^= 1 << f.bit;
-            }
+        let (now, row_bytes) = (self.now, self.row_bytes());
+        if let Some(stored) = self.storage.get_mut(&(bank.0, phys.0)) {
+            sense(self.model.as_mut(), stored, bank, phys, now, row_bytes);
         }
         self.model.on_restore(bank, phys, now);
     }
@@ -401,10 +420,12 @@ impl DramModule {
     // Direct (bulk) interface
     // ------------------------------------------------------------------
 
-    /// Writes a full row, resetting its accumulated disturbance
-    /// (equivalent to ACT + WR×columns + PRE, minus the hammering side
-    /// effect of the single activation, which is negligible and keeps
-    /// initialization side-effect-free).
+    /// Writes a full row of arbitrary bytes, resetting its accumulated
+    /// disturbance (equivalent to ACT + WR×columns + PRE, minus the
+    /// hammering side effect of the single activation, which is
+    /// negligible and keeps initialization side-effect-free). A row that
+    /// holds a data pattern is cheaper written with
+    /// [`write_row_fill`](Self::write_row_fill).
     ///
     /// # Errors
     ///
@@ -423,36 +444,82 @@ impl DramModule {
             return Err(DramError::BadRowLength { expected: self.row_bytes(), got: data.len() });
         }
         let phys = self.cfg.mapping.logical_to_physical(row);
-        self.storage
-            .entry((bank.0, phys.0))
-            .and_modify(|stored| stored.copy_from_slice(data))
-            .or_insert_with(|| data.into());
+        match self.storage.get_mut(&(bank.0, phys.0)) {
+            Some(StoredRow::Bytes(stored)) => stored.copy_from_slice(data),
+            _ => {
+                self.storage.insert((bank.0, phys.0), StoredRow::Bytes(data.into()));
+            }
+        }
+        self.restore_written(bank, phys);
+        Ok(())
+    }
+
+    /// Writes `fill` to a full row, exactly as
+    /// [`write_row_direct`](Self::write_row_direct) of `fill`'s bytes
+    /// would, but stores only the descriptor: no bytes are built.
+    ///
+    /// # Errors
+    ///
+    /// Range errors for bad addresses.
+    pub fn write_row_fill(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        fill: RowFill,
+    ) -> Result<(), DramError> {
+        let _t = rh_obs::timer!(names::DRAM_ROW_WRITE_NS);
+        self.check_bank(bank)?;
+        self.check_row(row)?;
+        let phys = self.cfg.mapping.logical_to_physical(row);
+        self.storage.insert((bank.0, phys.0), StoredRow::fill(fill));
+        self.restore_written(bank, phys);
+        Ok(())
+    }
+
+    /// The bookkeeping of every full-row write: the write counter, the
+    /// stored-rows gauge, and the restore the model sees.
+    fn restore_written(&mut self, bank: BankId, phys: RowAddr) {
         rh_obs::counter(names::DRAM_ROW_WRITE, 1);
         rh_obs::gauge(names::DRAM_ROWS_STORED, self.storage.len() as f64);
         let now = self.now;
         self.model.on_restore(bank, phys, now);
-        Ok(())
     }
 
     /// Reads a full row as an activation would: accumulated disturbance
     /// materializes as bit flips, the row is restored, and the
-    /// (possibly corrupted) contents are returned.
+    /// (possibly corrupted) contents are returned as a view. Counting
+    /// flips through the view against the fill the row was written with
+    /// costs only its flipped bits.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::UninitializedRow`] if the row was never written, or
+    /// range errors for bad addresses.
+    pub fn read_row_view(&mut self, bank: BankId, row: RowAddr) -> Result<RowView<'_>, DramError> {
+        let _t = rh_obs::timer!(names::DRAM_ROW_READ_NS);
+        self.check_bank(bank)?;
+        self.check_row(row)?;
+        let phys = self.cfg.mapping.logical_to_physical(row);
+        let (now, row_bytes) = (self.now, self.row_bytes());
+        let Some(stored) = self.storage.get_mut(&(bank.0, phys.0)) else {
+            return Err(DramError::UninitializedRow { bank, row: phys });
+        };
+        rh_obs::counter(names::DRAM_ROW_READ, 1);
+        // `sense_and_restore`, with the row looked up once.
+        sense(self.model.as_mut(), stored, bank, phys, now, row_bytes);
+        self.model.on_restore(bank, phys, now);
+        Ok(stored.view(row_bytes))
+    }
+
+    /// [`read_row_view`](Self::read_row_view), returning the row's
+    /// bytes.
     ///
     /// # Errors
     ///
     /// [`DramError::UninitializedRow`] if the row was never written, or
     /// range errors for bad addresses.
     pub fn read_row_direct(&mut self, bank: BankId, row: RowAddr) -> Result<Vec<u8>, DramError> {
-        let _t = rh_obs::timer!(names::DRAM_ROW_READ_NS);
-        self.check_bank(bank)?;
-        self.check_row(row)?;
-        let phys = self.cfg.mapping.logical_to_physical(row);
-        if !self.storage.contains_key(&(bank.0, phys.0)) {
-            return Err(DramError::UninitializedRow { bank, row: phys });
-        }
-        rh_obs::counter(names::DRAM_ROW_READ, 1);
-        self.sense_and_restore(bank, phys);
-        Ok(self.storage[&(bank.0, phys.0)].to_vec())
+        Ok(self.read_row_view(bank, row)?.to_vec())
     }
 
     /// Restores a written row to full charge *without* sensing it: the
@@ -486,13 +553,13 @@ impl DramModule {
     /// # Errors
     ///
     /// [`DramError::UninitializedRow`] if the row was never written.
-    pub fn peek_row(&self, bank: BankId, row: RowAddr) -> Result<&[u8], DramError> {
+    pub fn peek_row(&self, bank: BankId, row: RowAddr) -> Result<Vec<u8>, DramError> {
         self.check_bank(bank)?;
         self.check_row(row)?;
         let phys = self.cfg.mapping.logical_to_physical(row);
         self.storage
             .get(&(bank.0, phys.0))
-            .map(|b| &b[..])
+            .map(|stored| stored.view(self.row_bytes()).to_vec())
             .ok_or(DramError::UninitializedRow { bank, row: phys })
     }
 
@@ -663,6 +730,23 @@ impl DramModule {
     }
 }
 
+/// Materializes the flips `model` reports when the stored row `phys`
+/// is sensed at `now`.
+fn sense(
+    model: &mut dyn DisturbanceModel,
+    stored: &mut StoredRow,
+    bank: BankId,
+    phys: RowAddr,
+    now: Picos,
+    row_bytes: usize,
+) {
+    let flips = model.flips_on_activate(bank, phys, &stored.view(row_bytes), now);
+    if !flips.is_empty() {
+        rh_obs::counter(names::DRAM_FLIP, flips.len() as u64);
+        stored.toggle(row_bytes, &flips);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,7 +902,7 @@ mod tests {
             &mut self,
             _: BankId,
             row: RowAddr,
-            _: &[u8],
+            _: &RowView<'_>,
             now: Picos,
         ) -> Vec<BitFlip> {
             let mut log = self.log.lock().unwrap();

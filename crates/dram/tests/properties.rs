@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use rh_dram::{
     count_flips, flip_positions, BankId, BitFlip, Command, DataPattern, DisturbanceModel,
-    DramModule, Manufacturer, ModuleConfig, PatternKind, Picos, RowAddr, RowMapping, TimedCommand,
+    DramModule, Manufacturer, ModuleConfig, PatternKind, Picos, RowAddr, RowMapping, RowView,
+    TimedCommand,
 };
 use std::sync::{Arc, Mutex};
 
@@ -18,7 +19,13 @@ impl DisturbanceModel for HammerLog {
         self.0.lock().unwrap().push((row, count, t_on, t_off));
     }
 
-    fn flips_on_activate(&mut self, _: BankId, _: RowAddr, _: &[u8], _: Picos) -> Vec<BitFlip> {
+    fn flips_on_activate(
+        &mut self,
+        _: BankId,
+        _: RowAddr,
+        _: &RowView<'_>,
+        _: Picos,
+    ) -> Vec<BitFlip> {
         Vec::new()
     }
 

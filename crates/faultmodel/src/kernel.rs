@@ -30,7 +30,7 @@
 
 use crate::cell::{trial_noise_at, trial_noise_bounds, CellVulnerability};
 use crate::profile::MfrProfile;
-use rh_dram::BitFlip;
+use rh_dram::{BitFlip, RowView};
 
 /// The response surface of one row at one temperature: every in-window
 /// cell with its effective threshold, sorted ascending so a dose maps
@@ -148,7 +148,7 @@ impl TempSurface {
         module_seed: u64,
         nonce: u64,
         dose: f64,
-        data: &[u8],
+        data: &RowView<'_>,
         out: &mut Vec<BitFlip>,
     ) {
         if self.below_all(dose) {
@@ -157,7 +157,7 @@ impl TempSurface {
         if dose >= self.max_gate {
             // Everything passes the threshold: decide purely lane-wise.
             for &(w, anti_mask, true_mask) in &self.lane_masks {
-                let lane = data_word(data, w);
+                let lane = data.word(w);
                 let mut flips = (anti_mask & !lane) | (true_mask & lane);
                 while flips != 0 {
                     let pos = flips.trailing_zeros();
@@ -171,13 +171,13 @@ impl TempSurface {
         let pass = self.h.partition_point(|&h| h * self.noise_hi <= dose);
         let band = self.h.partition_point(|&h| h * self.noise_lo <= dose);
         for i in 0..pass {
-            let stored_one = data_word(data, self.word[i]) & self.mask[i] != 0;
+            let stored_one = data.word(self.word[i]) & self.mask[i] != 0;
             if stored_one != self.anti[i] {
                 out.push(BitFlip { byte: self.byte[i], bit: self.bit[i] });
             }
         }
         for i in pass..band {
-            let stored_one = data_word(data, self.word[i]) & self.mask[i] != 0;
+            let stored_one = data.word(self.word[i]) & self.mask[i] != 0;
             if stored_one == self.anti[i] {
                 continue;
             }
@@ -187,15 +187,6 @@ impl TempSurface {
             }
         }
     }
-}
-
-/// The 64-bit little-endian data lane at `word` of a row image.
-#[inline]
-fn data_word(data: &[u8], word: u32) -> u64 {
-    let off = word as usize * 8;
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&data[off..off + 8]);
-    u64::from_le_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -272,7 +263,7 @@ mod tests {
         assert!(s.below_all(0.0));
         let data = vec![0u8; 8192];
         let mut out = Vec::new();
-        s.evaluate(&p, 42, 0, 0.0, &data, &mut out);
+        s.evaluate(&p, 42, 0, 0.0, &RowView::bytes(&data), &mut out);
         assert!(out.is_empty());
     }
 
@@ -284,8 +275,8 @@ mod tests {
         let ones = vec![0xFFu8; 8192];
         let mut flips0 = Vec::new();
         let mut flips1 = Vec::new();
-        s.evaluate(&p, 42, 0, dose, &zeros, &mut flips0);
-        s.evaluate(&p, 42, 0, dose, &ones, &mut flips1);
+        s.evaluate(&p, 42, 0, dose, &RowView::bytes(&zeros), &mut flips0);
+        s.evaluate(&p, 42, 0, dose, &RowView::bytes(&ones), &mut flips1);
         // All-zero data flips every anti-cell position; all-ones every
         // true-cell position (dedup via lane masks).
         let anti_positions: std::collections::BTreeSet<_> = (0..s.len())

@@ -14,7 +14,9 @@ use crate::lru::LruCache;
 use crate::profile::MfrProfile;
 use crate::retention::{self, derive_retention_cells, RetentionCell};
 use crate::variation;
-use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RoundRobin, RowAddr};
+use rh_dram::{
+    BankId, BitFlip, DisturbanceModel, Manufacturer, Picos, RoundRobin, RowAddr, RowView,
+};
 use rh_obs::names;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -404,7 +406,7 @@ impl DisturbanceModel for RowHammerModel {
         &mut self,
         bank: BankId,
         row: RowAddr,
-        data: &[u8],
+        data: &RowView<'_>,
         now: Picos,
     ) -> Vec<BitFlip> {
         let temperature = self.temperature;
@@ -439,9 +441,8 @@ impl DisturbanceModel for RowHammerModel {
                 if !c.leaked(idle, temperature) {
                     continue;
                 }
-                let stored = (data[c.byte as usize] >> c.bit) & 1 == 1;
                 // Leakage moves the cell toward its discharged value.
-                if stored != c.anti_cell {
+                if data.bit(c.byte, c.bit) != c.anti_cell {
                     flips.push(BitFlip { byte: c.byte, bit: c.bit });
                 }
             }
@@ -468,8 +469,7 @@ impl DisturbanceModel for RowHammerModel {
                     let cells = self.row_cells(bank, row);
                     for c in cells.iter() {
                         let Some(h) = c.threshold_at(temperature) else { continue };
-                        let stored = (data[c.byte as usize] >> c.bit) & 1 == 1;
-                        if !c.susceptible(stored) {
+                        if !c.susceptible(data.bit(c.byte, c.bit)) {
                             continue;
                         }
                         if dose >= h * c.trial_noise(&profile, seed, nonce) {
@@ -597,7 +597,8 @@ mod tests {
     #[test]
     fn no_flips_without_disturbance() {
         let mut m = model();
-        let flips = m.flips_on_activate(BankId(0), RowAddr(5), &vec![0u8; 8192], 0);
+        let data = vec![0u8; 8192];
+        let flips = m.flips_on_activate(BankId(0), RowAddr(5), &RowView::bytes(&data), 0);
         assert!(flips.is_empty());
     }
 
@@ -608,7 +609,8 @@ mod tests {
         m.on_hammer(BankId(0), RowAddr(499), 2_000_000, 34_500, 16_500);
         m.on_hammer(BankId(0), RowAddr(501), 2_000_000, 34_500, 16_500);
         // All-zero data allows anti-cells (62 % for Mfr. A) to flip.
-        let flips = m.flips_on_activate(BankId(0), RowAddr(500), &vec![0u8; 8192], 0);
+        let data = vec![0u8; 8192];
+        let flips = m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&data), 0);
         assert!(!flips.is_empty(), "2M double-sided hammers must flip something");
     }
 
@@ -617,8 +619,10 @@ mod tests {
         let mut m = model();
         m.on_hammer(BankId(0), RowAddr(499), 2_000_000, 34_500, 16_500);
         m.on_hammer(BankId(0), RowAddr(501), 2_000_000, 34_500, 16_500);
-        let flips_zero = m.flips_on_activate(BankId(0), RowAddr(500), &vec![0x00u8; 8192], 0);
-        let flips_ones = m.flips_on_activate(BankId(0), RowAddr(500), &vec![0xFFu8; 8192], 0);
+        let data = vec![0x00u8; 8192];
+        let flips_zero = m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&data), 0);
+        let data = vec![0xFFu8; 8192];
+        let flips_ones = m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&data), 0);
         // Anti-cells flip in the all-zero fill; true-cells in all-ones.
         // The two sets must be disjoint (different cells).
         let set0: std::collections::HashSet<_> =
@@ -639,7 +643,8 @@ mod tests {
                     m.reset_disturbance();
                     m.on_hammer(BankId(0), RowAddr(v - 1), count, t_on, 16_500);
                     m.on_hammer(BankId(0), RowAddr(v + 1), count, t_on, 16_500);
-                    m.flips_on_activate(BankId(0), RowAddr(v), &vec![0u8; 8192], 0).len()
+                    let data = vec![0u8; 8192];
+                    m.flips_on_activate(BankId(0), RowAddr(v), &RowView::bytes(&data), 0).len()
                 })
                 .sum()
         };
@@ -653,7 +658,7 @@ mod tests {
             let mut m = model();
             m.on_hammer(BankId(0), RowAddr(499), count, 34_500, t_off);
             m.on_hammer(BankId(0), RowAddr(501), count, 34_500, t_off);
-            m.flips_on_activate(BankId(0), RowAddr(500), &vec![0u8; 8192], 0).len()
+            m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&vec![0u8; 8192]), 0).len()
         };
         assert!(flips_at(40_500) <= flips_at(16_500));
     }
@@ -669,7 +674,7 @@ mod tests {
             m.set_temperature(t);
             m.on_hammer(BankId(0), RowAddr(499), count, 34_500, 16_500);
             m.on_hammer(BankId(0), RowAddr(501), count, 34_500, 16_500);
-            m.flips_on_activate(BankId(0), RowAddr(500), &vec![0u8; 8192], 0).len()
+            m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&vec![0u8; 8192]), 0).len()
         };
         // At -200 °C only full-range cells are in-window and their
         // parabola is far from inflection: fewer flips than at 75 °C.
@@ -683,7 +688,7 @@ mod tests {
             m.set_temperature(60.0);
             m.on_hammer(BankId(1), RowAddr(999), 800_000, 64_500, 16_500);
             m.on_hammer(BankId(1), RowAddr(1001), 800_000, 64_500, 16_500);
-            m.flips_on_activate(BankId(1), RowAddr(1000), &vec![0x55u8; 8192], 0)
+            m.flips_on_activate(BankId(1), RowAddr(1000), &RowView::bytes(&vec![0x55u8; 8192]), 0)
         };
         assert_eq!(run(), run());
     }
@@ -695,7 +700,7 @@ mod tests {
             m.set_temperature(75.0);
             m.on_hammer(BankId(0), RowAddr(499), 600_000, 34_500, 16_500);
             m.on_hammer(BankId(0), RowAddr(501), 600_000, 34_500, 16_500);
-            m.flips_on_activate(BankId(0), RowAddr(500), &vec![0u8; 8192], 0)
+            m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&vec![0u8; 8192]), 0)
         };
         assert_ne!(flips(1), flips(2));
     }
@@ -767,7 +772,7 @@ mod tests {
         m.on_hammer(bank, RowAddr(row.wrapping_sub(1)), 500_000_000, 34_500, 16_500);
         m.on_hammer(bank, RowAddr(row + 1), 500_000_000, 34_500, 16_500);
         let hour_ps = 3_600_000_000_000_000;
-        let flips = m.flips_on_activate(bank, RowAddr(row), &data, hour_ps);
+        let flips = m.flips_on_activate(bank, RowAddr(row), &RowView::bytes(&data), hour_ps);
         let at_pos = flips.iter().filter(|f| (f.byte, f.bit) == (rc.byte, rc.bit)).count();
         assert_eq!(at_pos, 1, "collision cell must flip exactly once, got {at_pos}");
         // And nothing else may be emitted twice either.
@@ -783,7 +788,7 @@ mod tests {
             m.set_temperature(80.0);
             m.on_hammer(BankId(2), RowAddr(777), 1_500_000, 54_500, 16_500);
             m.on_hammer(BankId(2), RowAddr(779), 1_500_000, 54_500, 16_500);
-            m.flips_on_activate(BankId(2), RowAddr(778), &vec![0x55u8; 8192], 0)
+            m.flips_on_activate(BankId(2), RowAddr(778), &RowView::bytes(&vec![0x55u8; 8192]), 0)
         };
         let columnar = run(EvalMode::Columnar);
         let scalar = run(EvalMode::ScalarReference);

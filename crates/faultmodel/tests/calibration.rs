@@ -3,7 +3,7 @@
 //! right ballpark. Tight matching is asserted by the full experiment
 //! suite in `rh-core`; these tests guard the substrate constants.
 
-use rh_dram::{BankId, Manufacturer, Picos, RowAddr};
+use rh_dram::{BankId, Manufacturer, Picos, RowAddr, RowView};
 use rh_faultmodel::{MfrProfile, RowHammerModel};
 use rh_dram::DisturbanceModel;
 
@@ -23,11 +23,13 @@ fn flips(
     model.reset_disturbance();
     model.on_hammer(bank, RowAddr(victim.0 - 1), hammers, t_on, t_off);
     model.on_hammer(bank, RowAddr(victim.0 + 1), hammers, t_on, t_off);
-    let zeros = model.flips_on_activate(bank, victim, &vec![0x00u8; ROW_BYTES], 0).len();
+    let data = vec![0x00u8; ROW_BYTES];
+    let zeros = model.flips_on_activate(bank, victim, &RowView::bytes(&data), 0).len();
     model.reset_disturbance();
     model.on_hammer(bank, RowAddr(victim.0 - 1), hammers, t_on, t_off);
     model.on_hammer(bank, RowAddr(victim.0 + 1), hammers, t_on, t_off);
-    let ones = model.flips_on_activate(bank, victim, &vec![0xFFu8; ROW_BYTES], 0).len();
+    let data = vec![0xFFu8; ROW_BYTES];
+    let ones = model.flips_on_activate(bank, victim, &RowView::bytes(&data), 0).len();
     zeros.max(ones)
 }
 

@@ -9,14 +9,18 @@
 //! ladders that deliberately straddle the noise band, so any divergence
 //! in the bracketing logic shows up as a differing flip vector.
 
-use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, RowAddr};
+use rh_dram::{
+    BankId, BitFlip, DataPattern, DisturbanceModel, Manufacturer, PatternKind, RowAddr, RowFill,
+    RowView,
+};
 use rh_faultmodel::disturb::units_distance1;
 use rh_faultmodel::{row_floor, EvalMode, MfrProfile, RowHammerModel};
 
 const ROW_BYTES: usize = 8192;
 
-/// Runs one identical stimulus program against a fresh model in `mode`
-/// and returns every activation's flip vector, in program order.
+/// Runs one identical stimulus program against a fresh model in `mode`,
+/// every victim holding `data`, and returns every activation's flip
+/// vector, in program order.
 ///
 /// The program covers the interesting regimes: a dose ladder from
 /// ineffective to saturating (straddling the per-cell noise band in
@@ -26,13 +30,12 @@ fn run_program(
     mfr: Manufacturer,
     seed: u64,
     temperature: f64,
-    fill: u8,
+    data: &RowView<'_>,
     mode: EvalMode,
 ) -> Vec<Vec<BitFlip>> {
     let mut m = RowHammerModel::new(mfr, seed).with_eval_mode(mode);
     m.set_temperature(temperature);
     let bank = BankId(0);
-    let data = vec![fill; ROW_BYTES];
     let mut out = Vec::new();
 
     // Dose ladder: each rung hammers both neighbors of its own victim
@@ -44,14 +47,14 @@ fn run_program(
         m.on_restore(bank, RowAddr(v), 0);
         m.on_hammer(bank, RowAddr(v - 1), count, 34_500, 16_500);
         m.on_hammer(bank, RowAddr(v + 1), count, 34_500, 16_500);
-        out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+        out.push(m.flips_on_activate(bank, RowAddr(v), data, 0));
     }
 
     // Distance-2-only coupling: weak dose via rows ±2.
     let v = 600u32;
     m.on_hammer(bank, RowAddr(v - 2), 3_000_000, 34_500, 16_500);
     m.on_hammer(bank, RowAddr(v + 2), 3_000_000, 34_500, 16_500);
-    out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+    out.push(m.flips_on_activate(bank, RowAddr(v), data, 0));
 
     // Repeated activations of one victim: the trial nonce advances on
     // each restore, so the band cells re-draw their noise.
@@ -60,7 +63,7 @@ fn run_program(
         m.on_restore(bank, RowAddr(v), 0);
         m.on_hammer(bank, RowAddr(v - 1), 180_000, 54_500, 16_500);
         m.on_hammer(bank, RowAddr(v + 1), 180_000, 54_500, 16_500);
-        out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+        out.push(m.flips_on_activate(bank, RowAddr(v), data, 0));
     }
 
     // Retention leak + hammer overlap: the row idles an hour before the
@@ -70,7 +73,7 @@ fn run_program(
     m.on_restore(bank, RowAddr(v), 0);
     m.on_hammer(bank, RowAddr(v - 1), 800_000, 54_500, 16_500);
     m.on_hammer(bank, RowAddr(v + 1), 800_000, 54_500, 16_500);
-    out.push(m.flips_on_activate(bank, RowAddr(v), &data, 3_600_000_000_000_000));
+    out.push(m.flips_on_activate(bank, RowAddr(v), data, 3_600_000_000_000_000));
 
     out
 }
@@ -86,9 +89,11 @@ fn columnar_matches_scalar_across_full_matrix() {
         for temperature in [-200.0, 50.0, 75.0, 90.0] {
             for seed in [1u64, 7] {
                 for fill in [0x00u8, 0xFF, 0x55] {
-                    let columnar = run_program(mfr, seed, temperature, fill, EvalMode::Columnar);
+                    let data = vec![fill; ROW_BYTES];
+                    let data = RowView::bytes(&data);
+                    let columnar = run_program(mfr, seed, temperature, &data, EvalMode::Columnar);
                     let scalar =
-                        run_program(mfr, seed, temperature, fill, EvalMode::ScalarReference);
+                        run_program(mfr, seed, temperature, &data, EvalMode::ScalarReference);
                     assert_eq!(
                         columnar, scalar,
                         "flip sets diverge: {mfr} t={temperature} seed={seed} fill={fill:#04x}"
@@ -102,6 +107,31 @@ fn columnar_matches_scalar_across_full_matrix() {
     // The matrix must actually exercise flips, or equivalence is vacuous.
     assert!(activations >= 96 * 14, "unexpected program shape");
     assert!(flipped > 100, "matrix produced almost no flips ({flipped})");
+}
+
+/// A row the module stores as a pattern fill is sensed through its
+/// lanes, with no bytes built: every pattern, random included, must
+/// flip exactly what its bytes flip, on both evaluation paths.
+#[test]
+fn fill_backed_rows_flip_like_their_bytes() {
+    let mut flipped = 0usize;
+    for mfr in Manufacturer::ALL {
+        for kind in PatternKind::ALL {
+            for distance in [0i64, -1] {
+                let fill = RowFill::new(DataPattern::new(kind, 5), RowAddr(300), distance);
+                let bytes = fill.bytes(ROW_BYTES);
+                for mode in [EvalMode::Columnar, EvalMode::ScalarReference] {
+                    let from_bytes = RowView::bytes(&bytes);
+                    let from_bytes = run_program(mfr, 7, 75.0, &from_bytes, mode);
+                    let from_fill = RowView::fill(fill, ROW_BYTES);
+                    let from_fill = run_program(mfr, 7, 75.0, &from_fill, mode);
+                    assert_eq!(from_fill, from_bytes, "{mfr} {kind:?} d={distance} {mode:?}");
+                    flipped += from_fill.iter().filter(|f| !f.is_empty()).count();
+                }
+            }
+        }
+    }
+    assert!(flipped > 100, "the programs produced almost no flips ({flipped})");
 }
 
 /// A fine-grained dose ramp at the BER knee: consecutive counts differ
@@ -124,7 +154,7 @@ fn fine_dose_ramp_straddles_noise_band_identically() {
                     m.on_restore(bank, RowAddr(v), 0);
                     m.on_hammer(bank, RowAddr(v - 1), count, 34_500, 16_500);
                     m.on_hammer(bank, RowAddr(v + 1), count, 34_500, 16_500);
-                    out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+                    out.push(m.flips_on_activate(bank, RowAddr(v), &RowView::bytes(&data), 0));
                     count += count / 12;
                 }
                 out
@@ -153,7 +183,7 @@ fn temperature_sweep_is_bit_identical() {
                 m.on_restore(bank, RowAddr(v), 0);
                 m.on_hammer(bank, RowAddr(v - 1), 200_000, 34_500, 16_500);
                 m.on_hammer(bank, RowAddr(v + 1), 200_000, 34_500, 16_500);
-                out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
+                out.push(m.flips_on_activate(bank, RowAddr(v), &RowView::bytes(&data), 0));
                 t += 5.0;
             }
             out
@@ -196,6 +226,7 @@ fn rungs_at_the_row_floor_are_bit_identical() {
                                 m.on_hammer(bank, RowAddr(v - 1), count, t_on, 16_500);
                                 let dose = m.accumulated(bank, RowAddr(v));
                                 assert_eq!(dose >= floor, above, "dose {dose} vs floor {floor}");
+                                let data = RowView::bytes(&data);
                                 out.push(m.flips_on_activate(bank, RowAddr(v), &data, 0));
                             }
                             out

@@ -1,7 +1,7 @@
 //! Property-based tests over the fault model's invariants.
 
 use proptest::prelude::*;
-use rh_dram::{BankId, DisturbanceModel, Manufacturer, Picos, RowAddr};
+use rh_dram::{BankId, DisturbanceModel, Manufacturer, Picos, RowAddr, RowView};
 use rh_faultmodel::cell::derive_row_cells;
 use rh_faultmodel::retention::{derive_retention_cells, temperature_factor, weakest_ref};
 use rh_faultmodel::{g_off, g_on, row_floor, trial_noise_bounds, MfrProfile, RowHammerModel};
@@ -107,8 +107,8 @@ proptest! {
         let mut m = RowHammerModel::new(mfr, seed);
         m.set_temperature(t);
         m.on_restore(bank, row, 0);
-        prop_assert!(m.flips_on_activate(bank, row, &data, at).is_empty());
-        let flips = m.flips_on_activate(bank, row, &data, above);
+        prop_assert!(m.flips_on_activate(bank, row, &RowView::bytes(&data), at).is_empty());
+        let flips = m.flips_on_activate(bank, row, &RowView::bytes(&data), above);
         let c = weakest.copied().unwrap_or(cells[0]);
         prop_assert!(flips.iter().any(|f| (f.byte, f.bit) == (c.byte, c.bit)), "{flips:?}");
     }
@@ -148,7 +148,8 @@ proptest! {
             m.set_temperature(75.0);
             m.on_hammer(BankId(0), RowAddr(999), count, 34_500, 16_500);
             m.on_hammer(BankId(0), RowAddr(1001), count, 34_500, 16_500);
-            m.flips_on_activate(BankId(0), RowAddr(1000), &vec![0u8; 8192], 0).len()
+            let data = vec![0u8; 8192];
+            m.flips_on_activate(BankId(0), RowAddr(1000), &RowView::bytes(&data), 0).len()
         };
         // Trial noise is salted by the restore nonce, which both runs
         // share here (fresh models), so monotonicity is exact.
@@ -169,7 +170,8 @@ proptest! {
     fn no_flips_without_hammering(mfr in any_mfr(), row in 2u32..10_000, fill in any::<u8>()) {
         let mut m = RowHammerModel::new(mfr, 3);
         m.set_temperature(75.0);
-        let flips = m.flips_on_activate(BankId(0), RowAddr(row), &vec![fill; 8192], 0);
+        let data = vec![fill; 8192];
+        let flips = m.flips_on_activate(BankId(0), RowAddr(row), &RowView::bytes(&data), 0);
         prop_assert!(flips.is_empty());
     }
 
@@ -179,7 +181,8 @@ proptest! {
         m.set_temperature(75.0);
         m.on_hammer(BankId(0), RowAddr(499), 512_000, 154_500, 16_500);
         m.on_hammer(BankId(0), RowAddr(501), 512_000, 154_500, 16_500);
-        for f in m.flips_on_activate(BankId(0), RowAddr(500), &vec![0u8; 8192], 0) {
+        let data = vec![0u8; 8192];
+        for f in m.flips_on_activate(BankId(0), RowAddr(500), &RowView::bytes(&data), 0) {
             prop_assert!((f.byte as usize) < 8192);
             prop_assert!(f.bit < 8);
         }

@@ -97,7 +97,7 @@ fn run(case: &Case, bulk: bool) -> After {
     rh_obs::uninstall();
 
     let stored =
-        window.iter().map(|&r| m.peek_row(BANK, logical(&m, r)).unwrap().to_vec()).collect();
+        window.iter().map(|&r| m.peek_row(BANK, logical(&m, r)).unwrap()).collect();
     let now = m.now();
     let read = window.iter().map(|&r| m.read_row_direct(BANK, logical(&m, r)).unwrap()).collect();
     After {
@@ -234,7 +234,7 @@ fn replay(
         }
     }
     rh_obs::uninstall();
-    let stored = window.iter().map(|&r| diff(m.peek_row(BANK, logical(&m, r)).unwrap())).collect();
+    let stored = window.iter().map(|&r| diff(&m.peek_row(BANK, logical(&m, r)).unwrap())).collect();
     let now = m.now();
     reads.extend(window.iter().map(|&r| diff(&m.read_row_direct(BANK, logical(&m, r)).unwrap())));
     Replay {

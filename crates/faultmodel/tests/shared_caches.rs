@@ -6,7 +6,7 @@
 //! The metrics recorder is process-global, so this binary holds one
 //! test.
 
-use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, RowAddr};
+use rh_dram::{BankId, BitFlip, DisturbanceModel, Manufacturer, RowAddr, RowView};
 use rh_faultmodel::{row_floor, RowHammerModel};
 use rh_obs::names;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ fn sense(m: &mut RowHammerModel, victim: u32, count: u64, t: f64) -> Vec<BitFlip
     m.set_temperature(t);
     m.on_hammer(BANK, RowAddr(victim - 1), count, 34_500, 16_500);
     m.on_hammer(BANK, RowAddr(victim + 1), count, 34_500, 16_500);
-    m.flips_on_activate(BANK, RowAddr(victim), &vec![0u8; 8192], 0)
+    m.flips_on_activate(BANK, RowAddr(victim), &RowView::bytes(&vec![0u8; 8192]), 0)
 }
 
 #[test]
@@ -53,7 +53,8 @@ fn surfaces_are_shared_and_gated_sensings_derive_nothing() {
     assert!(floor > 200.0, "floor {floor}");
     assert!(sense(&mut a, 900, 100, 75.0).is_empty());
     a.on_restore(BANK, RowAddr(700), 0);
-    let idle = a.flips_on_activate(BANK, RowAddr(700), &vec![0u8; 8192], 64_000_000_000);
+    let data = vec![0u8; 8192];
+    let idle = a.flips_on_activate(BANK, RowAddr(700), &RowView::bytes(&data), 64_000_000_000);
     assert!(idle.is_empty());
     let after = (builds(), derives(), count(names::FAULTMODEL_CELLS_GLOBAL_HIT));
     assert_eq!(after, before, "gated sensings reached the shared caches");
