@@ -5,21 +5,18 @@
 //!       [--fault-scenario NAME|FILE.json] [--fault-seed N] [--max-attempts N]
 //!       [--checkpoint PREFIX] [--resume]
 //!       [--max-workers N] [--deadline-ms N] [--fail-fast]
-//!       [--trace-out FILE.jsonl] [--metrics-out FILE.json]
-//!       [--serve-metrics ADDR] [--metrics-interval SECS] <target>...
+//!       [--trace-out FILE.jsonl] [--metrics-out FILE.json] <target>...
 //! repro all           # everything, in paper order
 //! repro --list        # available targets
 //! repro --soak N      # chaos-soak: N randomized fault campaigns
 //! repro analyze TRACE.jsonl [--metrics METRICS.json] [--folded OUT.folded] [--top N]
-//! repro top ADDR [--interval-ms N] [--once] [--fleet]
 //! repro serve [--addr ADDR] [--slots N] [--queue N] [--retry-after SECS]
 //!             [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]
 //! repro fleet [--worker ADDR]... [--spawn N] [--seed N] [--scale S] [--modules N]
 //!             [--workload NAME] [--lease-ms N] [--poll-ms N] [--max-attempts N]
 //!             [--checkpoint FILE] [--resume] [--json]
 //!             [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]
-//!             [--serve-metrics ADDR] [--metrics-interval SECS] [--trace-dir DIR]
-//!             [--journal FILE.jsonl]
+//!             [--metrics-out FILE.json] [--trace-dir DIR] [--journal FILE.jsonl]
 //! repro analyze --fleet TRACE_DIR    # stitch a multi-process fleet trace
 //! repro analyze replay TOKEN         # re-execute one committed job and diff
 //! repro analyze journal JOURNAL.jsonl [--worker ADDR] [--module ID] [--kind KIND]
@@ -34,13 +31,8 @@
 //! becomes an exactly-once journal — as one worker-attributed JSONL
 //! line. Terminal events additionally ride the worker's Done/Failed
 //! poll reply, so a job's outcome is journaled even if the worker is
-//! killed before its stream is scraped again. With `--serve-metrics`
-//! the coordinator's `/metrics` federates the scraped worker
-//! expositions (worker series relabeled with `worker="addr"`, aligned
-//! log2 histogram buckets summed element-wise), `repro top ADDR
-//! --fleet` renders live per-worker journal lag and event/flip rates,
-//! and `repro analyze journal` queries the journal offline. See
-//! DESIGN.md §15.
+//! killed before its stream is scraped again. `repro analyze journal`
+//! queries the journal offline. See DESIGN.md §15.
 //!
 //! `repro fleet --trace-dir DIR` records a causal distributed trace of
 //! the run: the coordinator opens a `fleet.run` root span, every
@@ -71,17 +63,9 @@
 //! metrics snapshot (counters, gauges, span statistics). Either flag
 //! alone enables recording; both files come from the same recorder, so
 //! one run can emit both. A failed run still exports its partial trace.
-//!
-//! `--serve-metrics ADDR` additionally starts the live telemetry HTTP
-//! server (Prometheus `/metrics`, JSON `/progress`, `/healthz`) on
-//! ADDR — `127.0.0.1:0` picks a free port, announced on stderr as
-//! `serving telemetry on http://...`. `--metrics-interval SECS` starts
-//! the periodic rollup publisher, appending one counters/gauges JSONL
-//! line per tick next to `--metrics-out` so even a crashed run leaves
-//! its metric time series on disk. `repro top ADDR` attaches a
-//! self-refreshing terminal monitor (modules done/total, worker and
-//! queue occupancy, flips/s, retry/quarantine counts, ETA) to any such
-//! endpoint.
+//! On `repro fleet`, `--metrics-out` writes the coordinator's counters
+//! (dispatches, breaker trips, injected network faults, journal
+//! events) and its `campaign.progress.*` gauges.
 //!
 //! `repro serve` starts a fleet worker: an HTTP job server that
 //! executes characterization jobs submitted by a `repro fleet`
@@ -133,7 +117,7 @@
 //! whenever any campaign reports quarantined, timed-out, or cancelled
 //! modules.
 
-use rh_bench::{run_soak_tracked, run_target, targets, ObsSetup, RunConfig, TelemetryOptions};
+use rh_bench::{run_soak_tracked, run_target, targets, ObsSetup, RunConfig};
 use rh_core::Scale;
 use rh_obs::analyze;
 use rh_softmc::FaultPlan;
@@ -148,22 +132,19 @@ fn usage() -> ! {
          \x20            [--fault-scenario NAME|FILE.json] [--fault-seed N] [--max-attempts N]\n\
          \x20            [--checkpoint PREFIX] [--resume]\n\
          \x20            [--max-workers N] [--deadline-ms N] [--fail-fast]\n\
-         \x20            [--trace-out FILE.jsonl] [--metrics-out FILE.json]\n\
-         \x20            [--serve-metrics ADDR] [--metrics-interval SECS] <target>... | --soak N\n\
+         \x20            [--trace-out FILE.jsonl] [--metrics-out FILE.json] <target>... | --soak N\n\
          \x20      repro analyze TRACE.jsonl [--metrics FILE.json] [--folded OUT] [--top N] [--lenient]\n\
          \x20      repro analyze --fleet TRACE_DIR [--folded OUT] [--top N]\n\
          \x20      repro analyze replay TOKEN\n\
          \x20      repro analyze journal JOURNAL.jsonl [--worker ADDR] [--module ID]\n\
          \x20            [--kind KIND] [--from KIND] [--to KIND]\n\
-         \x20      repro top ADDR [--interval-ms N] [--once] [--fleet]\n\
          \x20      repro serve [--addr ADDR] [--slots N] [--queue N] [--retry-after SECS]\n\
          \x20            [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]\n\
          \x20      repro fleet [--worker ADDR]... [--spawn N] [--seed N] [--scale S]\n\
          \x20            [--modules N] [--workload NAME] [--lease-ms N] [--poll-ms N]\n\
          \x20            [--max-attempts N] [--checkpoint FILE] [--resume] [--json]\n\
          \x20            [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]\n\
-         \x20            [--serve-metrics ADDR] [--metrics-interval SECS] [--trace-dir DIR]\n\
-         \x20            [--journal FILE.jsonl]\n\
+         \x20            [--metrics-out FILE.json] [--trace-dir DIR] [--journal FILE.jsonl]\n\
          fault scenarios: none | flaky-host | thermal | dead-module | hung-module | chaos | <plan.json>\n\
          net-fault scenarios: none | flaky-link | slow-link | lossy-link | chaos | <plan.json>\n\
          targets: {} | defense-matrix | all\n\
@@ -464,7 +445,7 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut cfg = rh_bench::FleetConfig::default();
     let mut resume = false;
     let mut json = false;
-    let mut telemetry = TelemetryOptions::default();
+    let mut metrics_out: Option<PathBuf> = None;
     let mut net_fault: Option<String> = None;
     let mut net_fault_seed: Option<u64> = None;
     while let Some(a) = args.next() {
@@ -524,16 +505,9 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(seed) => net_fault_seed = Some(seed),
                 None => usage(),
             },
-            "--serve-metrics" => match args.next() {
-                Some(addr) => telemetry.serve_addr = Some(addr),
+            "--metrics-out" => match args.next() {
+                Some(p) => metrics_out = Some(PathBuf::from(p)),
                 None => usage(),
-            },
-            "--metrics-interval" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 => {
-                    telemetry.rollup_interval =
-                        Some(std::time::Duration::from_secs_f64(secs));
-                }
-                _ => usage(),
             },
             _ => usage(),
         }
@@ -566,14 +540,11 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
     interrupt::install();
     interrupt::cancel_on_signal(&cfg.cancel);
-    let obs = ObsSetup::with_telemetry(None, None, &telemetry, &cfg.cancel);
+    let obs = ObsSetup::new(None, metrics_out);
     cfg.progress = obs.progress();
-    // Reuse the telemetry recorder for trace capture when one is up;
-    // otherwise run_fleet installs a private one for --trace-dir.
+    // Reuse the --metrics-out recorder for trace capture when one is
+    // up; otherwise run_fleet installs a private one for --trace-dir.
     cfg.trace_recorder = obs.recorder_handle();
-    // With live telemetry up, the coordinator's /metrics federates the
-    // scraped worker expositions (worker="addr"-labeled).
-    cfg.federation = obs.federation_hub();
     let outcome = rh_bench::run_fleet(&cfg);
     let mut code = match &outcome {
         Ok(report) => {
@@ -601,7 +572,7 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     };
     if let Err(e) = obs.finish() {
-        eprintln!("repro fleet: failed to flush telemetry: {e}");
+        eprintln!("repro fleet: failed to write metrics: {e}");
         code = ExitCode::FAILURE;
     }
     code
@@ -681,7 +652,6 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
-    let mut telemetry = TelemetryOptions::default();
     let mut soak: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     // Subcommands dispatch on the first argument; everything else
@@ -690,15 +660,6 @@ fn main() -> ExitCode {
         Some("analyze") => return analyze_main(args.skip(1)),
         Some("serve") => return serve_main(args.skip(1)),
         Some("fleet") => return fleet_main(args.skip(1)),
-        Some("top") => {
-            return match rh_bench::top::top_main(args.skip(1)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("repro top: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         _ => {}
     }
     while let Some(a) = args.next() {
@@ -755,17 +716,6 @@ fn main() -> ExitCode {
                 Some(p) => metrics_out = Some(PathBuf::from(p)),
                 None => usage(),
             },
-            "--serve-metrics" => match args.next() {
-                Some(addr) => telemetry.serve_addr = Some(addr),
-                None => usage(),
-            },
-            "--metrics-interval" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 => {
-                    telemetry.rollup_interval =
-                        Some(std::time::Duration::from_secs_f64(secs));
-                }
-                _ => usage(),
-            },
             "--list" => {
                 for t in targets() {
                     println!("{t}");
@@ -790,7 +740,7 @@ fn main() -> ExitCode {
             eprintln!("repro --soak: cannot create {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
-        let obs = ObsSetup::with_telemetry(trace_out, metrics_out, &telemetry, &cfg.cancel);
+        let obs = ObsSetup::new(trace_out, metrics_out);
         let tracker = obs.progress();
         let base = cfg.seed;
         let report =
@@ -841,7 +791,7 @@ fn main() -> ExitCode {
     // and checkpoint as cancelled-free state.
     interrupt::cancel_on_signal(&cfg.cancel);
 
-    let obs = ObsSetup::with_telemetry(trace_out, metrics_out, &telemetry, &cfg.cancel);
+    let obs = ObsSetup::new(trace_out, metrics_out);
     cfg.progress = obs.progress();
     let mut code = ExitCode::SUCCESS;
     for t in &wanted {

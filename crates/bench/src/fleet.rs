@@ -17,7 +17,7 @@ use rh_dram::Manufacturer;
 use rh_obs::faultnet::InstalledPlan;
 use rh_obs::names;
 use rh_obs::stream::{self, EventDedup, JobEvent};
-use rh_obs::{http_get, http_post, ClientResponse, FederationHub, NetFaultPlan};
+use rh_obs::{http_get, http_post, ClientResponse, NetFaultPlan};
 use rh_softmc::CancelToken;
 use serde::{Serialize as _, Value};
 use std::collections::HashMap;
@@ -57,8 +57,8 @@ pub struct FleetConfig {
     pub checkpoint: Option<PathBuf>,
     /// Operator cancellation: fans out to every worker.
     pub cancel: CancelToken,
-    /// Fleet-wide progress aggregation (drives `campaign.progress.*`
-    /// so `repro top` can watch the whole fleet).
+    /// Fleet-wide progress aggregation (drives the
+    /// `campaign.progress.*` gauges of the `--metrics-out` snapshot).
     pub progress: Option<Arc<ProgressTracker>>,
     /// Per-worker circuit breaker policy (trip thresholds, cooldowns,
     /// eviction). The `jitter_seed` is normally derived from `seed`.
@@ -77,7 +77,7 @@ pub struct FleetConfig {
     pub trace_dir: Option<PathBuf>,
     /// Recorder to capture with. `None` + `trace_dir` set = the run
     /// installs (and uninstalls) a private recorder; callers that
-    /// already installed one (live telemetry) pass it here instead.
+    /// already installed one (`--metrics-out`) pass it here instead.
     pub trace_recorder: Option<Arc<rh_obs::Recorder>>,
     /// Append-only fleet journal (`journal.jsonl`): every per-job
     /// lifecycle event scraped from worker `/events` streams — plus
@@ -85,10 +85,6 @@ pub struct FleetConfig {
     /// here exactly once, deduplicated by `(lease_id, seq)`. `None`
     /// disables event-stream ingestion entirely.
     pub journal: Option<PathBuf>,
-    /// Metrics federation hub: when set, the coordinator periodically
-    /// scrapes every worker's `/metrics` into it, and the telemetry
-    /// server renders the merged fleet exposition from it.
-    pub federation: Option<Arc<FederationHub>>,
 }
 
 impl Default for FleetConfig {
@@ -113,7 +109,6 @@ impl Default for FleetConfig {
             trace_dir: None,
             trace_recorder: None,
             journal: None,
-            federation: None,
         }
     }
 }
@@ -481,12 +476,7 @@ impl FleetJournal {
 /// failures are silent (the cursor simply re-presents next tick) and
 /// NEVER feed the worker's circuit breaker: observability must not
 /// influence dispatch health.
-fn scrape_events(
-    journal: &mut FleetJournal,
-    progress: Option<&Arc<ProgressTracker>>,
-    addr: &str,
-    io_timeout: Duration,
-) {
+fn scrape_events(journal: &mut FleetJournal, addr: &str, io_timeout: Duration) {
     let cursor = journal.cursor(addr);
     let Ok(response) =
         http_get(addr, &format!("/events?since={cursor}&max=512"), io_timeout)
@@ -500,9 +490,6 @@ fn scrape_events(
     journal.ingest_batch(addr, &parsed.events);
     if let Some(last) = response.header("x-last-seq").and_then(|v| v.parse().ok()) {
         journal.note_last_seq(addr, last);
-    }
-    if let Some(progress) = progress {
-        progress.set_stream_cursor(addr, journal.last_seq(addr), journal.cursor(addr));
     }
 }
 
@@ -687,11 +674,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         }
     }
 
-    // Event-stream ingestion and metrics federation ride beside the
-    // dispatch loop; neither ever touches results or breakers.
+    // Event-stream ingestion rides beside the dispatch loop; it never
+    // touches results or breakers.
     let mut journal = cfg.journal.as_ref().map(FleetJournal::open);
-    let metrics_interval = Duration::from_millis(cfg.poll_ms.max(200));
-    let mut last_metrics_scrape: Option<Instant> = None;
 
     // lease id -> worker address, for polling.
     let mut lease_worker: HashMap<u64, String> = HashMap::new();
@@ -783,9 +768,19 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     workers[slot].back_off_advice(now, advice);
                     table.release(grant.lease_id, now);
                 }
-                Err(_) => {
+                Err(e) => {
                     workers[slot].note_failure(now);
-                    table.release(grant.lease_id, now);
+                    if e.kind() == std::io::ErrorKind::ConnectionRefused {
+                        // Never delivered: back to pending, attempt
+                        // budget untouched.
+                        table.release(grant.lease_id, now);
+                    } else {
+                        // The request may have reached the worker and
+                        // only the reply was lost. Keep the lease and
+                        // let the poll decide, so a delivered job is
+                        // never run a second time elsewhere.
+                        lease_worker.insert(grant.lease_id, workers[slot].addr.clone());
+                    }
                 }
             }
         }
@@ -893,29 +888,13 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             _ => false,
         });
 
-        // 5. Scrape worker event streams into the journal and worker
-        // /metrics into the federation hub (throttled). Neither feeds
-        // the circuit breakers.
+        // 5. Scrape worker event streams into the journal. This never
+        // feeds the circuit breakers.
         if let Some(journal) = journal.as_mut() {
             for worker in &workers {
-                scrape_events(journal, cfg.progress.as_ref(), &worker.addr, io_timeout);
+                scrape_events(journal, &worker.addr, io_timeout);
             }
             rh_obs::gauge(names::FLEET_JOURNAL_LAG, journal.worst_lag() as f64);
-        }
-        if let Some(hub) = &cfg.federation {
-            let due = last_metrics_scrape.is_none_or(|t| t.elapsed() >= metrics_interval);
-            if due {
-                last_metrics_scrape = Some(Instant::now());
-                for worker in &workers {
-                    match http_get(&worker.addr, "/metrics", io_timeout) {
-                        Ok(r) if r.status == 200 => {
-                            rh_obs::counter(names::FLEET_FEDERATION_SCRAPES, 1);
-                            hub.publish(&worker.addr, r.body);
-                        }
-                        _ => rh_obs::counter(names::FLEET_FEDERATION_ERRORS, 1),
-                    }
-                }
-            }
         }
 
         std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(10)));
@@ -927,19 +906,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
     // connect and are skipped.
     if let Some(journal) = journal.as_mut() {
         for worker in &workers {
-            scrape_events(journal, cfg.progress.as_ref(), &worker.addr, io_timeout);
+            scrape_events(journal, &worker.addr, io_timeout);
         }
         rh_obs::gauge(names::FLEET_JOURNAL_LAG, journal.worst_lag() as f64);
-    }
-    if let Some(hub) = &cfg.federation {
-        for worker in &workers {
-            if let Ok(r) = http_get(&worker.addr, "/metrics", io_timeout) {
-                if r.status == 200 {
-                    rh_obs::counter(names::FLEET_FEDERATION_SCRAPES, 1);
-                    hub.publish(&worker.addr, r.body);
-                }
-            }
-        }
     }
 
     // Fan cancellation out to the workers we know about, then tear

@@ -9,7 +9,6 @@
 pub mod fleet;
 pub mod runners;
 pub mod soak;
-pub mod top;
 pub mod worker;
 
 pub use fleet::{fleet_text, run_fleet, run_fleet_local, FleetConfig};
@@ -17,6 +16,6 @@ pub use worker::{execute_payload, fleet_module_id, run_worker, JobSpec, WorkerCo
 
 pub use runners::{
     experiment, run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput,
-    TelemetryOptions, EXPERIMENTS,
+    EXPERIMENTS,
 };
 pub use soak::{run_soak_tracked, soak_one_tracked, SoakReport, SoakScenario, SoakStats};

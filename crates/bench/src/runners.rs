@@ -52,10 +52,10 @@ pub struct RunConfig {
     /// handler) makes every campaign-backed target checkpoint and
     /// unwind at the next command boundary.
     pub cancel: CancelToken,
-    /// Shared live-progress tracker: every campaign-backed target
-    /// admits its modules here and records their terminal statuses, so
-    /// the `/progress` endpoint and `repro top` see a run spanning
-    /// several targets as one aggregate (`None` = no tracking).
+    /// Shared progress tracker: every campaign-backed target admits
+    /// its modules here and records their terminal statuses, so the
+    /// `campaign.progress.*` gauges of a run spanning several targets
+    /// count it as one aggregate (`None` = no tracking).
     pub progress: Option<Arc<ProgressTracker>>,
     /// Clean campaigns already run under this config, shared by all its
     /// clones, so targets that render one experiment (table3/fig3,
@@ -98,77 +98,18 @@ pub struct RunOutput {
     pub report: Option<CampaignReport>,
 }
 
-/// Live-telemetry sidecar options of one reproduction invocation,
-/// layered on top of the trace/metrics file outputs.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOptions {
-    /// Bind address of the HTTP endpoint serving `/metrics`,
-    /// `/progress`, and `/healthz` (e.g. `127.0.0.1:0` for an
-    /// OS-assigned port); `None` = no server.
-    pub serve_addr: Option<String>,
-    /// Interval of the periodic rollup snapshot (one JSONL line per
-    /// tick, flushed immediately, so a crashed run still leaves its
-    /// metric series on disk). `None` = no rollup publisher.
-    pub rollup_interval: Option<Duration>,
-}
-
-impl TelemetryOptions {
-    /// Whether any live sidecar is requested.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.serve_addr.is_some() || self.rollup_interval.is_some()
-    }
-}
-
-/// The [`rh_obs::TelemetrySource`] backing the live endpoints: renders
-/// the shared recorder as Prometheus text, the shared tracker as the
-/// `/progress` JSON, and reports unhealthy once the operator token has
-/// fired (the executor tree is unwinding; scrapers should know).
-struct LiveTelemetry {
-    recorder: Arc<rh_obs::Recorder>,
-    progress: Arc<ProgressTracker>,
-    cancel: CancelToken,
-    /// Fleet metrics federation: worker expositions the coordinator
-    /// has scraped. Empty (every non-fleet run) renders the local
-    /// exposition byte-identically.
-    federation: Arc<rh_obs::FederationHub>,
-}
-
-impl rh_obs::TelemetrySource for LiveTelemetry {
-    fn metrics_text(&self) -> String {
-        self.federation.render(&rh_obs::export::render_prometheus(&self.recorder))
-    }
-
-    fn progress_json(&self) -> String {
-        self.progress.progress_json()
-    }
-
-    fn healthy(&self) -> bool {
-        !self.cancel.is_cancelled()
-    }
-}
-
 /// Observability wiring of one reproduction invocation: when at least
 /// one output path is requested, installs a process-global
 /// [`rh_obs::Recorder`] so every instrumentation point in the stack
 /// (softmc commands, dram flips, campaign retry/quarantine events,
 /// defense mitigations) is captured, and exports the JSONL trace and
 /// the metrics snapshot on [`finish`](ObsSetup::finish).
-///
-/// [`with_telemetry`](ObsSetup::with_telemetry) additionally starts
-/// the live sidecars: the telemetry HTTP server and/or the periodic
-/// rollup publisher, both torn down by `finish` (and the server also
-/// by the operator cancel token, via the accept loop's shutdown
-/// predicate).
 #[derive(Debug, Default)]
 pub struct ObsSetup {
     recorder: Option<Arc<rh_obs::Recorder>>,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     progress: Option<Arc<ProgressTracker>>,
-    server: Option<rh_obs::TelemetryServer>,
-    rollup: Option<rh_obs::RollupPublisher>,
-    federation: Option<Arc<rh_obs::FederationHub>>,
 }
 
 impl ObsSetup {
@@ -181,32 +122,7 @@ impl ObsSetup {
     /// created the recorder falls back to in-memory recording and the
     /// export happens at [`finish`](ObsSetup::finish).
     pub fn new(trace_out: Option<PathBuf>, metrics_out: Option<PathBuf>) -> Self {
-        Self::with_telemetry(
-            trace_out,
-            metrics_out,
-            &TelemetryOptions::default(),
-            &CancelToken::new(),
-        )
-    }
-
-    /// [`new`](Self::new) plus live telemetry. A recorder is installed
-    /// when any output — file or live — is requested. With
-    /// [`TelemetryOptions::serve_addr`] the HTTP server starts here
-    /// (bind errors are reported on stderr, not fatal: losing the
-    /// monitor must not kill the campaign); its accept loop also polls
-    /// `cancel`, so an operator interrupt downs the server without any
-    /// extra plumbing. With [`TelemetryOptions::rollup_interval`] the
-    /// rollup publisher appends periodic counter/gauge snapshots to
-    /// `<metrics_out>.rollup.jsonl` (or a temp-dir file when no
-    /// metrics path was given).
-    pub fn with_telemetry(
-        trace_out: Option<PathBuf>,
-        metrics_out: Option<PathBuf>,
-        telemetry: &TelemetryOptions,
-        cancel: &CancelToken,
-    ) -> Self {
-        let wanted = trace_out.is_some() || metrics_out.is_some() || telemetry.any();
-        if !wanted {
+        if trace_out.is_none() && metrics_out.is_none() {
             return Self::default();
         }
         let rec = trace_out
@@ -215,68 +131,11 @@ impl ObsSetup {
             .unwrap_or_default();
         let rec = Arc::new(rec);
         rh_obs::install(rec.clone());
-        let progress = Arc::new(ProgressTracker::new());
-        let federation = Arc::new(rh_obs::FederationHub::new());
-
-        let server = telemetry.serve_addr.as_deref().and_then(|addr| {
-            let source = Arc::new(LiveTelemetry {
-                recorder: Arc::clone(&rec),
-                progress: Arc::clone(&progress),
-                cancel: cancel.clone(),
-                federation: Arc::clone(&federation),
-            });
-            let token = cancel.clone();
-            let shutdown = Box::new(move || token.is_cancelled());
-            match rh_obs::serve_with(
-                addr,
-                source,
-                &rh_obs::ServeConfig::default(),
-                Some(shutdown),
-            ) {
-                Ok(server) => {
-                    // The one parseable line CI and `repro top` key on.
-                    eprintln!("repro: serving telemetry on http://{}", server.local_addr());
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("repro: cannot serve telemetry on {addr}: {e}");
-                    None
-                }
-            }
-        });
-
-        let rollup = telemetry.rollup_interval.and_then(|interval| {
-            let path = metrics_out.as_ref().map_or_else(
-                || std::env::temp_dir().join(format!("rh-rollup-{}.jsonl", std::process::id())),
-                |p| {
-                    let mut name = p.file_name().map_or_else(
-                        || std::ffi::OsString::from("metrics"),
-                        std::ffi::OsStr::to_os_string,
-                    );
-                    name.push(".rollup.jsonl");
-                    p.with_file_name(name)
-                },
-            );
-            match rh_obs::RollupPublisher::start(Arc::clone(&rec), &path, interval) {
-                Ok(rollup) => {
-                    eprintln!("repro: rollup series -> {}", path.display());
-                    Some(rollup)
-                }
-                Err(e) => {
-                    eprintln!("repro: cannot start rollup at {}: {e}", path.display());
-                    None
-                }
-            }
-        });
-
         Self {
             recorder: Some(rec),
             trace_out,
             metrics_out,
-            progress: Some(progress),
-            server,
-            rollup,
-            federation: Some(federation),
+            progress: Some(Arc::new(ProgressTracker::new())),
         }
     }
 
@@ -296,42 +155,21 @@ impl ObsSetup {
         self.recorder.clone()
     }
 
-    /// The metrics-federation hub the live `/metrics` endpoint renders
-    /// from (present whenever live telemetry is), for wiring into
-    /// [`crate::fleet::FleetConfig::federation`].
-    pub fn federation_hub(&self) -> Option<Arc<rh_obs::FederationHub>> {
-        self.federation.clone()
-    }
-
     /// The shared progress tracker (present whenever a recorder is),
     /// for wiring into [`RunConfig::progress`].
     pub fn progress(&self) -> Option<Arc<ProgressTracker>> {
         self.progress.clone()
     }
 
-    /// The bound address of the live telemetry server, if one is up.
-    pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(rh_obs::TelemetryServer::local_addr)
-    }
-
-    /// Stops the live sidecars (joining every server thread and
-    /// writing the rollup's final line), uninstalls the sink, and
-    /// writes the requested trace/metrics files. Call once, after the
-    /// last target has run (even a failed or interrupted run's partial
-    /// trace is worth exporting for diagnosis — this is also what
-    /// flushes the rollup on SIGINT/SIGTERM, alongside the campaign
-    /// checkpoints).
+    /// Uninstalls the sink and writes the requested trace/metrics
+    /// files. Call once, after the last target has run (even a failed
+    /// or interrupted run's partial trace is worth exporting for
+    /// diagnosis).
     ///
     /// # Errors
     ///
     /// I/O errors writing either output file.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        if let Some(mut server) = self.server.take() {
-            server.shutdown();
-        }
-        if let Some(rollup) = self.rollup.take() {
-            rollup.stop();
-        }
+    pub fn finish(self) -> std::io::Result<()> {
         let Some(rec) = self.recorder else {
             return Ok(());
         };

@@ -284,11 +284,11 @@ fn run_campaign(
 }
 
 /// Runs one scenario and checks every invariant. The checkpoint file
-/// lives under `dir` and is removed on success. With a live-progress
+/// lives under `dir` and is removed on success. With a progress
 /// tracker, both the first run and the resume pass admit their
-/// modules, so `repro --soak
-/// --serve-metrics` exposes the whole soak (2× modules per scenario)
-/// as one accumulating `/progress` series.
+/// modules, so the `campaign.progress.*` gauges of `repro --soak
+/// --metrics-out` count the whole soak (2× modules per scenario) as
+/// one accumulating total.
 ///
 /// # Errors
 ///

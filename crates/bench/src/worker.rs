@@ -23,8 +23,8 @@
 //!   consumer presents doubles as its delivery acknowledgement, which
 //!   `/progress` re-exposes as `last_seq`/`acked_seq` journal lag.
 //!
-//! `GET /metrics`, `/progress`, and `/healthz` keep working, so
-//! `repro top` can watch an individual worker too.
+//! `GET /metrics`, `/progress`, and `/healthz` keep working, so a
+//! worker's counters, queue and journal lag can be read while it runs.
 //!
 //! The work itself is deterministic in the payload: the same
 //! `(module, seed, scale, workload)` produces bit-identical JSON on
@@ -545,9 +545,9 @@ impl TelemetrySource for WorkerSource {
         let jobs = lock(&self.state.jobs);
         let running = self.state.running.load(Ordering::SeqCst);
         let queued = jobs.iter().filter(|j| matches!(j.state, JobState::Queued)).count();
-        // Per-slot detail for `repro top`: what each slot is actually
-        // executing, with the trace id linking it to the distributed
-        // trace ("0" = untraced submission).
+        // Per-slot detail: what each slot is actually executing, with
+        // the trace id linking it to the distributed trace ("0" =
+        // untraced submission).
         let slots: Vec<Value> = jobs
             .iter()
             .map(|j| {

@@ -32,8 +32,9 @@ fn chaos_soak_upholds_supervisor_invariants() {
 
     let dir = std::env::temp_dir().join(format!("rh-chaos-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("soak dir");
-    // One shared live-progress tracker across every scenario — the same
-    // aggregate `repro --soak --serve-metrics` exposes over /progress.
+    // One shared progress tracker across every scenario — the same
+    // aggregate `repro --soak --metrics-out` records as its
+    // `campaign.progress.*` gauges.
     let tracker = Arc::new(ProgressTracker::new());
     let report = run_soak_tracked(SOAK_SEEDS, &dir, |_| {}, Some(&tracker));
     assert!(

@@ -1,5 +1,5 @@
-//! Live fleet telemetry, end to end: a chaos-hardened fleet run with
-//! the journal and federation armed must leave
+//! The fleet journal, end to end: a chaos-hardened fleet run with the
+//! journal armed must leave
 //!
 //! * an append-only `journal.jsonl` in which at-least-once event
 //!   delivery has been collapsed to exactly-once — no duplicate
@@ -8,16 +8,17 @@
 //!   even while the link is flaky and a worker is SIGKILLed mid-run;
 //! * a committed result set bit-identical to the fault-free
 //!   in-process oracle (observability must never perturb results);
-//! * a federated `/metrics` exposition carrying `worker="addr"`
-//!   labels next to the coordinator's own unlabeled series; and
-//! * per-worker stream cursors in the coordinator's `/progress`.
+//! * a `fleet.journal.events` counter equal to the journal's length;
+//!   and
+//! * every surviving worker drained: its highest journaled `seq` is
+//!   the `last_seq` its own `/progress` reports after the run.
 
 use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
 use rh_core::fleet::BreakerPolicy;
-use rh_core::{ProgressTracker, Scale};
+use rh_core::Scale;
 use rh_obs::analyze::{analyze_journal, JournalFilter};
 use rh_obs::stream::{parse_events, EventDedup, EventKind};
-use rh_obs::{http_get, names, FederationHub};
+use rh_obs::{http_get, names};
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
@@ -107,8 +108,6 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
     let journal_path =
         std::env::temp_dir().join(format!("rh-fleet-journal-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal_path);
-    let hub = Arc::new(FederationHub::new());
-    let tracker = Arc::new(ProgressTracker::new());
 
     let seed = 42;
     let cfg = FleetConfig {
@@ -128,8 +127,6 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
             jitter_seed: 0,
         },
         journal: Some(journal_path.clone()),
-        federation: Some(Arc::clone(&hub)),
-        progress: Some(Arc::clone(&tracker)),
         ..FleetConfig::default()
     };
     let fleet = std::thread::spawn(move || run_fleet(&cfg));
@@ -164,7 +161,7 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
     assert_eq!(
         results_key(&report.results),
         results_key(&oracle.results),
-        "journal/federation must not perturb committed bits"
+        "the journal must not perturb committed bits"
     );
 
     // --- Journal: exactly-once over an at-least-once stream. ---
@@ -207,37 +204,30 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
         "every committed lease pairs started -> committed"
     );
 
-    // --- Federation: worker-labeled series next to unlabeled own. ---
-    assert!(!hub.is_empty(), "the run must have published worker expositions");
-    let own = rh_obs::export::render_prometheus(&recorder);
-    let fed = hub.render(&own);
-    assert!(
-        fed.contains("worker_jobs_completed{worker=\""),
-        "federated exposition must carry worker labels:\n{fed}"
-    );
-    let journal_counter = rh_obs::export::sanitize_metric_name(names::FLEET_JOURNAL_EVENTS);
-    let journal_events: u64 = fed
-        .lines()
-        .find_map(|l| l.strip_prefix(journal_counter.as_str()))
-        .and_then(|rest| rest.trim().parse().ok())
-        .expect("coordinator's own journal counter stays unlabeled");
+    // --- Counter: the coordinator's own tally equals the journal. ---
     assert_eq!(
-        journal_events,
+        recorder.counter_value(names::FLEET_JOURNAL_EVENTS),
         parsed.events.len() as u64,
         "journal counter equals journal lines"
     );
 
-    // --- Progress: per-worker stream cursors, drained at exit. ---
-    let cursors = tracker.stream_cursors();
+    // --- Drain: every surviving worker's stream is journaled to the
+    // last event it assigned. ---
     for addr in [&addr1, &addr2] {
-        let entry = cursors.iter().find(|(w, _, _)| w == addr.as_str());
-        let Some(&(_, last_seq, acked_seq)) = entry else {
-            panic!("no stream cursor for surviving worker {addr}: {cursors:?}");
-        };
-        assert!(last_seq >= 1);
-        assert_eq!(acked_seq, last_seq, "final drain leaves surviving workers at lag 0");
+        let progress = http_get(addr, "/progress", GET_TIMEOUT).expect("worker /progress");
+        assert_eq!(progress.status, 200);
+        let v: Value = serde_json::from_str(&progress.body).expect("worker /progress is JSON");
+        let last_seq = v.field("last_seq").as_u64().expect("last_seq");
+        let journaled = parsed
+            .events
+            .iter()
+            .filter(|e| e.worker == *addr)
+            .map(|e| e.seq)
+            .max()
+            .unwrap_or(0);
+        assert!(last_seq >= 1, "surviving worker {addr} emitted no events");
+        assert_eq!(journaled, last_seq, "final drain leaves {addr} at lag 0");
     }
-    assert!(tracker.progress_json().contains("\"streams\":["));
 
     let _ = std::fs::remove_file(&journal_path);
     rh_obs::uninstall();

@@ -8,7 +8,10 @@
 //!   nonzero breaker trips observable through the metrics recorder;
 //! * a permanently dead worker (nothing ever listens on its address)
 //!   must end in a *degraded partial* report once its breaker is
-//!   evicted — never a wedged coordinator.
+//!   evicted — never a wedged coordinator;
+//! * a dispatch whose reply is lost after the worker took the job is
+//!   settled by polling that worker, never by running the job again
+//!   elsewhere.
 
 use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
 use rh_core::fleet::BreakerPolicy;
@@ -16,8 +19,10 @@ use rh_core::Scale;
 use rh_obs::{http_get, names};
 use serde::Value;
 use std::collections::BTreeSet;
-use std::io::BufRead;
+use std::io::{BufRead, Read as _, Write as _};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -245,4 +250,75 @@ fn permanently_dead_worker_completes_degraded_instead_of_wedging() {
     assert!(prom_value(&text, names::FLEET_BREAKER_EVICTED) >= 1.0, "{text}");
     assert!((prom_value(&text, names::FLEET_DEGRADED) - 1.0).abs() < f64::EPSILON, "{text}");
     rh_obs::uninstall();
+}
+
+/// A stub worker whose `POST /job` replies are always lost: it reads
+/// the whole submission, counts it, and closes the connection without
+/// answering. Every `GET /job` poll answers `done`. Returns its address
+/// and the submission count.
+fn reply_losing_worker() -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("stub bind");
+    let addr = listener.local_addr().expect("stub addr").to_string();
+    let submissions = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&submissions);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            let mut reader = std::io::BufReader::new(stream);
+            let mut request_line = String::new();
+            let mut content_length = 0usize;
+            let mut line = String::new();
+            if reader.read_line(&mut request_line).is_err() {
+                continue;
+            }
+            while reader.read_line(&mut line).is_ok_and(|n| n > 2) {
+                if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                    content_length = v.trim().parse().unwrap_or(0);
+                }
+                line.clear();
+            }
+            let mut body = vec![0u8; content_length];
+            let _ = reader.read_exact(&mut body);
+            if request_line.starts_with("POST /job ") {
+                seen.fetch_add(1, Ordering::SeqCst);
+                continue; // dropped: the worker has the job, the reply is lost
+            }
+            let reply = if request_line.starts_with("GET /job?") {
+                r#"{"state":"done","result":{"stub":true}}"#
+            } else {
+                "{}"
+            };
+            let _ = write!(
+                reader.get_mut(),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{reply}",
+                reply.len()
+            );
+        }
+    });
+    (addr, submissions)
+}
+
+#[test]
+fn lost_dispatch_reply_is_settled_by_polling_not_by_a_second_run() {
+    let _g = globals();
+    let (addr, submissions) = reply_losing_worker();
+    let cfg = FleetConfig {
+        workers: vec![addr],
+        seed: 7,
+        scale: Scale::Smoke,
+        modules_per_mfr: 1,
+        poll_ms: 10,
+        ..FleetConfig::default()
+    };
+    let start = Instant::now();
+    let report = run_fleet(&cfg).expect("fleet run");
+    assert!(start.elapsed() < Duration::from_secs(60), "the run must not wedge");
+    assert!(report.is_clean(), "every job commits from its first lease: {}", report.summary_line());
+    assert_eq!(report.committed, 4);
+    assert_eq!(
+        submissions.load(Ordering::SeqCst),
+        4,
+        "a job the worker took is never submitted again"
+    );
 }

@@ -1,25 +1,23 @@
-//! Live campaign progress: per-module slot accounting, a
-//! throughput-based ETA, and periodic heartbeat publication.
+//! Campaign progress: per-module slot accounting, a throughput-based
+//! ETA, and periodic heartbeat publication.
 //!
 //! A [`ProgressTracker`] is shared (as an `Arc`) between a
 //! [`CampaignRunner`](crate::campaign::CampaignRunner) — which admits
 //! the module total, marks modules running via RAII guards, and
 //! records each terminal status where the job table decides it — and
-//! whatever wants to watch the campaign: the telemetry server's
-//! `/progress` endpoint, `repro top`, or a test. Every state change
-//! also publishes the `campaign.progress.*` gauges and, rate-limited,
-//! a `campaign.heartbeat` event, so the in-flight state is visible in
-//! `/metrics`, the trace, and the rollup series without any extra
-//! plumbing.
+//! whatever wants to inspect the campaign in process (a test, the
+//! soak's invariant checks). Every state change also publishes the
+//! `campaign.progress.*` gauges and, rate-limited, a
+//! `campaign.heartbeat` event, so the in-flight state lands in the
+//! `--metrics-out` snapshot and the trace without any extra plumbing.
 //!
 //! The ETA is deliberately simple — remaining modules divided by the
 //! observed completion throughput — and is [`None`] until the first
 //! module completes, so there is never a NaN, an infinity, or a
-//! made-up number on the wire.
+//! made-up number in a gauge or an event.
 
 use crate::campaign::ModuleStatus;
 use rh_obs::names;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -105,42 +103,14 @@ impl ProgressSnapshot {
     pub fn done(&self) -> bool {
         self.completed() >= self.total
     }
-
-    /// Renders the snapshot as the `/progress` JSON object (trailing
-    /// newline included).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let eta = self.eta_ms.map_or_else(|| "null".to_string(), |e| e.to_string());
-        format!(
-            "{{\"total\":{},\"pending\":{},\"running\":{},\"succeeded\":{},\"recovered\":{},\
-             \"quarantined\":{},\"timed_out\":{},\"cancelled\":{},\"completed\":{},\
-             \"elapsed_ms\":{},\"eta_ms\":{eta},\"done\":{}}}\n",
-            self.total,
-            self.pending,
-            self.running,
-            self.succeeded,
-            self.recovered,
-            self.quarantined,
-            self.timed_out,
-            self.cancelled,
-            self.completed(),
-            self.elapsed_ms,
-            self.done(),
-        )
-    }
 }
 
-/// Shared live-progress state for one or more campaigns. See the
+/// Shared progress state for one or more campaigns. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct ProgressTracker {
     t0: Instant,
     inner: Mutex<Inner>,
-    /// Per-worker event-stream cursors (`worker -> (last_seq,
-    /// acked_seq)`), published by the fleet coordinator's journal
-    /// ingestion. Kept beside `Inner` so [`ProgressSnapshot`] stays
-    /// `Copy`; `/progress` splices them in via [`Self::progress_json`].
-    streams: Mutex<BTreeMap<String, (u64, u64)>>,
 }
 
 impl Default for ProgressTracker {
@@ -157,7 +127,6 @@ impl ProgressTracker {
         Self {
             t0: Instant::now(),
             inner: Mutex::new(Inner::default()),
-            streams: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -225,69 +194,6 @@ impl ProgressTracker {
 
     fn elapsed_ms(&self) -> u64 {
         u64::try_from(self.t0.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Publishes one worker's event-stream cursor: the highest seq it
-    /// has emitted and the highest seq the journal has durably
-    /// ingested. The difference is that worker's journal lag.
-    pub fn set_stream_cursor(&self, worker: &str, last_seq: u64, acked_seq: u64) {
-        let mut streams = match self.streams.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        streams.insert(worker.to_string(), (last_seq, acked_seq));
-    }
-
-    /// Current `(worker, last_seq, acked_seq)` cursors, sorted by
-    /// worker address. Empty for non-fleet campaigns.
-    #[must_use]
-    pub fn stream_cursors(&self) -> Vec<(String, u64, u64)> {
-        let streams = match self.streams.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        streams.iter().map(|(w, &(l, a))| (w.clone(), l, a)).collect()
-    }
-
-    /// The `/progress` JSON body: [`ProgressSnapshot::to_json`] plus,
-    /// when the coordinator has published any event-stream cursors, a
-    /// `"streams"` array with per-worker journal lag. Non-fleet runs
-    /// produce exactly the snapshot JSON, byte for byte.
-    #[must_use]
-    pub fn progress_json(&self) -> String {
-        let base = self.snapshot().to_json();
-        let cursors = self.stream_cursors();
-        if cursors.is_empty() {
-            return base;
-        }
-        let mut streams = String::from(",\"streams\":[");
-        for (i, (worker, last_seq, acked_seq)) in cursors.iter().enumerate() {
-            if i > 0 {
-                streams.push(',');
-            }
-            let escaped: String = worker
-                .chars()
-                .flat_map(|c| match c {
-                    '"' | '\\' => vec!['\\', c],
-                    c => vec![c],
-                })
-                .collect();
-            streams.push_str(&format!(
-                "{{\"worker\":\"{escaped}\",\"last_seq\":{last_seq},\"acked_seq\":{acked_seq},\
-                 \"lag\":{}}}",
-                last_seq.saturating_sub(*acked_seq),
-            ));
-        }
-        streams.push(']');
-        // Splice before the closing `}` of the snapshot object.
-        match base.rfind('}') {
-            Some(pos) => {
-                let mut out = base;
-                out.insert_str(pos, &streams);
-                out
-            }
-            None => base,
-        }
     }
 
     /// Publishes the gauges unconditionally and a heartbeat event when
@@ -414,43 +320,6 @@ mod tests {
         assert!(snap.done());
         drop(guard);
         assert_eq!(tracker.snapshot().running, 0);
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed() {
-        let tracker = Arc::new(ProgressTracker::new());
-        tracker.add_modules(3);
-        tracker.record_status(&ModuleStatus::Succeeded);
-        let json = tracker.snapshot().to_json();
-        assert!(json.starts_with("{\"total\":3,"));
-        assert!(json.contains("\"succeeded\":1"));
-        assert!(json.contains("\"completed\":1"));
-        assert!(json.contains("\"done\":false"));
-        assert!(json.ends_with("}\n"));
-        // Before any completion the ETA serializes as null, not NaN.
-        let fresh = Arc::new(ProgressTracker::new());
-        fresh.add_modules(2);
-        assert!(fresh.snapshot().to_json().contains("\"eta_ms\":null"));
-    }
-
-    #[test]
-    fn progress_json_splices_stream_cursors_only_when_present() {
-        let tracker = Arc::new(ProgressTracker::new());
-        tracker.add_modules(1);
-        let plain = tracker.progress_json();
-        assert_eq!(plain, tracker.snapshot().to_json(), "non-fleet runs are unchanged");
-        tracker.set_stream_cursor("127.0.0.1:9002", 12, 9);
-        tracker.set_stream_cursor("127.0.0.1:9001", 4, 4);
-        let json = tracker.progress_json();
-        assert!(json.ends_with("}\n"), "{json}");
-        let streams_at = json.find(",\"streams\":[").unwrap_or_else(|| panic!("{json}"));
-        let w1 = json.find("{\"worker\":\"127.0.0.1:9001\",\"last_seq\":4,\"acked_seq\":4,\"lag\":0}");
-        let w2 = json.find("{\"worker\":\"127.0.0.1:9002\",\"last_seq\":12,\"acked_seq\":9,\"lag\":3}");
-        assert!(w1.is_some() && w2.is_some(), "{json}");
-        assert!(streams_at < w1.unwrap() && w1 < w2, "sorted by worker: {json}");
-        // Re-publishing a cursor replaces, not appends.
-        tracker.set_stream_cursor("127.0.0.1:9001", 8, 8);
-        assert_eq!(tracker.stream_cursors().len(), 2);
     }
 
     #[test]

@@ -41,6 +41,13 @@ pub enum DramError {
         /// Rows per bank in the module.
         rows: u32,
     },
+    /// A column address beyond the row (`RD`/`WR`).
+    ColumnOutOfRange {
+        /// Offending column.
+        column: u32,
+        /// Columns per row in the module.
+        columns: u32,
+    },
     /// Row data of the wrong length was supplied to a write.
     BadRowLength {
         /// Expected length in bytes.
@@ -73,6 +80,9 @@ impl fmt::Display for DramError {
             Self::RowOutOfRange { row, rows } => {
                 write!(f, "row {} out of range (bank has {rows} rows)", row.0)
             }
+            Self::ColumnOutOfRange { column, columns } => {
+                write!(f, "column {column} out of range (row has {columns} columns)")
+            }
             Self::BadRowLength { expected, got } => {
                 write!(f, "row data length {got} does not match row size {expected}")
             }
@@ -96,6 +106,7 @@ mod tests {
             DramError::IllegalCommand { what: "ACT while active", bank: BankId(1) },
             DramError::BankOutOfRange { bank: BankId(99), banks: 16 },
             DramError::RowOutOfRange { row: RowAddr(1 << 20), rows: 65536 },
+            DramError::ColumnOutOfRange { column: 1024, columns: 1024 },
             DramError::BadRowLength { expected: 8192, got: 3 },
             DramError::UninitializedRow { bank: BankId(0), row: RowAddr(7) },
         ];

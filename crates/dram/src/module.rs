@@ -303,6 +303,13 @@ impl DramModule {
         Ok(())
     }
 
+    fn check_column(&self, column: u32) -> Result<(), DramError> {
+        if column >= self.cfg.geometry.columns {
+            return Err(DramError::ColumnOutOfRange { column, columns: self.cfg.geometry.columns });
+        }
+        Ok(())
+    }
+
     /// Issues one timed command.
     ///
     /// Reads return the 8-byte beat. Time must be monotone
@@ -358,6 +365,7 @@ impl DramModule {
             }
             Command::Rd { bank, column } => {
                 self.check_bank(*bank)?;
+                self.check_column(*column)?;
                 let timing = self.cfg.timing;
                 let enforce = self.cfg.enforce_timings;
                 let phys = self.banks[bank.0 as usize].column_access(tc.at, &timing, enforce)?;
@@ -366,11 +374,11 @@ impl DramModule {
                     .storage
                     .get(&(bank.0, phys.0))
                     .ok_or(DramError::UninitializedRow { bank: *bank, row: phys })?;
-                assert!((*column as usize) * 8 < row_bytes, "column {column} outside the row");
                 Ok(Some(data.view(row_bytes).word(*column).to_le_bytes()))
             }
             Command::Wr { bank, column, data } => {
                 self.check_bank(*bank)?;
+                self.check_column(*column)?;
                 let timing = self.cfg.timing;
                 let enforce = self.cfg.enforce_timings;
                 let phys = self.banks[bank.0 as usize].column_access(tc.at, &timing, enforce)?;
@@ -811,6 +819,32 @@ mod tests {
         assert_eq!(beat, [9, 8, 7, 6, 5, 4, 3, 2]);
         at += t.t_ras;
         m.issue(&TimedCommand { at, cmd: Command::Pre { bank: b } }).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_columns_rejected_without_touching_the_bank() {
+        let mut m = module();
+        let t = m.config().timing;
+        let b = BankId(0);
+        let columns = m.geometry().columns;
+        let mut at = 0;
+        m.issue(&TimedCommand { at, cmd: Command::Act { bank: b, row: RowAddr(5) } }).unwrap();
+        at += t.t_rcd;
+        m.issue(&TimedCommand { at, cmd: Command::Wr { bank: b, column: 3, data: [7; 8] } })
+            .unwrap();
+        at += t.t_ccd;
+        let bad = [
+            Command::Rd { bank: b, column: columns },
+            Command::Wr { bank: b, column: columns, data: [1; 8] },
+        ];
+        for cmd in bad {
+            assert_eq!(
+                m.issue(&TimedCommand { at, cmd }),
+                Err(DramError::ColumnOutOfRange { column: columns, columns })
+            );
+        }
+        let beat = m.issue(&TimedCommand { at, cmd: Command::Rd { bank: b, column: 3 } }).unwrap();
+        assert_eq!(beat, Some([7; 8]));
     }
 
     #[test]

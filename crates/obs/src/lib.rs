@@ -57,7 +57,6 @@ pub mod trace;
 
 pub use client::{http_get, http_post, ClientResponse};
 pub use faultnet::{NetFault, NetFaultInjector, NetFaultPlan};
-pub use export::{FederationHub, RollupPublisher};
 pub use stream::{EventBatch, EventDedup, EventKind, EventRing, JobEvent};
 pub use hist::{HistSnapshot, Histogram, TimerGuard};
 pub use recorder::{Recorder, SpanStat, TraceRecord};

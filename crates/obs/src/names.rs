@@ -255,10 +255,6 @@ pub const FLEET_JOURNAL_EVENTS: &str = "fleet.journal.events";
 pub const FLEET_JOURNAL_DUPLICATES: &str = "fleet.journal.duplicates";
 /// Gauge: worst per-worker stream lag (`last_seq - acked_seq`).
 pub const FLEET_JOURNAL_LAG: &str = "fleet.journal.lag";
-/// Worker `/metrics` scrapes merged into the federated exposition.
-pub const FLEET_FEDERATION_SCRAPES: &str = "fleet.federation.scrapes";
-/// Worker `/metrics` scrapes that failed (kept serving stale text).
-pub const FLEET_FEDERATION_ERRORS: &str = "fleet.federation.errors";
 
 /// Trace records dropped by the recorder (memory cap or write error).
 pub const OBS_DROPPED_RECORDS: &str = "obs.dropped_records";
@@ -379,8 +375,6 @@ pub fn all() -> &'static [&'static str] {
         FLEET_JOURNAL_EVENTS,
         FLEET_JOURNAL_DUPLICATES,
         FLEET_JOURNAL_LAG,
-        FLEET_FEDERATION_SCRAPES,
-        FLEET_FEDERATION_ERRORS,
         OBS_DROPPED_RECORDS,
         OBS_HTTP_REQUESTS,
         OBS_HTTP_REJECTED,

@@ -181,7 +181,7 @@ impl Recorder {
     }
 
     /// Microseconds since the recorder was created — the same clock
-    /// that stamps trace records, so rollup lines and traces align.
+    /// that stamps trace records.
     pub fn elapsed_us(&self) -> u64 {
         self.t0.elapsed().as_micros() as u64
     }

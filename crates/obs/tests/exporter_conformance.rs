@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rh_obs::export::{
-    escape_label_value, federate, render_histogram, render_prometheus, sanitize_metric_name,
+    escape_label_value, render_histogram, render_prometheus, sanitize_metric_name,
 };
 use rh_obs::hist::bucket_of;
 use rh_obs::{HistSnapshot, Recorder, Sink as _};
@@ -578,118 +578,5 @@ proptest! {
     #[test]
     fn sanitized_names_are_always_legal(raw in RawName) {
         prop_assert!(is_valid_metric_name(&sanitize_metric_name(&raw)));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet federation: golden exposition + merge properties
-// ---------------------------------------------------------------------------
-
-/// The federated exposition for one coordinator + one worker, byte
-/// for byte: the coordinator's own scalar stays unlabeled, the
-/// worker's copy gains `worker="addr"`, aligned log2 histogram buckets
-/// are de-cumulated, summed element-wise, and re-rendered cumulative
-/// as one `le`-only family, and worker-only families federate too.
-#[test]
-fn golden_fleet_federated_exposition() {
-    let own = "\
-# HELP dram_flip Monotonic counter `dram.flip`.
-# TYPE dram_flip counter
-dram_flip 5
-# HELP softmc_issue_ns Log2-bucketed histogram `softmc.issue.ns`.
-# TYPE softmc_issue_ns histogram
-softmc_issue_ns_bucket{le=\"0\"} 2
-softmc_issue_ns_bucket{le=\"1\"} 3
-softmc_issue_ns_bucket{le=\"+Inf\"} 3
-softmc_issue_ns_sum 1
-softmc_issue_ns_count 3
-";
-    let worker = "\
-# TYPE dram_flip counter
-dram_flip 7
-# TYPE softmc_issue_ns histogram
-softmc_issue_ns_bucket{le=\"0\"} 1
-softmc_issue_ns_bucket{le=\"3\"} 2
-softmc_issue_ns_bucket{le=\"+Inf\"} 2
-softmc_issue_ns_sum 4
-softmc_issue_ns_count 2
-# TYPE worker_jobs_completed counter
-worker_jobs_completed 3
-";
-    let text = federate(own, &[("127.0.0.1:7001".to_string(), worker.to_string())]);
-    let expected = "\
-# HELP dram_flip Fleet-federated counter `dram_flip`.
-# TYPE dram_flip counter
-dram_flip 5
-dram_flip{worker=\"127.0.0.1:7001\"} 7
-# HELP softmc_issue_ns Fleet-federated log2 histogram `softmc_issue_ns`.
-# TYPE softmc_issue_ns histogram
-softmc_issue_ns_bucket{le=\"0\"} 3
-softmc_issue_ns_bucket{le=\"1\"} 4
-softmc_issue_ns_bucket{le=\"3\"} 5
-softmc_issue_ns_bucket{le=\"+Inf\"} 5
-softmc_issue_ns_sum 5
-softmc_issue_ns_count 5
-# HELP worker_jobs_completed Fleet-federated counter `worker_jobs_completed`.
-# TYPE worker_jobs_completed counter
-worker_jobs_completed{worker=\"127.0.0.1:7001\"} 3
-";
-    assert_eq!(text, expected);
-    parse_and_validate(&text).expect("golden federated payload must be conformant");
-}
-
-/// One to three worker histogram sources for the federation property.
-struct WorkerSnapshots;
-
-impl Strategy for WorkerSnapshots {
-    type Value = Vec<HistSnapshot>;
-    fn sample(&self, rng: &mut TestRng) -> Vec<HistSnapshot> {
-        let n = 1 + rng.below(3) as usize;
-        (0..n).map(|_| Snapshots.sample(rng)).collect()
-    }
-}
-
-proptest! {
-    // Whatever each source's histogram holds, the federated merge is
-    // conformant under the same validator as a single-process payload
-    // (monotone cumulative buckets, +Inf == _count) and preserves the
-    // fleet-wide totals exactly: _count and _sum are the sums of the
-    // sources' — no observation is lost or double-counted by the
-    // de-cumulate/sum/re-render cycle.
-    #[test]
-    fn federated_histograms_stay_conformant_and_preserve_totals(
-        own_snap in Snapshots,
-        worker_snaps in WorkerSnapshots,
-    ) {
-        let mut own = String::new();
-        render_histogram(&mut own, &own_snap);
-        let workers: Vec<(String, String)> = worker_snaps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut text = String::new();
-                render_histogram(&mut text, s);
-                (format!("127.0.0.1:700{i}"), text)
-            })
-            .collect();
-        let text = federate(&own, &workers);
-        let families = parse_and_validate(&text);
-        prop_assert!(families.is_ok(), "{:?}:\n{text}", families.as_ref().err());
-        let families = families.unwrap_or_default();
-        prop_assert_eq!(families.len(), 1, "one le-only family, not per-worker shards");
-        let fam = &families[0];
-        // The merge saturates rather than wrapping, so fold the same
-        // way (per-source sums can sit near u64::MAX already).
-        let expect_count: u64 =
-            worker_snaps.iter().fold(own_snap.count, |a, s| a.saturating_add(s.count));
-        let expect_sum: u64 =
-            worker_snaps.iter().fold(own_snap.sum, |a, s| a.saturating_add(s.sum));
-        let count = fam.samples.iter().find(|s| s.name.ends_with("_count"));
-        prop_assert_eq!(count.map(|s| s.value), Some(expect_count as f64));
-        let sum = fam.samples.iter().find(|s| s.name.ends_with("_sum"));
-        prop_assert_eq!(sum.map(|s| s.value), Some(expect_sum as f64));
-        for s in fam.samples.iter().filter(|s| s.name.ends_with("_bucket")) {
-            prop_assert_eq!(s.labels.len(), 1, "bucket samples carry only le");
-        }
     }
 }
