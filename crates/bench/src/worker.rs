@@ -970,10 +970,11 @@ mod tests {
         let (handle, addr, cancel) = start_worker(1, 1);
         let timeout = Duration::from_secs(5);
 
-        // Occupy the only slot with a slow job.
+        // Occupy the only slot with a job that cannot finish before the
+        // `/cancel` below, however fast the build: a paper-scale sweep.
         let slow = JobGrant {
             module_id: fleet_module_id(Manufacturer::B, 0, 9),
-            payload: spec(Manufacturer::B, 9, Scale::Default, "row_variation").to_json_value(),
+            payload: spec(Manufacturer::B, 9, Scale::Paper, "row_variation").to_json_value(),
             lease_id: 20,
             generation: 1,
             lease_ms: 60_000,

@@ -4,10 +4,10 @@
 //!
 //! Two guards, in this order of strength:
 //! - the counters of one instrumented rep must show the kernel ran:
-//!   the rep derived no row and built no surface (the process-global
-//!   caches served everything the warmup rep had made), and
+//!   the rep derived no row and built no cell table (the process-global
+//!   cache served every table the warmup rep had built), and
 //!   sub-threshold activations took the columnar early-out, some on a
-//!   cached surface and some on the row's dose floor before any
+//!   cached table and some on the row's dose floor before any
 //!   derivation. Falling back to the scalar reference path zeroes the
 //!   early-outs. These checks run in every build;
 //! - in an optimized build, the whole rep (setup included) must sustain
@@ -106,7 +106,7 @@ fn columnar_kernel_runs_and_keeps_its_rate() {
     let early_outs = count(names::FAULTMODEL_EVAL_EARLY_OUT);
     let gated = count(names::FAULTMODEL_EVAL_GATED);
     println!(
-        "columnar kernel: {derived} derivations and {built} surface builds after warmup, \
+        "columnar kernel: {derived} derivations and {built} table builds after warmup, \
          {early_outs} early-outs ({gated} by the row floor)"
     );
     assert_eq!(
@@ -115,6 +115,6 @@ fn columnar_kernel_runs_and_keeps_its_rate() {
         "the process-global caches did not serve the warmed rows: {:?}",
         counters.keys()
     );
-    assert!(early_outs > gated, "no sensing early-outed on a surface; kernel path inactive?");
+    assert!(early_outs > gated, "no sensing early-outed on a table; kernel path inactive?");
     assert!(gated > 0, "no sensing was decided by the row floor before derivation");
 }

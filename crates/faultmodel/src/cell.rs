@@ -33,9 +33,10 @@ pub struct TempWindow {
 }
 
 impl TempWindow {
-    /// Whether the cell can flip at all at temperature `t`.
+    /// Whether the cell can flip at all at temperature `t`. Both bounds
+    /// are always compared, so a scan over many windows need not branch.
     pub fn contains(&self, t: f64) -> bool {
-        t >= self.lo && t <= self.hi
+        (t >= self.lo) & (t <= self.hi)
     }
 
     /// Normalized squared distance of `t` from the inflection point
@@ -50,6 +51,13 @@ impl TempWindow {
         let half = ((self.hi - self.lo) / 2.0).clamp(2.5, 30.0);
         let d = (t - self.inflection) / half;
         d * d
+    }
+
+    /// The threshold at `t` of a cell in this window with base
+    /// `threshold` and curvature `kappa`: `threshold · (1 + κ·d²)`,
+    /// whether or not `t` is in the window.
+    pub(crate) fn scale(&self, threshold: f64, kappa: f64, t: f64) -> f64 {
+        threshold * (1.0 + kappa * self.normalized_dist2(t))
     }
 }
 
@@ -79,7 +87,7 @@ impl CellVulnerability {
         if !self.window.contains(t) {
             return None;
         }
-        Some(self.threshold * (1.0 + self.kappa * self.window.normalized_dist2(t)))
+        Some(self.window.scale(self.threshold, self.kappa, t))
     }
 
     /// Whether the stored bit value `bit` can flip in this cell
@@ -150,8 +158,8 @@ fn row_spatial(
 /// `c.threshold_at(t) * c.trial_noise(.., nonce) >= row_floor(..)`.
 ///
 /// Costs one hash extension per cell plus the three spatial factors,
-/// a small fraction of the derivation (and temperature surface) it
-/// lets a sub-threshold sensing skip. The bound holds
+/// a small fraction of the derivation (and cell table) it lets a
+/// sub-threshold sensing skip. The bound holds
 /// because each cell's threshold normal comes from Box–Muller, whose
 /// magnitude is at most `sqrt(-2 ln u1)` for the cell's first uniform
 /// `u1`; because `1 + κ·d² >= 1` when `κ >= 0` (for `κ < 0`, or NaN,

@@ -1,191 +1,168 @@
-//! Columnar (struct-of-arrays) evaluation kernel for the RowHammer
-//! fault model.
+//! Columnar evaluation kernel for the RowHammer fault model.
 //!
 //! The scalar path in [`crate::model`] walks every derived cell of a
 //! row on every activation, recomputing its temperature-dependent
-//! threshold and drawing a per-trial noise sample — hundreds of
-//! transcendental evaluations per row read. This module restructures
-//! that work so an activation costs a handful of comparisons in the
-//! common case:
+//! threshold and drawing a per-trial noise sample. The kernel touches
+//! only the cells a dose can reach and draws noise only where the draw
+//! decides:
 //!
-//! 1. **Temperature surface** ([`TempSurface`]): for one temperature,
-//!    the row's in-window cells in struct-of-arrays form (byte/bit
-//!    coordinates, word and mask, orientation), sorted by effective
-//!    threshold, plus per-lane aggregate orientation masks aligned to
-//!    the row's 64-bit data lanes.
-//! 2. **Memoization** (in [`crate::model`]): a surface is built once
-//!    per `(module, row, temperature)` and shared process-wide, so
-//!    repeated sensings and sweep points hit a cache.
+//! 1. **Cell table** ([`CellTable`]): the row's cells sorted by base
+//!    threshold, built once per row and shared process-wide by
+//!    [`crate::model`]. It holds no temperature: every temperature is
+//!    evaluated from it.
+//! 2. **Sort-key cut**: with `κ >= 0` a cell's threshold at any
+//!    temperature is at least its base threshold, so the cells a dose
+//!    can reach are a prefix of the table.
 //! 3. **Noise bracketing**: the per-trial noise sample is bounded by
-//!    [`crate::cell::trial_noise_bounds`]; cells whose threshold falls
-//!    outside the `dose / noise` bracket are decided by one comparison
-//!    and only the narrow band in between draws an exact sample — the
-//!    same sample the scalar path draws, keeping the two paths
-//!    bit-identical (asserted by the `equivalence` test suite).
-//!
-//! An activation whose dose is below every bracketed threshold returns
-//! after two comparisons; one whose dose clears every threshold is
-//! evaluated lane-wise: `flips = (anti & !data) | (true_cells & data)`
-//! per 64-bit word.
+//!    [`crate::cell::trial_noise_bounds`], so a cell outside the
+//!    `dose / noise` band is decided by one comparison, and only a cell
+//!    inside it draws the exact sample the scalar path draws. The two
+//!    paths stay bit-identical (the `equivalence` suite and the
+//!    `columnar_matches_scalar_reference` property hold them together).
 
-use crate::cell::{trial_noise_at, trial_noise_bounds, CellVulnerability};
+use crate::cell::{trial_noise_at, trial_noise_bounds, CellVulnerability, TempWindow};
 use crate::profile::MfrProfile;
 use rh_dram::{BitFlip, RowView};
 
-/// The response surface of one row at one temperature: every in-window
-/// cell with its effective threshold, sorted ascending so a dose maps
-/// to a contiguous prefix of passing cells.
+/// One row's vulnerable cells, sorted ascending by base threshold: the
+/// only per-row state the fault model caches. 40 bytes per cell.
 #[derive(Debug)]
-pub struct TempSurface {
-    /// Effective thresholds (hammer units), ascending.
-    h: Vec<f64>,
-    /// Byte offset within the row, parallel to `h`.
-    byte: Vec<u32>,
-    /// Bit within the byte, parallel to `h`.
-    bit: Vec<u8>,
-    /// 64-bit data lane (word index) holding the cell, parallel to `h`.
-    word: Vec<u32>,
-    /// Single-bit mask of the cell within its lane, parallel to `h`.
-    mask: Vec<u64>,
-    /// Anti-cell flags, parallel to `h`.
-    anti: Vec<bool>,
-    /// Per-lane aggregate masks `(word, anti_mask, true_mask)` over all
-    /// in-window cells, for the everything-passes bulk path.
-    lane_masks: Vec<(u32, u64, u64)>,
-    /// `h[0] * noise_lo`: below this dose nothing can flip.
-    min_gate: f64,
-    /// `h[last] * noise_hi`: at or above this dose everything passes.
-    max_gate: f64,
+pub struct CellTable {
+    /// Base thresholds (hammer units), ascending: the sort key.
+    key: Vec<f64>,
+    /// The rest of each cell, parallel to `key`.
+    cells: Vec<Cell>,
+    /// The module's profile and seed, which the noise draws take.
+    profile: MfrProfile,
+    module_seed: u64,
+    /// Whether `key * noise_lo` bounds every cell's gate from below at
+    /// every temperature (`κ >= 0` and no NaN key); otherwise every
+    /// cell is a candidate.
+    bounded: bool,
     /// Noise bracket of the profile, cached.
     noise_lo: f64,
     noise_hi: f64,
 }
 
-impl TempSurface {
-    /// Derives the surface of `cells` at `temperature`. Effective
-    /// thresholds come from [`CellVulnerability::threshold_at`] — the
-    /// same computation the scalar path performs per activation — so
-    /// the two paths agree bit-for-bit.
-    pub fn build(profile: &MfrProfile, cells: &[CellVulnerability], temperature: f64) -> Self {
-        let mut order: Vec<(f64, &CellVulnerability)> = cells
-            .iter()
-            .filter_map(|c| c.threshold_at(temperature).map(|h| (h, c)))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
+/// A cell without its threshold.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    window: TempWindow,
+    /// 64-bit data lane (word index) holding the cell.
+    word: u32,
+    /// Bit of the cell within its lane.
+    pos: u8,
+    anti: bool,
+}
 
-        let n = order.len();
-        let mut h = Vec::with_capacity(n);
-        let mut byte = Vec::with_capacity(n);
-        let mut bit = Vec::with_capacity(n);
-        let mut word = Vec::with_capacity(n);
-        let mut mask = Vec::with_capacity(n);
-        let mut anti = Vec::with_capacity(n);
-        let mut lanes: Vec<(u32, u64, u64)> = Vec::with_capacity(n);
-        for (eff, c) in order {
-            let w = c.byte / 8;
-            let m = 1u64 << ((c.byte % 8) * 8 + c.bit as u32);
-            h.push(eff);
-            byte.push(c.byte);
-            bit.push(c.bit);
-            word.push(w);
-            mask.push(m);
-            anti.push(c.anti_cell);
-            lanes.push(if c.anti_cell { (w, m, 0) } else { (w, 0, m) });
+impl Cell {
+    /// The cell's `(byte, bit)` coordinates.
+    fn flip(&self) -> BitFlip {
+        let pos = u32::from(self.pos);
+        BitFlip { byte: self.word * 8 + pos / 8, bit: (pos % 8) as u8 }
+    }
+}
+
+impl CellTable {
+    /// Sorts `cells`, a row's derivation for the module of `profile`
+    /// and `module_seed`, into a table. Cells with equal thresholds
+    /// keep their derivation order.
+    pub(crate) fn new(
+        profile: &MfrProfile,
+        module_seed: u64,
+        cells: Vec<CellVulnerability>,
+    ) -> Self {
+        // `f64::total_cmp`'s order as integers, the index breaking ties.
+        let mut order: Vec<(i64, u32)> = (0..)
+            .zip(&cells)
+            .map(|(i, c)| {
+                let bits = c.threshold.to_bits() as i64;
+                (bits ^ (((bits >> 63) as u64) >> 1) as i64, i)
+            })
+            .collect();
+        order.sort_unstable();
+        let n = cells.len();
+        let (mut key, mut table) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for c in order.iter().map(|&(_, i)| &cells[i as usize]) {
+            let pos = ((c.byte % 8) * 8 + u32::from(c.bit)) as u8;
+            key.push(c.threshold);
+            table.push(Cell { window: c.window, word: c.byte / 8, pos, anti: c.anti_cell });
         }
-        // Fold the per-cell masks into one entry per word: sort by word,
-        // then OR each run of equal words together.
-        lanes.sort_unstable_by_key(|&(w, _, _)| w);
-        lanes.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 |= next.1;
-                kept.2 |= next.2;
-            }
-            same
-        });
-        // Surfaces stay memoized: hold one entry per word, not per cell.
-        lanes.shrink_to_fit();
         let (noise_lo, noise_hi) = trial_noise_bounds(profile);
-        let min_gate = h.first().map_or(f64::INFINITY, |&h0| h0 * noise_lo);
-        let max_gate = h.last().map_or(0.0, |&hn| hn * noise_hi);
         Self {
-            h,
-            byte,
-            bit,
-            word,
-            mask,
-            anti,
-            lane_masks: lanes,
-            min_gate,
-            max_gate,
+            bounded: profile.kappa >= 0.0 && key.iter().all(|k: &f64| !k.is_nan()),
+            key,
+            cells: table,
+            profile: *profile,
+            module_seed,
             noise_lo,
             noise_hi,
         }
     }
 
-    /// Number of in-window cells.
-    pub fn len(&self) -> usize {
-        self.h.len()
+    /// The cells in table order, as derived.
+    pub fn cells(&self) -> impl Iterator<Item = CellVulnerability> + '_ {
+        self.key.iter().zip(&self.cells).map(|(&threshold, c)| {
+            let BitFlip { byte, bit } = c.flip();
+            let (window, kappa, anti_cell) = (c.window, self.profile.kappa, c.anti);
+            CellVulnerability { byte, bit, threshold, window, kappa, anti_cell }
+        })
     }
 
-    /// Whether no cell is vulnerable at this temperature.
-    pub fn is_empty(&self) -> bool {
-        self.h.is_empty()
+    /// How many leading cells `dose` can reach: past this index no cell
+    /// flips at any temperature or trial noise. With `κ >= 0` every
+    /// threshold is at least its key (`1 + κ·d² >= 1`, and rounding a
+    /// product is monotone), and every noise draw at least `noise_lo`.
+    pub fn cut(&self, dose: f64) -> usize {
+        if self.bounded {
+            self.key.partition_point(|&k| k * self.noise_lo <= dose)
+        } else {
+            self.key.len()
+        }
     }
 
-    /// Whether `dose` is below every bracketed threshold (the O(1)
-    /// early-out that decides most activations).
-    pub fn below_all(&self, dose: f64) -> bool {
-        dose < self.min_gate
-    }
-
-    /// Evaluates one activation: appends the flips `dose` causes in a
-    /// row holding `data` to `out`. `module_seed` and `nonce` feed the
-    /// per-trial noise draw for cells inside the noise band.
-    pub fn evaluate(
+    /// Evaluates one activation at `temperature`: appends the flips
+    /// `dose` causes in a row holding `data` to `out`, and returns
+    /// whether the dose reached any cell (`false` is the early-out).
+    /// `nonce` salts the noise draw inside the band.
+    ///
+    /// The cut is scanned in chunks of 64 cells. A branch-free pass
+    /// marks the cells that are in window and susceptible; only those
+    /// compute their threshold. About half of a cut is out of window at
+    /// any one temperature, so a branch per cell would mispredict often.
+    pub(crate) fn evaluate(
         &self,
-        profile: &MfrProfile,
-        module_seed: u64,
         nonce: u64,
+        temperature: f64,
         dose: f64,
         data: &RowView<'_>,
         out: &mut Vec<BitFlip>,
-    ) {
-        if self.below_all(dose) {
-            return;
-        }
-        if dose >= self.max_gate {
-            // Everything passes the threshold: decide purely lane-wise.
-            for &(w, anti_mask, true_mask) in &self.lane_masks {
-                let lane = data.word(w);
-                let mut flips = (anti_mask & !lane) | (true_mask & lane);
-                while flips != 0 {
-                    let pos = flips.trailing_zeros();
-                    flips &= flips - 1;
-                    out.push(BitFlip { byte: w * 8 + pos / 8, bit: (pos % 8) as u8 });
+    ) -> bool {
+        let cut = self.cut(dose);
+        for base in (0..cut).step_by(64) {
+            let chunk = &self.cells[base..cut.min(base + 64)];
+            let mut marked = 0u64;
+            for (j, c) in chunk.iter().enumerate() {
+                let susceptible = ((data.word(c.word) >> c.pos) & 1 != 0) != c.anti;
+                marked |= u64::from(susceptible & c.window.contains(temperature)) << j;
+            }
+            while marked != 0 {
+                let j = marked.trailing_zeros() as usize;
+                marked &= marked - 1;
+                let c = chunk[j];
+                let h = c.window.scale(self.key[base + j], self.profile.kappa, temperature);
+                let passes = h * self.noise_hi <= dose
+                    || (h * self.noise_lo <= dose && {
+                        let BitFlip { byte, bit } = c.flip();
+                        let (p, seed) = (&self.profile, self.module_seed);
+                        dose >= h * trial_noise_at(p, seed, byte, bit, nonce)
+                    });
+                if passes {
+                    out.push(c.flip());
                 }
             }
-            return;
         }
-        // `h` ascending makes `h * bound <= dose` a prefix predicate.
-        let pass = self.h.partition_point(|&h| h * self.noise_hi <= dose);
-        let band = self.h.partition_point(|&h| h * self.noise_lo <= dose);
-        for i in 0..pass {
-            let stored_one = data.word(self.word[i]) & self.mask[i] != 0;
-            if stored_one != self.anti[i] {
-                out.push(BitFlip { byte: self.byte[i], bit: self.bit[i] });
-            }
-        }
-        for i in pass..band {
-            let stored_one = data.word(self.word[i]) & self.mask[i] != 0;
-            if stored_one == self.anti[i] {
-                continue;
-            }
-            let noise = trial_noise_at(profile, module_seed, self.byte[i], self.bit[i], nonce);
-            if dose >= self.h[i] * noise {
-                out.push(BitFlip { byte: self.byte[i], bit: self.bit[i] });
-            }
-        }
+        cut > 0
     }
 }
 
@@ -195,120 +172,122 @@ mod tests {
     use crate::cell::derive_row_cells;
     use rh_dram::{BankId, Manufacturer, RowAddr};
 
-    fn surface(mfr: Manufacturer, row: u32, t: f64) -> (MfrProfile, TempSurface) {
-        let p = MfrProfile::for_manufacturer(mfr);
-        let cells = derive_row_cells(&p, 42, BankId(0), RowAddr(row), 8192, 512);
-        let s = TempSurface::build(&p, &cells, t);
-        (p, s)
+    fn table(profile: &MfrProfile, row: u32) -> (Vec<CellVulnerability>, CellTable) {
+        let cells = derive_row_cells(profile, 42, BankId(0), RowAddr(row), 8192, 512);
+        (cells.clone(), CellTable::new(profile, 42, cells))
     }
 
     #[test]
-    fn surface_thresholds_are_sorted_and_positive() {
-        let (_, s) = surface(Manufacturer::A, 10, 75.0);
-        assert!(!s.is_empty());
-        for pair in s.h.windows(2) {
-            assert!(pair[0] <= pair[1]);
+    fn table_is_its_derivation_sorted_by_threshold() {
+        for mfr in Manufacturer::ALL {
+            let p = MfrProfile::for_manufacturer(mfr);
+            let (mut cells, t) = table(&p, 10);
+            assert_eq!(t.key.len(), p.cells_per_row as usize);
+            for pair in t.key.windows(2) {
+                assert!(pair[0] <= pair[1], "keys out of order: {pair:?}");
+            }
+            cells.sort_by(|a, b| a.threshold.total_cmp(&b.threshold));
+            assert_eq!(t.cells().collect::<Vec<_>>(), cells, "{mfr}");
         }
-        assert!(s.h[0] > 0.0);
+        // Without per-cell spread every key of a row ties: the table
+        // keeps the derivation order.
+        let p = MfrProfile { sigma_cell: 0.0, ..MfrProfile::for_manufacturer(Manufacturer::C) };
+        let (cells, t) = table(&p, 11);
+        assert!(t.key.iter().all(|&k| k == t.key[0]));
+        assert_eq!(t.cells().collect::<Vec<_>>(), cells);
     }
 
     #[test]
-    fn masks_match_byte_bit_coordinates() {
-        let (_, s) = surface(Manufacturer::C, 3, 60.0);
-        for i in 0..s.len() {
-            assert_eq!(s.word[i], s.byte[i] / 8);
-            let pos = (s.byte[i] % 8) * 8 + s.bit[i] as u32;
-            assert_eq!(s.mask[i], 1u64 << pos);
-        }
-    }
-
-    #[test]
-    fn lane_masks_cover_every_cell_exactly() {
-        let (_, s) = surface(Manufacturer::B, 7, 75.0);
-        assert!(!s.is_empty());
-        // Reference fold of the surface's cells: word -> (anti, true).
-        let mut reference = std::collections::HashMap::<u32, (u64, u64)>::new();
-        for i in 0..s.len() {
-            let lane = reference.entry(s.word[i]).or_default();
-            if s.anti[i] {
-                lane.0 |= s.mask[i];
-            } else {
-                lane.1 |= s.mask[i];
+    fn key_never_exceeds_a_threshold_in_window() {
+        let p = MfrProfile::for_manufacturer(Manufacturer::B);
+        let (_, t) = table(&p, 7);
+        assert!(t.bounded);
+        for (k, c) in t.key.iter().zip(t.cells()) {
+            for temp in [c.window.lo, c.window.inflection, c.window.hi, 50.0, 90.0] {
+                if let Some(h) = c.threshold_at(temp) {
+                    assert!(*k <= h, "key {k} above threshold {h} at {temp} C");
+                }
             }
         }
-        // One entry per word, in ascending order: a duplicated (unmerged)
-        // or out-of-order word fails here.
-        for pair in s.lane_masks.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "lane words not strictly ascending: {pair:?}");
-        }
-        let lanes: std::collections::HashMap<u32, (u64, u64)> =
-            s.lane_masks.iter().map(|&(w, a, t)| (w, (a, t))).collect();
-        // Every in-window cell's bit is set in the mask of its orientation.
-        for i in 0..s.len() {
-            let &(a, t) = lanes.get(&s.word[i]).expect("cell's word has no lane");
-            let m = if s.anti[i] { a } else { t };
-            assert_ne!(m & s.mask[i], 0, "cell {i} missing from its lane");
-        }
-        // No bit is set without a cell of that orientation.
-        for &(w, a, t) in &s.lane_masks {
-            let (ra, rt) = reference.get(&w).copied().unwrap_or_default();
-            assert_eq!(a & !ra, 0, "anti bits without a cell in word {w}");
-            assert_eq!(t & !rt, 0, "true bits without a cell in word {w}");
-        }
     }
 
     #[test]
-    fn zero_dose_early_outs() {
-        let (p, s) = surface(Manufacturer::A, 5, 75.0);
-        assert!(s.below_all(0.0));
+    fn early_out_is_an_empty_cut() {
+        let p = MfrProfile::for_manufacturer(Manufacturer::A);
+        let (_, t) = table(&p, 5);
+        let gate = t.key[0] * t.noise_lo;
+        assert_eq!((t.cut(0.0), t.cut(gate.next_down()), t.cut(gate)), (0, 0, 1));
+        assert_eq!(t.cut(f64::INFINITY), t.key.len());
         let data = vec![0u8; 8192];
+        let data = RowView::bytes(&data);
         let mut out = Vec::new();
-        s.evaluate(&p, 42, 0, 0.0, &RowView::bytes(&data), &mut out);
+        assert!(!t.evaluate(0, 75.0, gate.next_down(), &data, &mut out));
         assert!(out.is_empty());
+        assert!(t.evaluate(0, 75.0, gate, &data, &mut out));
     }
 
     #[test]
-    fn saturating_dose_takes_lane_path_and_flips_all_susceptible() {
-        let (p, s) = surface(Manufacturer::A, 5, 75.0);
-        let dose = s.max_gate * 2.0;
-        let zeros = vec![0u8; 8192];
-        let ones = vec![0xFFu8; 8192];
-        let mut flips0 = Vec::new();
-        let mut flips1 = Vec::new();
-        s.evaluate(&p, 42, 0, dose, &RowView::bytes(&zeros), &mut flips0);
-        s.evaluate(&p, 42, 0, dose, &RowView::bytes(&ones), &mut flips1);
-        // All-zero data flips every anti-cell position; all-ones every
-        // true-cell position (dedup via lane masks).
-        let anti_positions: std::collections::BTreeSet<_> = (0..s.len())
-            .filter(|&i| s.anti[i])
-            .map(|i| (s.byte[i], s.bit[i]))
-            .collect();
-        let got0: std::collections::BTreeSet<_> =
-            flips0.iter().map(|f| (f.byte, f.bit)).collect();
-        assert_eq!(got0, anti_positions);
-        let true_positions: std::collections::BTreeSet<_> = (0..s.len())
-            .filter(|&i| !s.anti[i])
-            .map(|i| (s.byte[i], s.bit[i]))
-            .collect();
-        let got1: std::collections::BTreeSet<_> =
-            flips1.iter().map(|f| (f.byte, f.bit)).collect();
-        // A position hosting both an anti- and a true-cell flips in
-        // both fills; subtract the overlap before comparing.
-        assert_eq!(got1, true_positions);
+    fn no_cell_past_the_cut_can_flip() {
+        let p = MfrProfile::for_manufacturer(Manufacturer::C);
+        let (_, t) = table(&p, 3);
+        let dose = t.key[t.key.len() / 2] * t.noise_lo;
+        let cut = t.cut(dose);
+        assert!(cut > 0 && cut < t.key.len());
+        for c in t.cells().skip(cut) {
+            for temp in [c.window.lo, c.window.inflection, c.window.hi, 75.0] {
+                if let Some(h) = c.threshold_at(temp) {
+                    assert!(h * t.noise_lo > dose, "cell past the cut reachable at {temp} C");
+                }
+            }
+        }
     }
 
     #[test]
-    fn out_of_window_temperature_yields_empty_surface() {
+    fn negative_curvature_scans_every_cell() {
+        let mut p = MfrProfile::for_manufacturer(Manufacturer::D);
+        p.kappa = -0.5;
+        let (_, t) = table(&p, 9);
+        assert!(!t.bounded);
+        assert_eq!(t.cut(0.0), t.key.len());
+        p.cells_per_row = 0;
+        assert_eq!(table(&p, 9).1.cut(f64::INFINITY), 0);
+    }
+
+    #[test]
+    fn saturating_dose_flips_every_susceptible_cell_in_window() {
+        let p = MfrProfile::for_manufacturer(Manufacturer::A);
+        let (_, t) = table(&p, 5);
+        let dose = t.key[t.key.len() - 1] * t.noise_hi * 1e3;
+        for fill in [0x00u8, 0xFF] {
+            let data = vec![fill; 8192];
+            let mut out = Vec::new();
+            t.evaluate(0, 75.0, dose, &RowView::bytes(&data), &mut out);
+            let got: std::collections::BTreeSet<_> = out.iter().map(|f| (f.byte, f.bit)).collect();
+            // All-zero data flips every in-window anti-cell; all-ones
+            // every in-window true-cell.
+            let want: std::collections::BTreeSet<_> = t
+                .cells()
+                .filter(|c| c.window.contains(75.0) && c.anti_cell == (fill == 0))
+                .map(|c| (c.byte, c.bit))
+                .collect();
+            assert!(!want.is_empty());
+            assert_eq!(got, want, "fill {fill:#04x}");
+        }
+    }
+
+    #[test]
+    fn out_of_window_temperature_flips_nothing() {
         // At a physically absurd temperature only full-range cells
-        // remain; with none, the surface must be inert.
+        // remain in window; with none, no dose flips anything.
         let p = MfrProfile::for_manufacturer(Manufacturer::C);
         let cells: Vec<CellVulnerability> =
             derive_row_cells(&p, 42, BankId(0), RowAddr(4), 8192, 512)
                 .into_iter()
                 .filter(|c| c.window.lo > -250.0)
                 .collect();
-        let s = TempSurface::build(&p, &cells, 500.0);
-        assert!(s.is_empty());
-        assert!(s.below_all(f64::INFINITY) || s.max_gate == 0.0);
+        let t = CellTable::new(&p, 42, cells);
+        let mut out = Vec::new();
+        assert!(t.evaluate(0, 500.0, 1e15, &RowView::bytes(&vec![0x55u8; 8192]), &mut out));
+        assert!(out.is_empty());
     }
 }

@@ -19,6 +19,11 @@
 //! an 8 Gb chip needs no per-cell storage and every experiment is
 //! bit-reproducible.
 //!
+//! A sensing evaluates the row's cells at the module's current
+//! temperature from one temperature-free table per row, derived once
+//! per process and shared by every model instance ([`kernel`]); a
+//! sweep over temperature builds nothing per temperature.
+//!
 //! The model is descriptive, not device-physical: its constants are the
 //! paper's measured sensitivities (e.g., the HCfirst reduction of
 //! 40.0 %/28.3 %/32.7 %/37.3 % for Mfrs. A–D at tAggOn = 154.5 ns).
@@ -65,7 +70,7 @@ pub use cell::{
     row_floor, trial_noise_at, trial_noise_bounds, CellVulnerability, TempWindow, NOISE_Z_BOUND,
 };
 pub use disturb::{g_off, g_on, DisturbanceUnits};
-pub use kernel::TempSurface;
+pub use kernel::CellTable;
 pub use lru::LruCache;
 pub use model::{EvalMode, RowHammerModel};
 pub use retention::RetentionCell;

@@ -1,9 +1,9 @@
 //! A small bounded map with least-recently-used eviction.
 //!
-//! The fault model's process-global derivation caches (vulnerable-cell
-//! populations, temperature surfaces) were previously bounded by
-//! wiping the whole map on overflow, so sweeps just past the capacity
-//! re-derived every row on every pass. This cache evicts exactly one
+//! The fault model's process-global derivation cache (one cell table
+//! per row) was previously bounded by wiping the whole map on
+//! overflow, so sweeps just past the capacity re-derived every row on
+//! every pass. This cache evicts exactly one
 //! entry — the least recently *used* — per overflowing insert, so a
 //! working set that fits stays resident no matter how many cold rows
 //! stream past it.

@@ -9,7 +9,7 @@
 
 use crate::cell::{derive_row_cells_with, row_floor, CellVulnerability};
 use crate::disturb::{self, DISTANCE2_WEIGHT};
-use crate::kernel::TempSurface;
+use crate::kernel::CellTable;
 use crate::lru::LruCache;
 use crate::profile::MfrProfile;
 use crate::retention::{self, derive_retention_cells, RetentionCell};
@@ -19,74 +19,37 @@ use rh_dram::{
 };
 use rh_obs::names;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Process-global bound on shared vulnerable-cell populations. A
-/// default-scale `repro all` derives ~6,500 distinct rows; holding
-/// them all lets every later target and worker reuse them.
+/// Process-global bound on shared cell tables, the fault model's one
+/// derivation cache. A table costs 40 bytes per cell, ~15 KiB for the
+/// calibrated 384 cells a row, so the cache holds at most ~120 MiB. A
+/// default-scale `repro all` derives ~6,500 distinct rows; holding them
+/// all lets every later target and worker reuse them.
 const CELLS_CACHE_CAP: usize = 8192;
-/// Process-global bound on shared temperature surfaces.
-const SURFACE_CACHE_CAP: usize = 4096;
 
 /// Which evaluation path [`RowHammerModel::flips_on_activate`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMode {
-    /// The columnar kernel: sorted-threshold prefix + packed `u64`
-    /// lane masks + memoized temperature surfaces. The default.
+    /// The columnar kernel: the row's memoized cell table, cut at the
+    /// dose by its sort key, with noise drawn only inside the noise
+    /// band. The default.
     Columnar,
-    /// The original per-cell scalar loop, kept as the equivalence
-    /// oracle for the columnar path.
+    /// The original per-cell scalar loop over a fresh derivation of
+    /// the row, kept as the equivalence oracle for the columnar path.
     ScalarReference,
 }
 
-/// Cache key of a row's cell population: `(derivation salt, bank,
-/// physical row)`.
+/// Cache key of a row's cell table: `(derivation salt, bank, physical
+/// row)`.
 type RowKey = (u64, u32, u32);
-/// Cache key of a surface: a [`RowKey`] plus the temperature's bits.
-type SurfaceKey = (u64, u32, u32, u64);
-/// A process-global derivation cache of shared (`Arc`) values.
-type GlobalCache<K, V> = OnceLock<Mutex<LruCache<K, Arc<V>>>>;
 
-/// Derived cell populations and built temperature surfaces, shared by
-/// every model instance in the process. Sweeps and benches construct a
-/// fresh [`RowHammerModel`] per repetition, and every derivation is a
-/// pure function of `(profile, seed, geometry, bank, row[,
-/// temperature])`; the salt in each key folds all of those but the
+/// Cell tables, shared by every model instance in the process. Sweeps
+/// and benches construct a fresh [`RowHammerModel`] per repetition, and
+/// every derivation is a pure function of `(profile, seed, geometry,
+/// bank, row)`; the salt in each key folds all of those but the
 /// coordinates, so distinct modules never alias.
-static CELLS: GlobalCache<RowKey, Vec<CellVulnerability>> = OnceLock::new();
-static SURFACES: GlobalCache<SurfaceKey, TempSurface> = OnceLock::new();
-
-/// Looks `key` up in a process-global cache of at most `cap` entries,
-/// building the value with `make` outside the lock on a miss (a racing
-/// duplicate build is identical, so either copy may stay). Returns the
-/// value and whether this call built it. Every eviction counts one
-/// `faultmodel.cache.evict`.
-fn shared<K: Eq + Hash + Clone, V>(
-    cache: &'static GlobalCache<K, V>,
-    cap: usize,
-    key: K,
-    make: impl FnOnce() -> V,
-) -> (Arc<V>, bool) {
-    let lock = || {
-        cache
-            .get_or_init(|| Mutex::new(LruCache::new(cap)))
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    };
-    let hit = lock().get(&key).map(Arc::clone);
-    if let Some(v) = hit {
-        return (v, false);
-    }
-    let v = Arc::new(make());
-    let mut cache = lock();
-    let evicted = cache.evictions();
-    cache.insert(key, Arc::clone(&v));
-    if cache.evictions() > evicted {
-        rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
-    }
-    (v, true)
-}
+static CELLS: OnceLock<Mutex<LruCache<RowKey, Arc<CellTable>>>> = OnceLock::new();
 
 /// The calibrated RowHammer fault model of one DRAM module.
 ///
@@ -289,34 +252,70 @@ impl RowHammerModel {
         self
     }
 
-    /// Oracle access to the vulnerable cells of a physical row.
+    /// Oracle access to the vulnerable cells of a physical row: its
+    /// shared cell table ([`CellTable::cells`] lists them). A lookup
+    /// the cache serves counts one `faultmodel.cells.global_hit`.
     ///
     /// Characterization code must not use this (it reconstructs
     /// vulnerability by hammering); it exists for tests, examples, and
     /// defense studies that assume a profiling step already ran.
-    pub fn row_cells(&mut self, bank: BankId, row: RowAddr) -> Arc<Vec<CellVulnerability>> {
+    pub fn row_cells(&mut self, bank: BankId, row: RowAddr) -> Arc<CellTable> {
+        let (table, built) = self.table(bank, row);
+        if !built {
+            rh_obs::counter(names::FAULTMODEL_CELLS_GLOBAL_HIT, 1);
+        }
+        table
+    }
+
+    /// The row's shared cell table, and whether this call built it.
+    ///
+    /// A miss derives and sorts the row outside the lock (a racing
+    /// duplicate build is identical, so either copy may stay) and counts
+    /// one `faultmodel.row.derive` and one `faultmodel.surface.build`,
+    /// plus one `faultmodel.cache.evict` if the insert evicts. A hit
+    /// records nothing: counters take the recorder's lock.
+    fn table(&mut self, bank: BankId, row: RowAddr) -> (Arc<CellTable>, bool) {
         let key = (self.derivation_salt, bank.0, row.0);
+        let lock = || {
+            CELLS
+                .get_or_init(|| Mutex::new(LruCache::new(CELLS_CACHE_CAP)))
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let hit = lock().get(&key).map(Arc::clone);
+        if let Some(table) = hit {
+            return (table, false);
+        }
+        let cells = self.derive(bank, row);
+        let table = Arc::new(CellTable::new(&self.profile, self.module_seed, cells));
+        rh_obs::counter(names::FAULTMODEL_ROW_DERIVE, 1);
+        rh_obs::counter(names::FAULTMODEL_SURFACE_BUILD, 1);
+        let mut cache = lock();
+        let evicted = cache.evictions();
+        cache.insert(key, Arc::clone(&table));
+        if cache.evictions() > evicted {
+            rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
+        }
+        (table, true)
+    }
+
+    /// Derives the row's cells, with the model's column-weight memo.
+    fn derive(&mut self, bank: BankId, row: RowAddr) -> Vec<CellVulnerability> {
         let (profile, seed) = (&self.profile, self.module_seed);
         let (row_bytes, subarray_rows) = (self.row_bytes, self.subarray_rows);
+        let columns = row_bytes / 8;
         let memo = &mut self.column_weights;
-        let (cells, derived) = shared(&CELLS, CELLS_CACHE_CAP, key, || {
-            let columns = row_bytes / 8;
-            if memo.is_empty() {
-                memo.resize(8 * columns, f64::NAN);
+        if memo.is_empty() {
+            memo.resize(8 * columns, f64::NAN);
+        }
+        let weight = |chip: u8, column: u32| {
+            let w = &mut memo[chip as usize * columns + column as usize];
+            if w.is_nan() {
+                *w = variation::column_weight(profile, seed, chip, column);
             }
-            let weight = |chip: u8, column: u32| {
-                let w = &mut memo[chip as usize * columns + column as usize];
-                if w.is_nan() {
-                    *w = variation::column_weight(profile, seed, chip, column);
-                }
-                *w
-            };
-            derive_row_cells_with(profile, seed, bank, row, row_bytes, subarray_rows, weight)
-        });
-        let counter =
-            if derived { names::FAULTMODEL_ROW_DERIVE } else { names::FAULTMODEL_CELLS_GLOBAL_HIT };
-        rh_obs::counter(counter, 1);
-        cells
+            *w
+        };
+        derive_row_cells_with(profile, seed, bank, row, row_bytes, subarray_rows, weight)
     }
 
     /// Accumulated disturbance (hammer units) on a physical row.
@@ -351,21 +350,6 @@ impl RowHammerModel {
         // Same association order as `disturb::units_distance1`, so the
         // memo changes nothing about the accumulated values.
         0.5 * count as f64 * gon * goff
-    }
-
-    /// The row's memoized temperature surface, building it (and
-    /// deriving the row's cells if they are not cached) on a miss.
-    fn surface(&mut self, bank: BankId, row: RowAddr) -> Arc<TempSurface> {
-        let temperature = self.temperature;
-        let key = (self.derivation_salt, bank.0, row.0, temperature.to_bits());
-        let (surface, built) = shared(&SURFACES, SURFACE_CACHE_CAP, key, || {
-            let cells = self.row_cells(bank, row);
-            TempSurface::build(&self.profile, &cells, temperature)
-        });
-        if built {
-            rh_obs::counter(names::FAULTMODEL_SURFACE_BUILD, 1);
-        }
-        surface
     }
 }
 
@@ -454,20 +438,18 @@ impl DisturbanceModel for RowHammerModel {
                     if gated {
                         // Below the floor is below every cell's gated
                         // threshold, so the kernel would early-out too:
-                        // skip deriving the row and building its surface.
+                        // skip deriving the row.
                         rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
                         rh_obs::counter(names::FAULTMODEL_EVAL_GATED, 1);
                     } else {
-                        let surface = self.surface(bank, row);
-                        if surface.below_all(dose) {
+                        let (table, _) = self.table(bank, row);
+                        if !table.evaluate(nonce, temperature, dose, data, &mut flips) {
                             rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
                         }
-                        surface.evaluate(&profile, seed, nonce, dose, data, &mut flips);
                     }
                 }
                 EvalMode::ScalarReference => {
-                    let cells = self.row_cells(bank, row);
-                    for c in cells.iter() {
+                    for c in &self.derive(bank, row) {
                         let Some(h) = c.threshold_at(temperature) else { continue };
                         if !c.susceptible(data.bit(c.byte, c.bit)) {
                             continue;
@@ -750,12 +732,12 @@ mod tests {
             let rcells = m.retention_cells(bank, RowAddr(row));
             let hcells = m.row_cells(bank, RowAddr(row));
             for rc in rcells.iter() {
-                for hc in hcells.iter() {
+                for hc in hcells.cells() {
                     if (rc.byte, rc.bit) == (hc.byte, hc.bit)
                         && rc.anti_cell == hc.anti_cell
                         && hc.threshold_at(75.0).is_some()
                     {
-                        found = Some((row, *rc, *hc));
+                        found = Some((row, *rc, hc));
                         break 'rows;
                     }
                 }
@@ -809,7 +791,7 @@ mod tests {
             for row_bytes in [8192usize, 2048] {
                 m.configure_geometry(65_536, row_bytes);
                 for row in (0..4000u32).step_by(97) {
-                    let direct = crate::cell::derive_row_cells(
+                    let mut direct = crate::cell::derive_row_cells(
                         &profile,
                         seed,
                         BankId(1),
@@ -817,8 +799,10 @@ mod tests {
                         row_bytes,
                         512,
                     );
+                    // The table lists the cells by base threshold.
+                    direct.sort_by(|a, b| a.threshold.total_cmp(&b.threshold));
                     assert_eq!(
-                        *m.row_cells(BankId(1), RowAddr(row)),
+                        m.row_cells(BankId(1), RowAddr(row)).cells().collect::<Vec<_>>(),
                         direct,
                         "{mfr} row {row} at {row_bytes} B/row"
                     );
@@ -841,7 +825,7 @@ mod tests {
         let mut c = RowHammerModel::new(Manufacturer::D, 4243);
         let cc = c.row_cells(BankId(0), RowAddr(123));
         assert!(!Arc::ptr_eq(&ca, &cc));
-        assert_ne!(*ca, *cc);
+        assert!(ca.cells().ne(cc.cells()));
     }
 
     /// Every row's dose (as bit patterns) and restore time, and

@@ -2,7 +2,7 @@
 //! ([`rh_faultmodel::kernel`]) must produce **bit-identical** flip sets
 //! to the retained scalar reference path for every swept configuration.
 //!
-//! The kernel's shortcuts (sorted-threshold prefix, packed lane masks,
+//! The kernel's shortcuts (the sort-key cut of the row's cell table,
 //! noise bracketing) are only sound if `definite-pass`/`definite-fail`
 //! decisions agree with the exact per-cell evaluation; these tests
 //! sweep manufacturers × temperatures × seeds × data patterns with dose
@@ -165,9 +165,9 @@ fn fine_dose_ramp_straddles_noise_band_identically() {
 }
 
 /// The Fig. 4 shape: one victim's flip set swept across temperature in
-/// 5 °C steps, both paths in lockstep. Exercises the per-temperature
-/// surface memoization (fresh surface per sweep point) and the window
-/// edges where cells enter/leave the in-window population.
+/// 5 °C steps, both paths in lockstep. Exercises one cell table read at
+/// every sweep point and the window edges where cells enter/leave the
+/// in-window population.
 #[test]
 fn temperature_sweep_is_bit_identical() {
     for mfr in [Manufacturer::A, Manufacturer::C] {

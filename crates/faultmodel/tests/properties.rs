@@ -4,7 +4,9 @@ use proptest::prelude::*;
 use rh_dram::{BankId, DisturbanceModel, Manufacturer, Picos, RowAddr, RowView};
 use rh_faultmodel::cell::derive_row_cells;
 use rh_faultmodel::retention::{derive_retention_cells, temperature_factor, weakest_ref};
-use rh_faultmodel::{g_off, g_on, row_floor, trial_noise_bounds, MfrProfile, RowHammerModel};
+use rh_faultmodel::{
+    g_off, g_on, row_floor, trial_noise_bounds, EvalMode, MfrProfile, RowHammerModel,
+};
 
 fn any_mfr() -> impl Strategy<Value = Manufacturer> {
     prop::sample::select(Manufacturer::ALL.to_vec())
@@ -68,6 +70,88 @@ proptest! {
                 // ...and the flip test itself.
                 let gated = h * c.trial_noise(&p, seed, nonce);
                 prop_assert!(gated >= floor, "threshold {gated} < floor {floor} at {temp} C");
+            }
+        }
+    }
+}
+
+/// `n` bytes of seeded noise: a random fill.
+fn random_fill(seed: u64, n: usize) -> Vec<u8> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 56) as u8
+        })
+        .collect()
+}
+
+proptest! {
+    // The columnar kernel reads each row's temperature-free cell table,
+    // cut at the dose by its sort key; the scalar reference walks a
+    // fresh derivation. Every sensing must come out the same, at random
+    // temperatures and at one cell's own window edges and inflection,
+    // for doses from none to past the largest threshold. The cut must
+    // be sound on its own: with κ >= 0 no key exceeds its cell's
+    // threshold, and no cell past the cut can be reached.
+    #[test]
+    fn columnar_matches_scalar_reference(
+        mfr in any_mfr(),
+        ablation in 0u8..6,
+        seed in any::<u64>(),
+        bank in 0u32..16,
+        row in 1u32..65_536,
+        t in -50.0f64..150.0,
+        pick in any::<u64>(),
+        fractions in prop::collection::vec(0.0f64..1.0, 4..=4),
+        fill in any::<u64>(),
+    ) {
+        let p = ablated(mfr, ablation);
+        let (bank, row) = (BankId(bank), RowAddr(row));
+        let mut columnar = RowHammerModel::with_profile(p, seed);
+        let mut scalar =
+            RowHammerModel::with_profile(p, seed).with_eval_mode(EvalMode::ScalarReference);
+        let table = columnar.row_cells(bank, row);
+        let cells: Vec<_> = table.cells().collect();
+        prop_assert_eq!(cells.len(), p.cells_per_row as usize);
+        let mut temps = vec![t];
+        if !cells.is_empty() {
+            let w = cells[(pick % cells.len() as u64) as usize].window;
+            temps.extend([w.lo, w.hi, w.inflection]);
+        }
+        let (noise_lo, noise_hi) = trial_noise_bounds(&p);
+        let data = random_fill(fill, 8192);
+        let data = RowView::bytes(&data);
+        for &temp in &temps {
+            let top = cells
+                .iter()
+                .filter_map(|c| c.threshold_at(temp))
+                .chain(cells.iter().map(|c| c.threshold))
+                .fold(1.0, f64::max);
+            for c in &cells {
+                if let Some(h) = c.threshold_at(temp) {
+                    if p.kappa >= 0.0 {
+                        prop_assert!(c.threshold <= h, "key {} > {h} at {temp} C", c.threshold);
+                    }
+                }
+            }
+            for &f in &fractions {
+                let dose = f * 1.25 * top * noise_hi;
+                for c in cells.iter().skip(table.cut(dose)) {
+                    let reach = c.threshold_at(temp).is_some_and(|h| h * noise_lo <= dose);
+                    prop_assert!(!reach, "cell past the cut reachable by {dose} at {temp} C");
+                }
+                // Dose of one unit per two episodes at base timing.
+                let count = (2.0 * dose).ceil() as u64;
+                let sense = |m: &mut RowHammerModel| {
+                    m.set_temperature(temp);
+                    m.on_restore(bank, row, 0);
+                    m.on_hammer(bank, RowAddr(row.0 - 1), count, 34_500, 16_500);
+                    m.flips_on_activate(bank, row, &data, 0)
+                };
+                let (fast, slow) = (sense(&mut columnar), sense(&mut scalar));
+                prop_assert_eq!(fast, slow, "{mfr} ablation {ablation} at {temp} C, dose {dose}");
             }
         }
     }

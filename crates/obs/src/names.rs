@@ -80,16 +80,21 @@ pub const DRAM_ROW_READ_NS: &str = "dram.row.read.ns";
 
 /// Vulnerable-cell populations derived (global-cache misses).
 pub const FAULTMODEL_ROW_DERIVE: &str = "faultmodel.row.derive";
-/// Row derivations served by the process-global cell cache.
+/// Oracle lookups of a row's cells (`RowHammerModel::row_cells`)
+/// served by the process-global cell cache; a sensing records no hit.
 pub const FAULTMODEL_CELLS_GLOBAL_HIT: &str = "faultmodel.cells.global_hit";
-/// Columnar temperature surfaces built (memo misses).
+/// Cell tables built: one per derived row, so it equals
+/// [`FAULTMODEL_ROW_DERIVE`].
 pub const FAULTMODEL_SURFACE_BUILD: &str = "faultmodel.surface.build";
-/// Activations decided by the O(1) below-every-threshold early-out.
+/// Activations whose dose reaches no cell: below the row's dose floor
+/// or, in its cell table, below every base threshold times the noise
+/// floor.
 pub const FAULTMODEL_EVAL_EARLY_OUT: &str = "faultmodel.eval.early_out";
 /// Early-outs decided by the row's dose floor, before the row's cells
 /// were derived (a subset of [`FAULTMODEL_EVAL_EARLY_OUT`]).
 pub const FAULTMODEL_EVAL_GATED: &str = "faultmodel.eval.gated";
-/// Per-model derivation-cache entries evicted (LRU, not wiped).
+/// Cell tables evicted from the process-global cache (LRU, not
+/// wiped).
 pub const FAULTMODEL_CACHE_EVICT: &str = "faultmodel.cache.evict";
 
 /// BER tests taken (`Characterizer::measure_ber`). HCfirst probes
