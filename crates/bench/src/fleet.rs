@@ -200,9 +200,9 @@ fn grant(
     now: u64,
 ) -> Result<JobGrant, CharError> {
     let grant = table.grant(module, worker, now)?;
-    rh_obs::counter(names::FLEET_DISPATCH, 1);
+    rh_obs::counter!(names::FLEET_DISPATCH, 1);
     if grant.generation > 1 {
-        rh_obs::counter(names::FLEET_REDISPATCH, 1);
+        rh_obs::counter!(names::FLEET_REDISPATCH, 1);
     }
     rh_obs::event!(
         names::FLEET_GRANT_EVENT,
@@ -218,11 +218,12 @@ fn grant(
 /// repeated reply, `fleet.duplicate`.
 fn commit(table: &mut JobTable, lease_id: u64, result: Value) -> CommitOutcome {
     let outcome = table.commit(lease_id, result);
-    let counter = match outcome {
-        CommitOutcome::Committed => names::FLEET_COMMIT,
-        CommitOutcome::Duplicate | CommitOutcome::Stale => names::FLEET_DUPLICATE,
-    };
-    rh_obs::counter(counter, 1);
+    match outcome {
+        CommitOutcome::Committed => rh_obs::counter!(names::FLEET_COMMIT, 1),
+        CommitOutcome::Duplicate | CommitOutcome::Stale => {
+            rh_obs::counter!(names::FLEET_DUPLICATE, 1);
+        }
+    }
     outcome
 }
 
@@ -254,7 +255,7 @@ pub fn run_fleet_local(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                 if table.fail(grant.lease_id, &e.to_string(), transient, 0)
                     == FailOutcome::Quarantined
                 {
-                    rh_obs::counter(names::FLEET_QUARANTINED, 1);
+                    rh_obs::counter!(names::FLEET_QUARANTINED, 1);
                 }
             }
         }
@@ -419,9 +420,9 @@ impl FleetJournal {
                 let _ = w.write_all(stream::journal_line(worker, ev).as_bytes());
                 let _ = w.flush();
             }
-            rh_obs::counter(names::FLEET_JOURNAL_EVENTS, 1);
+            rh_obs::counter!(names::FLEET_JOURNAL_EVENTS, 1);
         } else {
-            rh_obs::counter(names::FLEET_JOURNAL_DUPLICATES, 1);
+            rh_obs::counter!(names::FLEET_JOURNAL_DUPLICATES, 1);
         }
         self.note_last_seq(worker, ev.seq);
     }
@@ -448,10 +449,10 @@ impl FleetJournal {
             if let Some(w) = self.writer.as_mut() {
                 let _ = w.flush();
             }
-            rh_obs::counter(names::FLEET_JOURNAL_EVENTS, fresh);
+            rh_obs::counter!(names::FLEET_JOURNAL_EVENTS, fresh);
         }
         if dup > 0 {
-            rh_obs::counter(names::FLEET_JOURNAL_DUPLICATES, dup);
+            rh_obs::counter!(names::FLEET_JOURNAL_DUPLICATES, dup);
         }
         self.cursors.insert(worker.to_string(), top);
     }
@@ -493,17 +494,26 @@ fn scrape_events(journal: &mut FleetJournal, addr: &str, io_timeout: Duration) {
     }
 }
 
+/// Scrapes every worker's `/events` into the journal, then sets the
+/// `fleet.journal.lag` gauge (from this one site, as a gauge needs).
+fn scrape_all(journal: &mut FleetJournal, workers: &[WorkerHealth], io_timeout: Duration) {
+    for worker in workers {
+        scrape_events(journal, &worker.addr, io_timeout);
+    }
+    rh_obs::gauge!(names::FLEET_JOURNAL_LAG, journal.worst_lag() as f64);
+}
+
 /// Byte budget for the coordinator's own trace file.
 const COORD_TRACE_BUDGET: usize = 4 << 20;
 
 /// Coordinator-side trace capture for one fleet run: owns the output
 /// directory, the recorder the spans land in, and — on drop — writes
-/// `coordinator.jsonl` and uninstalls any sink this run installed.
+/// `coordinator.jsonl` and uninstalls any recorder this run installed.
 struct TraceCapture {
     dir: PathBuf,
     recorder: Arc<rh_obs::Recorder>,
-    /// Whether this run installed the global sink (and must restore).
-    owns_sink: bool,
+    /// Whether this run installed the global recorder (and must restore).
+    owns_recorder: bool,
     /// Thread ordinal of the coordinator loop, keying its records.
     tid: u64,
     /// The run's root trace, set once the root span opens.
@@ -520,7 +530,7 @@ impl TraceCapture {
             eprintln!("repro: fleet trace dir {}: {e}", dir.display());
             return None;
         }
-        let (recorder, owns_sink) = match &cfg.trace_recorder {
+        let (recorder, owns_recorder) = match &cfg.trace_recorder {
             Some(recorder) => (Arc::clone(recorder), false),
             None => {
                 let recorder = Arc::new(rh_obs::Recorder::new());
@@ -528,7 +538,7 @@ impl TraceCapture {
                 (recorder, true)
             }
         };
-        Some(Self { dir, recorder, owns_sink, tid: rh_obs::thread_ordinal(), trace_id: 0 })
+        Some(Self { dir, recorder, owns_recorder, tid: rh_obs::thread_ordinal(), trace_id: 0 })
     }
 
     /// Writes one committed (or orphaned) job's shipped segment to
@@ -576,7 +586,7 @@ impl Drop for TraceCapture {
         if let Err(e) = std::fs::write(&path, jsonl) {
             eprintln!("repro: fleet trace {}: {e}", path.display());
         }
-        if self.owns_sink {
+        if self.owns_recorder {
             rh_obs::uninstall();
         }
     }
@@ -627,7 +637,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
 
     // Trace capture: declared *before* the root span so the span guard
     // drops (recording fleet.run) before the capture drops (writing
-    // coordinator.jsonl and uninstalling any sink this run installed).
+    // coordinator.jsonl and uninstalling any recorder this run installed).
     let mut capture = TraceCapture::arm(cfg);
     let mut root = rh_obs::span(names::FLEET_RUN_SPAN);
     root.set("workers", workers.len());
@@ -711,7 +721,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                 orphans.insert(expired.lease_id, expired.worker.clone());
                 continue;
             }
-            rh_obs::counter(names::FLEET_QUARANTINED, 1);
+            rh_obs::counter!(names::FLEET_QUARANTINED, 1);
             if let Some(progress) = &cfg.progress {
                 progress.record_status(&ModuleStatus::Quarantined {
                     attempts: cfg.retry.max_attempts,
@@ -843,7 +853,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     if table.fail(lease_id, &error, transient, now_ms(origin))
                         == FailOutcome::Quarantined
                     {
-                        rh_obs::counter(names::FLEET_QUARANTINED, 1);
+                        rh_obs::counter!(names::FLEET_QUARANTINED, 1);
                         if let Some(progress) = &cfg.progress {
                             progress.record_status(&ModuleStatus::Quarantined {
                                 attempts: cfg.retry.max_attempts,
@@ -862,10 +872,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             .iter()
             .filter(|(_, _, s)| *s == rh_core::fleet::LeaseState::Suspect)
             .count();
-        rh_obs::gauge(names::FLEET_WORKER_SUSPECT, suspects as f64);
+        rh_obs::gauge!(names::FLEET_WORKER_SUSPECT, suspects as f64);
         let not_closed =
             workers.iter().filter(|w| w.breaker.state() != BreakerState::Closed).count();
-        rh_obs::gauge(names::FLEET_BREAKER_OPEN, not_closed as f64);
+        rh_obs::gauge!(names::FLEET_BREAKER_OPEN, not_closed as f64);
 
         // 4. Poll orphaned leases: a zombie that finished after its
         // lease expired gets its late result explicitly rejected.
@@ -891,10 +901,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         // 5. Scrape worker event streams into the journal. This never
         // feeds the circuit breakers.
         if let Some(journal) = journal.as_mut() {
-            for worker in &workers {
-                scrape_events(journal, &worker.addr, io_timeout);
-            }
-            rh_obs::gauge(names::FLEET_JOURNAL_LAG, journal.worst_lag() as f64);
+            scrape_all(journal, &workers, io_timeout);
         }
 
         std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(10)));
@@ -905,10 +912,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
     // more chance to land in the journal; dead workers just fail the
     // connect and are skipped.
     if let Some(journal) = journal.as_mut() {
-        for worker in &workers {
-            scrape_events(journal, &worker.addr, io_timeout);
-        }
-        rh_obs::gauge(names::FLEET_JOURNAL_LAG, journal.worst_lag() as f64);
+        scrape_all(journal, &workers, io_timeout);
     }
 
     // Fan cancellation out to the workers we know about, then tear

@@ -161,7 +161,7 @@ impl ObsSetup {
         self.progress.clone()
     }
 
-    /// Uninstalls the sink and writes the requested trace/metrics
+    /// Uninstalls the recorder and writes the requested trace/metrics
     /// files. Call once, after the last target has run (even a failed
     /// or interrupted run's partial trace is worth exporting for
     /// diagnosis).

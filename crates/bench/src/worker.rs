@@ -235,7 +235,7 @@ impl WorkerState {
                     json!({"accepted": true, "lease_id": grant.lease_id}).to_string(),
                 );
             }
-            rh_obs::counter(names::WORKER_JOBS_REJECTED, 1);
+            rh_obs::counter!(names::WORKER_JOBS_REJECTED, 1);
             return HttpResponse::json(
                 409,
                 json!({"accepted": false, "error": "lease id collision"}).to_string(),
@@ -248,7 +248,7 @@ impl WorkerState {
         let running = self.running.load(Ordering::SeqCst);
         let queued = jobs.iter().filter(|j| matches!(j.state, JobState::Queued)).count();
         if running >= self.slots && queued >= self.queue_depth {
-            rh_obs::counter(names::WORKER_ADMISSION_SHED, 1);
+            rh_obs::counter!(names::WORKER_ADMISSION_SHED, 1);
             self.events.emit(
                 EventKind::Shed,
                 grant.lease_id,
@@ -279,7 +279,7 @@ impl WorkerState {
             self.running.fetch_add(1, Ordering::SeqCst);
             self.events.emit(EventKind::Accepted, lease_id, &grant.module_id, 0, "");
         } else {
-            rh_obs::counter(names::WORKER_ADMISSION_QUEUED, 1);
+            rh_obs::counter!(names::WORKER_ADMISSION_QUEUED, 1);
             self.events.emit(
                 EventKind::Queued,
                 lease_id,
@@ -288,11 +288,11 @@ impl WorkerState {
                 "",
             );
         }
-        rh_obs::counter(names::WORKER_JOBS_ACCEPTED, 1);
+        rh_obs::counter!(names::WORKER_JOBS_ACCEPTED, 1);
         drop(jobs);
 
         if start_now && !start_job(state, lease_id) {
-            rh_obs::counter(names::WORKER_JOBS_REJECTED, 1);
+            rh_obs::counter!(names::WORKER_JOBS_REJECTED, 1);
             return HttpResponse::json(503, json!({"accepted": false}).to_string())
                 .with_header("Retry-After", self.retry_after_secs.to_string());
         }
@@ -327,7 +327,7 @@ impl WorkerState {
                     let (segment, shed) =
                         recorder.trace_segment(trace.trace_id, tid, TRACE_SEGMENT_BUDGET);
                     if shed > 0 {
-                        rh_obs::counter(names::OBS_TRACE_SHED, shed);
+                        rh_obs::counter!(names::OBS_TRACE_SHED, shed);
                     }
                     if let Value::Object(pairs) = &mut body {
                         pairs.push((
@@ -419,7 +419,7 @@ fn start_job(state: &Arc<WorkerState>, lease_id: u64) -> bool {
             {
                 let (state, terminal) = match outcome {
                     Ok(result) => {
-                        rh_obs::counter(names::WORKER_JOBS_COMPLETED, 1);
+                        rh_obs::counter!(names::WORKER_JOBS_COMPLETED, 1);
                         let flips = flip_evidence(&result);
                         if flips > 0 {
                             owner.events.emit(
@@ -440,7 +440,7 @@ fn start_job(state: &Arc<WorkerState>, lease_id: u64) -> bool {
                         (JobState::Done(result), ev)
                     }
                     Err(e) if e.is_cancelled() || token.is_cancelled() => {
-                        rh_obs::counter(names::WORKER_JOBS_CANCELLED, 1);
+                        rh_obs::counter!(names::WORKER_JOBS_CANCELLED, 1);
                         let ev = owner.events.emit_full(
                             EventKind::Cancelled,
                             lease_id,
@@ -451,7 +451,7 @@ fn start_job(state: &Arc<WorkerState>, lease_id: u64) -> bool {
                         (JobState::Cancelled, ev)
                     }
                     Err(e) => {
-                        rh_obs::counter(names::WORKER_JOBS_FAILED, 1);
+                        rh_obs::counter!(names::WORKER_JOBS_FAILED, 1);
                         let error = e.to_string();
                         let ev = owner.events.emit_full(
                             EventKind::Failed,
@@ -631,7 +631,7 @@ impl TelemetrySource for WorkerSource {
                     .and_then(|v| v.parse::<u64>().ok())
                     .unwrap_or(0)
                     .min(2_000);
-                rh_obs::counter(names::WORKER_EVENTS_POLLS, 1);
+                rh_obs::counter!(names::WORKER_EVENTS_POLLS, 1);
                 let batch =
                     self.state.events.since(since, max, Duration::from_millis(wait_ms));
                 Some(

@@ -3,7 +3,7 @@
 //! trace, a parseable metrics snapshot, and non-zero counters from
 //! every instrumented layer (softmc, dram, campaign).
 //!
-//! The sink is process-global, so everything lives in one test
+//! The recorder is process-global, so everything lives in one test
 //! function — concurrent tests in the same binary would race on it.
 
 use rh_bench::{run_target, RunConfig};

@@ -4,7 +4,7 @@
 //! gauges agree with the campaign's own tally, next to the counters
 //! of the instrumented layers.
 //!
-//! The observability sink is process-global, so everything lives in
+//! The observability recorder is process-global, so everything lives in
 //! one test function — concurrent tests in this binary would race on
 //! the installed recorder.
 

@@ -3,7 +3,7 @@
 //! campaign records only `campaign.*` and a fleet run records the
 //! `fleet.*` dispatch and commit counts it always did.
 //!
-//! The sink is process-global, so everything lives in one test
+//! The recorder is process-global, so everything lives in one test
 //! function — concurrent tests in the same binary would race on it.
 
 use rh_bench::{run_fleet_local, FleetConfig};

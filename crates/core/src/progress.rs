@@ -204,13 +204,13 @@ impl ProgressTracker {
             return;
         }
         let completed = inner.completed();
-        rh_obs::gauge(names::CAMPAIGN_PROGRESS_TOTAL, inner.total as f64);
-        rh_obs::gauge(names::CAMPAIGN_PROGRESS_DONE, completed as f64);
-        rh_obs::gauge(names::CAMPAIGN_PROGRESS_RUNNING, inner.running as f64);
+        rh_obs::gauge!(names::CAMPAIGN_PROGRESS_TOTAL, inner.total as f64);
+        rh_obs::gauge!(names::CAMPAIGN_PROGRESS_DONE, completed as f64);
+        rh_obs::gauge!(names::CAMPAIGN_PROGRESS_RUNNING, inner.running as f64);
         let elapsed_ms = self.elapsed_ms();
         let eta = eta_ms(completed, inner.total, elapsed_ms);
         if let Some(eta) = eta {
-            rh_obs::gauge(names::CAMPAIGN_ETA_MS, eta as f64);
+            rh_obs::gauge!(names::CAMPAIGN_ETA_MS, eta as f64);
         }
         let due = inner
             .last_heartbeat

@@ -97,18 +97,18 @@ impl DefenseSim {
                     // before it must have landed first.
                     backlog.flush(self.bench.module_mut(), self.bank)?;
                     self.bench.module_mut().refresh_row_physical(self.bank, phys)?;
-                    rh_obs::counter(names::DEFENSE_REFRESH, 1);
+                    rh_obs::counter!(names::DEFENSE_REFRESH, 1);
                     outcome.refreshes += 1;
                     if phys == victim {
-                        rh_obs::counter(names::DEFENSE_VICTIM_REFRESH, 1);
+                        rh_obs::counter!(names::DEFENSE_VICTIM_REFRESH, 1);
                         outcome.victim_refreshes += 1;
                     }
                 }
                 // Throttling moves only the simulator's clock, never
                 // the module's: it needs no flush.
                 DefenseAction::Throttle { delay } => {
-                    rh_obs::counter(names::DEFENSE_THROTTLE, 1);
-                    rh_obs::counter(names::DEFENSE_THROTTLE_PS, delay);
+                    rh_obs::counter!(names::DEFENSE_THROTTLE, 1);
+                    rh_obs::counter!(names::DEFENSE_THROTTLE_PS, delay);
                     *now += delay;
                     outcome.throttle_delay += delay;
                 }

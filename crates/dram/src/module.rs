@@ -323,7 +323,7 @@ impl DramModule {
     pub fn issue(&mut self, tc: &TimedCommand) -> Result<Option<[u8; 8]>, DramError> {
         let res = self.issue_inner(tc);
         if let Err(DramError::TimingViolation { parameter, .. }) = &res {
-            rh_obs::counter(names::DRAM_TIMING_VIOLATION, 1);
+            rh_obs::counter!(names::DRAM_TIMING_VIOLATION, 1);
             rh_obs::event!(names::DRAM_TIMING_VIOLATION, parameter = *parameter);
         }
         res
@@ -402,14 +402,14 @@ impl DramModule {
         let t_rp = self.cfg.timing.t_rp;
         for i in 0..self.banks.len() {
             if let Some(ev) = self.banks[i].flush_pending(t_rp) {
-                rh_obs::counter(names::DRAM_HAMMER_FLUSHED, 1);
+                rh_obs::counter!(names::DRAM_HAMMER_FLUSHED, 1);
                 self.deliver_hammer(BankId(i as u32), ev);
             }
         }
     }
 
     fn deliver_hammer(&mut self, bank: BankId, ev: HammerEvent) {
-        rh_obs::counter(names::DRAM_HAMMER_EPISODES, 1);
+        rh_obs::counter!(names::DRAM_HAMMER_EPISODES, 1);
         self.model.on_hammer(bank, ev.row, 1, ev.t_on, ev.t_off);
     }
 
@@ -487,8 +487,8 @@ impl DramModule {
     /// The bookkeeping of every full-row write: the write counter, the
     /// stored-rows gauge, and the restore the model sees.
     fn restore_written(&mut self, bank: BankId, phys: RowAddr) {
-        rh_obs::counter(names::DRAM_ROW_WRITE, 1);
-        rh_obs::gauge(names::DRAM_ROWS_STORED, self.storage.len() as f64);
+        rh_obs::counter!(names::DRAM_ROW_WRITE, 1);
+        rh_obs::gauge!(names::DRAM_ROWS_STORED, self.storage.len() as f64);
         let now = self.now;
         self.model.on_restore(bank, phys, now);
     }
@@ -512,7 +512,7 @@ impl DramModule {
         let Some(stored) = self.storage.get_mut(&(bank.0, phys.0)) else {
             return Err(DramError::UninitializedRow { bank, row: phys });
         };
-        rh_obs::counter(names::DRAM_ROW_READ, 1);
+        rh_obs::counter!(names::DRAM_ROW_READ, 1);
         // `sense_and_restore`, with the row looked up once.
         sense(self.model.as_mut(), stored, bank, phys, now, row_bytes);
         self.model.on_restore(bank, phys, now);
@@ -591,7 +591,7 @@ impl DramModule {
         self.check_bank(bank)?;
         self.check_row(row)?;
         let phys = self.cfg.mapping.logical_to_physical(row);
-        rh_obs::counter(names::DRAM_HAMMER_EPISODES, count);
+        rh_obs::counter!(names::DRAM_HAMMER_EPISODES, count);
         // An activation also senses-and-restores the aggressor row
         // itself, clearing any disturbance accumulated on it.
         self.sense_and_restore(bank, phys);
@@ -639,7 +639,7 @@ impl DramModule {
         assert!(!rows.is_empty(), "a round-robin hammer needs at least one row");
         let phys: Vec<RowAddr> =
             rows.iter().map(|&r| self.cfg.mapping.logical_to_physical(r)).collect();
-        rh_obs::counter(names::DRAM_HAMMER_EPISODES, n);
+        rh_obs::counter!(names::DRAM_HAMMER_EPISODES, n);
         let k = phys.len() as u64;
         let start = (start as u64 % k) as usize;
         let mut run = RoundRobin { bank, rows: &phys, start, n, t_on, t_off, now: self.now };
@@ -691,7 +691,7 @@ impl DramModule {
         self.check_row(right)?;
         let phys_l = self.cfg.mapping.logical_to_physical(left);
         let phys_r = self.cfg.mapping.logical_to_physical(right);
-        rh_obs::counter(names::DRAM_HAMMER_EPISODES, count.saturating_mul(2));
+        rh_obs::counter!(names::DRAM_HAMMER_EPISODES, count.saturating_mul(2));
         // The first episode senses and restores both aggressors, just
         // as the program path's opening ACTs do.
         self.sense_and_restore(bank, phys_l);
@@ -750,7 +750,7 @@ fn sense(
 ) {
     let flips = model.flips_on_activate(bank, phys, &stored.view(row_bytes), now);
     if !flips.is_empty() {
-        rh_obs::counter(names::DRAM_FLIP, flips.len() as u64);
+        rh_obs::counter!(names::DRAM_FLIP, flips.len() as u64);
         stored.toggle(row_bytes, &flips);
     }
 }

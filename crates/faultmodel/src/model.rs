@@ -262,7 +262,7 @@ impl RowHammerModel {
     pub fn row_cells(&mut self, bank: BankId, row: RowAddr) -> Arc<CellTable> {
         let (table, built) = self.table(bank, row);
         if !built {
-            rh_obs::counter(names::FAULTMODEL_CELLS_GLOBAL_HIT, 1);
+            rh_obs::counter!(names::FAULTMODEL_CELLS_GLOBAL_HIT, 1);
         }
         table
     }
@@ -273,7 +273,7 @@ impl RowHammerModel {
     /// duplicate build is identical, so either copy may stay) and counts
     /// one `faultmodel.row.derive` and one `faultmodel.surface.build`,
     /// plus one `faultmodel.cache.evict` if the insert evicts. A hit
-    /// records nothing: counters take the recorder's lock.
+    /// records nothing.
     fn table(&mut self, bank: BankId, row: RowAddr) -> (Arc<CellTable>, bool) {
         let key = (self.derivation_salt, bank.0, row.0);
         let lock = || {
@@ -288,13 +288,13 @@ impl RowHammerModel {
         }
         let cells = self.derive(bank, row);
         let table = Arc::new(CellTable::new(&self.profile, self.module_seed, cells));
-        rh_obs::counter(names::FAULTMODEL_ROW_DERIVE, 1);
-        rh_obs::counter(names::FAULTMODEL_SURFACE_BUILD, 1);
+        rh_obs::counter!(names::FAULTMODEL_ROW_DERIVE, 1);
+        rh_obs::counter!(names::FAULTMODEL_SURFACE_BUILD, 1);
         let mut cache = lock();
         let evicted = cache.evictions();
         cache.insert(key, Arc::clone(&table));
         if cache.evictions() > evicted {
-            rh_obs::counter(names::FAULTMODEL_CACHE_EVICT, 1);
+            rh_obs::counter!(names::FAULTMODEL_CACHE_EVICT, 1);
         }
         (table, true)
     }
@@ -439,12 +439,12 @@ impl DisturbanceModel for RowHammerModel {
                         // Below the floor is below every cell's gated
                         // threshold, so the kernel would early-out too:
                         // skip deriving the row.
-                        rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
-                        rh_obs::counter(names::FAULTMODEL_EVAL_GATED, 1);
+                        rh_obs::counter!(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
+                        rh_obs::counter!(names::FAULTMODEL_EVAL_GATED, 1);
                     } else {
                         let (table, _) = self.table(bank, row);
                         if !table.evaluate(nonce, temperature, dose, data, &mut flips) {
-                            rh_obs::counter(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
+                            rh_obs::counter!(names::FAULTMODEL_EVAL_EARLY_OUT, 1);
                         }
                     }
                 }

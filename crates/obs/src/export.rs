@@ -1,4 +1,6 @@
-//! Prometheus text-exposition rendering of a [`Recorder`]'s state.
+//! Prometheus text-exposition rendering of the registered counters,
+//! gauges and histograms ([`crate::hist`]) and a [`Recorder`]'s span
+//! aggregates.
 //!
 //! # Exposition mapping
 //!
@@ -115,15 +117,14 @@ pub fn render_histogram(out: &mut String, h: &HistSnapshot) {
     push_sample(out, &format!("{name}_count"), &[], &h.count.to_string());
 }
 
-/// Renders the full `/metrics` payload: every counter, finite gauge,
-/// span aggregate, and histogram currently held by `rec` and the
-/// process-global histogram registry, in Prometheus text exposition
-/// format (version 0.0.4).
+/// Renders the full `/metrics` payload: every registered counter,
+/// finite gauge and histogram, and every span aggregate held by `rec`,
+/// in Prometheus text exposition format (version 0.0.4).
 #[must_use]
 pub fn render_prometheus(rec: &Recorder) -> String {
     let mut out = String::new();
     for (name, v) in rec.counters() {
-        let m = sanitize_metric_name(&name);
+        let m = sanitize_metric_name(name);
         push_family(&mut out, &m, "counter", &format!("Monotonic counter `{name}`."));
         push_sample(&mut out, &m, &[], &v.to_string());
     }
@@ -131,7 +132,7 @@ pub fn render_prometheus(rec: &Recorder) -> String {
         if !v.is_finite() {
             continue;
         }
-        let m = sanitize_metric_name(&name);
+        let m = sanitize_metric_name(name);
         push_family(&mut out, &m, "gauge", &format!("Gauge `{name}` (last written value)."));
         push_sample(&mut out, &m, &[], &format!("{v}"));
     }
@@ -156,7 +157,9 @@ pub fn render_prometheus(rec: &Recorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sink as _;
+    use crate::testlock::locked;
+    use crate::SpanIds;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -177,18 +180,38 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_spans() {
-        let rec = Recorder::new();
-        rec.counter("dram.flip", 42);
-        rec.gauge("executor.queue_depth", 3.0);
-        rec.gauge("bad.gauge", f64::NAN);
-        rec.span_end("campaign.module", Duration::from_micros(120), &[]);
+        let _l = locked();
+        let rec = Arc::new(Recorder::new());
+        crate::install(rec.clone());
+        crate::counter!("dram.flip", 42);
+        crate::gauge!("executor.queue_depth", 3.0);
+        crate::uninstall();
+        rec.span_end("campaign.module", Duration::from_micros(120), SpanIds::none(), Vec::new());
         let text = render_prometheus(&rec);
         assert!(text.contains("# TYPE dram_flip counter\ndram_flip 42\n"));
         assert!(text.contains("# TYPE executor_queue_depth gauge\nexecutor_queue_depth 3\n"));
-        assert!(!text.contains("bad_gauge"), "non-finite gauges must be skipped");
         assert!(text.contains("campaign_module_span_count 1\n"));
         assert!(text.contains("campaign_module_span_total_us 120\n"));
         assert!(text.contains("campaign_module_span_max_us 120\n"));
+    }
+
+    #[test]
+    fn non_finite_gauges_are_null_in_json_and_skipped_in_prometheus() {
+        let _l = locked();
+        let rec = Arc::new(Recorder::new());
+        crate::install(rec.clone());
+        crate::gauge!("test.export.nan", f64::NAN);
+        crate::gauge!("test.export.inf", f64::INFINITY);
+        crate::gauge!("test.export.fine", -0.5);
+        crate::uninstall();
+        let json = rec.metrics_json();
+        assert!(json.contains("\"test.export.nan\": null"));
+        assert!(json.contains("\"test.export.inf\": null"));
+        assert!(json.contains("\"test.export.fine\": -0.5"));
+        let text = render_prometheus(&rec);
+        assert!(!text.contains("test_export_nan"), "non-finite gauges must be skipped");
+        assert!(!text.contains("test_export_inf"), "non-finite gauges must be skipped");
+        assert!(text.contains("test_export_fine -0.5\n"));
     }
 
     #[test]

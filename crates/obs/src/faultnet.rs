@@ -28,7 +28,7 @@
 //! differ.
 //!
 //! The injector is installed process-globally (like the observability
-//! sink) so the dependency-free client functions can consult it
+//! recorder) so the dependency-free client functions can consult it
 //! without threading a handle through every call site; servers take an
 //! explicit `Arc<NetFaultInjector>` instead, because one process may
 //! host several servers with different plans under test.
@@ -310,7 +310,7 @@ impl NetFaultInjector {
             NetFault::None
         };
         if fault != NetFault::None {
-            crate::counter(names::NETFAULT_INJECTED, 1);
+            crate::counter!(names::NETFAULT_INJECTED, 1);
             crate::event!(names::NETFAULT_EVENT, kind = fault.kind(), op = op);
         }
         fault

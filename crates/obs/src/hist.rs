@@ -1,28 +1,33 @@
-//! Log-bucketed latency histograms with lock-free sharded recording.
+//! Lock-free recording statics — log-bucketed histograms, counters
+//! and gauges — and the one registry that finds them.
 //!
-//! A [`Histogram`] is a `static` declared at the call site (usually
-//! via the [`crate::histogram!`] / [`crate::timer!`] macros). Values
-//! land in power-of-2 buckets: bucket 0 holds exactly 0, bucket *i*
-//! (1 ≤ *i* ≤ 64) holds `[2^(i-1), 2^i)`. Quantiles read back from a
-//! bucket's upper bound, so any quantile is exact to within a factor
-//! of 2 of the true sample quantile — plenty for "did the p99 of
-//! command issue double?" while costing 65 words per shard.
+//! A [`Histogram`], [`Counter`] or [`Gauge`] is a `static` declared at
+//! the call site (usually via the [`crate::histogram!`] /
+//! [`crate::timer!`] / [`crate::counter!`] / [`crate::gauge!`] macros)
+//! and registered on first touch. Histogram values land in power-of-2
+//! buckets: bucket 0 holds exactly 0, bucket *i* (1 ≤ *i* ≤ 64) holds
+//! `[2^(i-1), 2^i)`. Quantiles read back from a bucket's upper bound,
+//! so any quantile is exact to within a factor of 2 of the true sample
+//! quantile — plenty for "did the p99 of command issue double?" while
+//! costing 65 words per shard.
 //!
 //! # Overhead contract
 //!
-//! When observability is disabled ([`crate::enabled`] is false),
-//! [`Histogram::record`] is **one relaxed atomic load** and a branch —
+//! When observability is disabled ([`crate::enabled`] is false), a
+//! record, add or set is **one relaxed atomic load** and a branch —
 //! the same contract as every other `rh-obs` entry point, and the
 //! `disabled_overhead` test (run in release by CI's `contracts` job)
-//! asserts it stays that way. When enabled, a
-//! record is four relaxed atomic RMWs on a shard chosen by thread
-//! ordinal, so concurrent hot paths do not contend on a single cache
-//! line.
+//! asserts it stays that way. When enabled, a histogram record is four
+//! relaxed atomic RMWs and a counter add one, on a shard chosen by
+//! thread ordinal, so concurrent hot paths do not contend on a single
+//! cache line; a gauge set is one relaxed store. None takes a lock.
 //!
-//! Histograms are process-global and cumulative; [`reset_all`] runs on
-//! [`crate::install`] so each recording session starts from zero.
+//! Everything here is process-global and cumulative; [`reset_all`]
+//! runs on [`crate::install`] so each recording session starts from
+//! zero, and lists only what is touched again.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -83,14 +88,58 @@ impl Shard {
     }
 }
 
-/// Registry of every histogram that has recorded at least once, so
-/// [`snapshot_all`] / [`reset_all`] can find call-site statics.
-static REGISTRY: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
+/// Every static touched at least once, by kind.
+struct Registry {
+    hists: Vec<&'static Histogram>,
+    counters: Vec<&'static Counter>,
+    gauges: Vec<&'static Gauge>,
+}
 
-fn registry() -> std::sync::MutexGuard<'static, Vec<&'static Histogram>> {
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { hists: Vec::new(), counters: Vec::new(), gauges: Vec::new() });
+
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
     match REGISTRY.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+fn shard_index() -> usize {
+    (crate::thread_ordinal() as usize) & (NUM_SHARDS - 1)
+}
+
+/// A static's state: never registered (`NEW`), untouched since the
+/// last [`reset_all`] (`IDLE`), or `TOUCHED`.
+#[derive(Debug)]
+struct Presence(AtomicU8);
+
+const NEW: u8 = 0;
+const IDLE: u8 = 1;
+const TOUCHED: u8 = 2;
+
+impl Presence {
+    const fn new() -> Self {
+        Self(AtomicU8::new(NEW))
+    }
+
+    /// Marks the static touched; `register` runs on the first touch
+    /// ever (a reset never returns a static to `NEW`).
+    #[inline]
+    fn touch(&self, register: impl FnOnce()) {
+        if self.0.load(Ordering::Relaxed) != TOUCHED
+            && self.0.swap(TOUCHED, Ordering::Relaxed) == NEW
+        {
+            register();
+        }
+    }
+
+    fn touched(&self) -> bool {
+        self.0.load(Ordering::Relaxed) == TOUCHED
+    }
+
+    fn reset(&self) {
+        self.0.store(IDLE, Ordering::Relaxed);
     }
 }
 
@@ -100,7 +149,7 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<&'static Histogram>> {
 /// nanoseconds for durations, with the unit in the name (`*.ns`).
 pub struct Histogram {
     name: &'static str,
-    registered: AtomicBool,
+    presence: Presence,
     shards: [Shard; NUM_SHARDS],
 }
 
@@ -116,15 +165,9 @@ impl Histogram {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            registered: AtomicBool::new(false),
+            presence: Presence::new(),
             shards: [const { Shard::new() }; NUM_SHARDS],
         }
-    }
-
-    /// The histogram's registry name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Records `v` if observability is enabled. Disabled cost: one
@@ -140,10 +183,8 @@ impl Histogram {
     /// Records `v` unconditionally (used by tests and by guards that
     /// already checked `enabled`).
     pub fn record_always(&'static self, v: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().push(self);
-        }
-        let shard = &self.shards[(crate::thread_ordinal() as usize) & (NUM_SHARDS - 1)];
+        self.presence.touch(|| registry().hists.push(self));
+        let shard = &self.shards[shard_index()];
         shard.count.fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(v, Ordering::Relaxed);
         shard.max.fetch_max(v, Ordering::Relaxed);
@@ -174,24 +215,21 @@ impl Histogram {
     }
 
     fn reset(&self) {
+        self.presence.reset();
         for shard in &self.shards {
             shard.reset();
         }
     }
 }
 
-/// Snapshots of every registered histogram with at least one recorded
-/// value, sorted by name. Distinct call sites recording under the
-/// same name are one time series: their snapshots are merged.
+/// Snapshots of every histogram recorded since the last
+/// [`reset_all`], sorted by name. Distinct call sites recording under
+/// the same name are one time series: their snapshots are merged.
 #[must_use]
 pub fn snapshot_all() -> Vec<HistSnapshot> {
-    let mut by_name: std::collections::BTreeMap<&'static str, HistSnapshot> =
-        std::collections::BTreeMap::new();
-    for h in registry().iter() {
+    let mut by_name: BTreeMap<&'static str, HistSnapshot> = BTreeMap::new();
+    for h in registry().hists.iter().filter(|h| h.presence.touched()) {
         let s = h.snapshot();
-        if s.count == 0 {
-            continue;
-        }
         match by_name.entry(s.name) {
             std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&s),
             std::collections::btree_map::Entry::Vacant(e) => {
@@ -202,12 +240,132 @@ pub fn snapshot_all() -> Vec<HistSnapshot> {
     by_name.into_values().collect()
 }
 
-/// Zeroes every registered histogram. Called by [`crate::install`] so
-/// a new recording session does not inherit a previous run's samples.
+/// Zeroes and unlists every registered static. Called by
+/// [`crate::install`] so a new recording session does not inherit a
+/// previous run's values.
 pub fn reset_all() {
-    for h in registry().iter() {
+    let reg = registry();
+    for h in &reg.hists {
         h.reset();
     }
+    for c in &reg.counters {
+        c.presence.reset();
+        for slot in &c.shards {
+            slot.0.store(0, Ordering::Relaxed);
+        }
+    }
+    for g in &reg.gauges {
+        g.presence.reset();
+        g.bits.store(0, Ordering::Relaxed);
+    }
+}
+
+/// One counter shard, alone on its cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Slot(AtomicU64);
+
+/// A lock-free, const-initializable monotonic counter, sharded by
+/// thread ordinal. Declare as a `static` (the [`crate::counter!`]
+/// macro does this per call site); sites sharing a name are one
+/// series. A shard that would overflow sticks at `u64::MAX`.
+#[derive(Debug)]
+pub struct Counter {
+    name: &'static str,
+    presence: Presence,
+    shards: [Slot; NUM_SHARDS],
+}
+
+impl Counter {
+    /// Const constructor for `static` declarations.
+    #[must_use]
+    pub const fn new(name: &'static str) -> Self {
+        let shards = [const { Slot(AtomicU64::new(0)) }; NUM_SHARDS];
+        Self { name, presence: Presence::new(), shards }
+    }
+
+    /// Adds `delta` if observability is enabled; a delta of 0 still
+    /// lists the counter. Disabled cost: one relaxed load and a branch.
+    #[inline]
+    pub fn add(&'static self, delta: u64) {
+        if crate::enabled() {
+            self.add_enabled(delta);
+        }
+    }
+
+    // Out of line, so the inlined disabled path stays one load.
+    #[inline(never)]
+    fn add_enabled(&'static self, delta: u64) {
+        self.presence.touch(|| registry().counters.push(self));
+        let slot = &self.shards[shard_index()].0;
+        if slot.fetch_add(delta, Ordering::Relaxed).checked_add(delta).is_none() {
+            // Wrapped: the store saturates it, along with any add
+            // that raced in between.
+            slot.store(u64::MAX, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A lock-free, const-initializable last-write-wins gauge holding the
+/// bits of an `f64`. Declare as a `static` (the [`crate::gauge!`]
+/// macro does this per call site). Each gauge name must have exactly
+/// one static: distinct statics cannot order their writes, so code
+/// that sets one gauge from several places does so through one
+/// function or one shared `static Gauge`.
+#[derive(Debug)]
+pub struct Gauge {
+    name: &'static str,
+    presence: Presence,
+    bits: AtomicU64,
+}
+
+impl Gauge {
+    /// Const constructor for `static` declarations.
+    #[must_use]
+    pub const fn new(name: &'static str) -> Self {
+        Self { name, presence: Presence::new(), bits: AtomicU64::new(0) }
+    }
+
+    /// Sets the gauge to `v` if observability is enabled. Disabled
+    /// cost: one relaxed load and a branch; enabled, one relaxed store
+    /// once touched.
+    #[inline]
+    pub fn set(&'static self, v: f64) {
+        if crate::enabled() {
+            self.set_enabled(v);
+        }
+    }
+
+    #[inline(never)]
+    fn set_enabled(&'static self, v: f64) {
+        self.presence.touch(|| registry().gauges.push(self));
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// Every counter touched since the last [`reset_all`], summed
+/// (saturating) across shards and call sites sharing a name.
+#[must_use]
+pub fn counters_all() -> BTreeMap<&'static str, u64> {
+    let mut out = BTreeMap::new();
+    for c in registry().counters.iter().filter(|c| c.presence.touched()) {
+        for slot in &c.shards {
+            let total: &mut u64 = out.entry(c.name).or_default();
+            *total = total.saturating_add(slot.0.load(Ordering::Relaxed));
+        }
+    }
+    out
+}
+
+/// Every gauge set since the last [`reset_all`], at its last value.
+#[must_use]
+pub fn gauges_all() -> BTreeMap<&'static str, f64> {
+    registry()
+        .gauges
+        .iter()
+        .filter(|g| g.presence.touched())
+        .map(|g| (g.name, f64::from_bits(g.bits.load(Ordering::Relaxed))))
+        .collect()
 }
 
 /// Timer guard returned by [`Histogram::timer`]; records elapsed
@@ -317,6 +475,15 @@ impl HistSnapshot {
 mod tests {
     use super::*;
     use crate::testlock::locked;
+    use crate::Recorder;
+    use std::sync::Arc;
+
+    /// Installs a fresh recorder, which resets the registry.
+    fn session() -> Arc<Recorder> {
+        let rec = Arc::new(Recorder::new());
+        crate::install(rec.clone());
+        rec
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -417,5 +584,90 @@ mod tests {
         assert_eq!(s.count, 1000);
         assert_eq!(s.sum, 4 * (250 * 251 / 2));
         assert_eq!(s.max, 250);
+    }
+
+    #[test]
+    fn counter_sums_are_exact_across_eight_threads() {
+        let _l = locked();
+        static C: Counter = Counter::new("test.hist.counter_threads");
+        let rec = session();
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for v in 1..=10_000u64 {
+                        C.add(v + t);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            let _ = h.join();
+        }
+        crate::uninstall();
+        let per_thread = 10_000 * 10_001 / 2;
+        let want = 8 * per_thread + 10_000 * (0..8).sum::<u64>();
+        assert_eq!(rec.counter_value("test.hist.counter_threads"), want);
+    }
+
+    #[test]
+    fn counter_saturates_instead_of_overflowing() {
+        let _l = locked();
+        let rec = session();
+        // Same shard (one thread), and across sites sharing the name.
+        crate::counter!("test.hist.saturate", u64::MAX);
+        crate::counter!("test.hist.saturate", 5);
+        crate::counter!("test.hist.saturate", 1);
+        crate::uninstall();
+        assert_eq!(rec.counter_value("test.hist.saturate"), u64::MAX);
+        static C: Counter = Counter::new("test.hist.saturate_shard");
+        session();
+        C.add(u64::MAX - 1);
+        C.add(2);
+        C.add(7);
+        crate::uninstall();
+        assert_eq!(counters_all().get("test.hist.saturate_shard"), Some(&u64::MAX));
+    }
+
+    #[test]
+    fn counter_touched_with_zero_delta_is_listed() {
+        let _l = locked();
+        let rec = session();
+        crate::counter!("test.hist.zero_delta", 0);
+        crate::uninstall();
+        assert_eq!(rec.counters().get("test.hist.zero_delta"), Some(&0));
+        assert!(rec.metrics_json().contains("\"test.hist.zero_delta\": 0"));
+        // Disabled, nothing is touched: the next session lists nothing.
+        crate::counter!("test.hist.zero_delta_disabled", 0);
+        crate::gauge!("test.hist.zero_delta_disabled_gauge", 1.0);
+        assert!(!rec.counters().contains_key("test.hist.zero_delta_disabled"));
+        assert!(!rec.gauges().contains_key("test.hist.zero_delta_disabled_gauge"));
+    }
+
+    #[test]
+    fn install_resets_counters_and_gauges() {
+        let _l = locked();
+        let first = session();
+        crate::counter!("test.hist.reset_counter", 4);
+        crate::gauge!("test.hist.reset_gauge", 2.5);
+        crate::uninstall();
+        assert_eq!(first.counter_value("test.hist.reset_counter"), 4);
+        assert_eq!(first.gauge_value("test.hist.reset_gauge"), Some(2.5));
+        // Values survive uninstall and vanish on the next install.
+        let second = session();
+        assert_eq!(second.counter_value("test.hist.reset_counter"), 0);
+        assert!(!second.counters().contains_key("test.hist.reset_counter"));
+        assert_eq!(second.gauge_value("test.hist.reset_gauge"), None);
+        // A reset counter counts from zero again, at the same site.
+        for _ in 0..3 {
+            crate::counter!("test.hist.reset_again", 1);
+        }
+        crate::uninstall();
+        assert_eq!(second.counter_value("test.hist.reset_again"), 3);
+        session();
+        for _ in 0..2 {
+            crate::counter!("test.hist.reset_again", 1);
+        }
+        crate::uninstall();
+        assert_eq!(second.counter_value("test.hist.reset_again"), 2);
     }
 }

@@ -4,25 +4,31 @@
 //! The real SoftMC rigs behind the MICRO '21 sensitivities paper are
 //! trusted because their runs are *inspectable*: command counts,
 //! per-phase timings, and fault logs exist for every campaign. This
-//! crate provides the simulated equivalent — a process-global sink
-//! that instrumentation points throughout `rh-softmc`, `rh-dram`,
-//! `rh-core`, and `rh-defense` feed with:
+//! crate provides the simulated equivalent. Instrumentation points
+//! throughout `rh-softmc`, `rh-dram`, `rh-core`, and `rh-defense`
+//! record:
 //!
 //! - **counters** — monotonic tallies (`softmc.cmd.act`, `dram.flip`),
 //! - **gauges** — last-write-wins measurements (`dram.rows_stored`),
+//! - **histograms** — log-bucketed latencies (`dram.row.write.ns`),
 //! - **events** — timestamped records with fields
 //!   (`campaign.quarantine { module, attempts, error }`),
 //! - **spans** — scoped timers emitted on drop (`core.hc_first`).
 //!
+//! Counters, gauges and histograms are lock-free per-call-site
+//! statics ([`counter!`], [`gauge!`], [`histogram!`], [`timer!`])
+//! registered in [`hist`] on first touch. Events and spans go to the
+//! one process-global [`Recorder`], which keeps the trace.
+//!
 //! # Overhead contract
 //!
-//! With no sink installed every call is one relaxed atomic load and a
-//! branch; `span()` does not even read the clock. Instrumentation is
-//! therefore safe to leave in hot paths (the temperature-sweep bench
-//! must regress < 5 % with observability disabled). With a sink
-//! installed, cost is whatever the sink does — [`Recorder`] takes one
-//! mutex per record, intended for campaign-scale runs, not per-command
-//! inner loops at Paper scale.
+//! With no recorder installed every call is one relaxed atomic load
+//! and a branch; `span()` does not even read the clock. Instrumentation
+//! is therefore safe to leave in hot paths (the temperature-sweep bench
+//! must regress < 5 % with observability disabled). With a recorder
+//! installed, a counter add is one relaxed RMW on the calling thread's
+//! shard and a gauge set one relaxed store; only events and spans
+//! take the [`Recorder`]'s mutex, once per record.
 //!
 //! # Example
 //!
@@ -31,7 +37,8 @@
 //!
 //! let rec = Arc::new(rh_obs::Recorder::new());
 //! rh_obs::install(rec.clone());
-//! rh_obs::counter("softmc.cmd.act", 2);
+//! rh_obs::counter!("softmc.cmd.act", 2);
+//! rh_obs::gauge!("dram.rows_stored", 5.0);
 //! {
 //!     let mut s = rh_obs::span("core.hc_first");
 //!     s.set("row", 1024u64);
@@ -40,6 +47,7 @@
 //! rh_obs::uninstall();
 //!
 //! assert_eq!(rec.counter_value("softmc.cmd.act"), 2);
+//! assert_eq!(rec.gauge_value("dram.rows_stored"), Some(5.0));
 //! let jsonl = rec.to_jsonl();
 //! assert!(jsonl.lines().count() >= 2);
 //! ```
@@ -58,7 +66,7 @@ pub mod trace;
 pub use client::{http_get, http_post, ClientResponse};
 pub use faultnet::{NetFault, NetFaultInjector, NetFaultPlan};
 pub use stream::{EventBatch, EventDedup, EventKind, EventRing, JobEvent};
-pub use hist::{HistSnapshot, Histogram, TimerGuard};
+pub use hist::{Counter, Gauge, HistSnapshot, Histogram, TimerGuard};
 pub use recorder::{Recorder, SpanStat, TraceRecord};
 pub use trace::{
     current_context, format_traceparent, parse_traceparent, set_remote_parent, SpanIds,
@@ -70,7 +78,7 @@ pub use serve::{
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A dynamically typed field value attached to events and spans.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,83 +165,51 @@ impl From<bool> for FieldValue {
     }
 }
 
-/// Destination for observability records. Implementations must be
-/// cheap enough for the contexts they are installed in and must not
-/// panic (a panicking sink would poison unrelated instrumented code).
-pub trait Sink: Send + Sync {
-    /// A monotonic counter incremented by `delta`.
-    fn counter(&self, name: &'static str, delta: u64);
-    /// A last-write-wins gauge.
-    fn gauge(&self, name: &'static str, value: f64);
-    /// A point-in-time event with fields.
-    fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]);
-    /// A completed span of `elapsed` wall time.
-    fn span_end(&self, name: &'static str, elapsed: Duration, fields: &[(&'static str, FieldValue)]);
-    /// A completed span carrying distributed-trace identity. The
-    /// default forwards to [`span_end`](Self::span_end), so sinks
-    /// that do not care about trace IDs need not change.
-    fn span_end_ids(
-        &self,
-        name: &'static str,
-        elapsed: Duration,
-        ids: SpanIds,
-        fields: &[(&'static str, FieldValue)],
-    ) {
-        let _ = ids;
-        self.span_end(name, elapsed, fields);
-    }
-    /// The sink's own monotonic clock in microseconds, if it has one.
-    /// The fleet coordinator uses this to bracket worker replies for
-    /// clock-skew normalization; sinks without a stable clock return
-    /// `None` (the default).
-    fn now_us(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Fast-path switch: avoids taking the sink lock when disabled.
+/// Fast-path switch: avoids taking the recorder lock when disabled.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
+static RECORDER: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
 
-fn with_sink(f: impl FnOnce(&dyn Sink)) {
+fn with_recorder(f: impl FnOnce(&Recorder)) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let guard = match SINK.read() {
+    let guard = match RECORDER.read() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
-    if let Some(sink) = guard.as_ref() {
-        f(sink.as_ref());
+    if let Some(recorder) = guard.as_ref() {
+        f(recorder);
     }
 }
 
-/// Installs `sink` as the process-global observability sink and
-/// enables instrumentation. Replaces any previous sink and zeroes all
-/// registered [`hist::Histogram`]s so the new session starts fresh.
-pub fn install(sink: Arc<dyn Sink>) {
+/// Installs `recorder` as the process-global destination of span and
+/// event records and enables instrumentation. Replaces any previous
+/// recorder and zeroes every registered histogram, counter and gauge
+/// ([`hist::reset_all`]) so the new session starts fresh.
+pub fn install(recorder: Arc<Recorder>) {
     hist::reset_all();
-    let mut guard = match SINK.write() {
+    let mut guard = match RECORDER.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
-    *guard = Some(sink);
+    *guard = Some(recorder);
     ENABLED.store(true, Ordering::SeqCst);
 }
 
-/// Disables instrumentation and removes the global sink, returning it
-/// (so a caller holding only the `Arc<dyn Sink>` can still export).
-pub fn uninstall() -> Option<Arc<dyn Sink>> {
+/// Disables instrumentation and removes the global recorder,
+/// returning it. Registered counters, gauges and histograms keep
+/// their values until the next [`install`].
+pub fn uninstall() -> Option<Arc<Recorder>> {
     ENABLED.store(false, Ordering::SeqCst);
-    let mut guard = match SINK.write() {
+    let mut guard = match RECORDER.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
     guard.take()
 }
 
-/// Whether a sink is currently installed. Instrumentation points may
-/// use this to skip building expensive field values.
+/// Whether a recorder is currently installed. Instrumentation points
+/// may use this to skip building expensive field values.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -245,31 +221,22 @@ thread_local! {
 }
 
 /// A small dense per-thread ordinal (0, 1, 2, …) assigned on first
-/// use; histogram shards index by it so short-lived worker pools map
-/// onto distinct shards. Falls back to 0 during thread teardown.
+/// use; histogram and counter shards index by it so short-lived worker
+/// pools map onto distinct shards. Falls back to 0 during thread
+/// teardown.
 pub fn thread_ordinal() -> u64 {
     THREAD_ORDINAL.try_with(|o| *o).unwrap_or(0)
 }
 
-/// Increments counter `name` by `delta`. No-op when disabled.
-pub fn counter(name: &'static str, delta: u64) {
-    with_sink(|s| s.counter(name, delta));
-}
-
-/// Sets gauge `name` to `value`. No-op when disabled.
-pub fn gauge(name: &'static str, value: f64) {
-    with_sink(|s| s.gauge(name, value));
-}
-
 /// Records event `name` with `fields`. No-op when disabled.
 pub fn event(name: &'static str, fields: &[(&'static str, FieldValue)]) {
-    with_sink(|s| s.event(name, fields));
+    with_recorder(|r| r.event(name, fields));
 }
 
 /// Starts a scoped timer; the span is emitted when the guard drops.
 /// When disabled at creation the guard is inert (no clock read, no
 /// trace IDs minted — one relaxed atomic load total) and stays inert
-/// even if a sink is installed before it drops. When enabled, the
+/// even if a recorder is installed before it drops. When enabled, the
 /// span joins the thread's current distributed trace (minting a fresh
 /// trace when there is none) and becomes the current context until
 /// the guard drops; see [`trace`].
@@ -287,7 +254,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { name, start: Some(Instant::now()), fields: Vec::new(), ids, prev }
 }
 
-/// Guard returned by [`span`]; emits a `span_end` record on drop.
+/// Guard returned by [`span`]; emits a span record on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
@@ -319,7 +286,7 @@ impl Drop for SpanGuard {
             trace::exit_span(self.prev);
             let elapsed = start.elapsed();
             let fields = std::mem::take(&mut self.fields);
-            with_sink(|s| s.span_end_ids(self.name, elapsed, self.ids, &fields));
+            with_recorder(|r| r.span_end(self.name, elapsed, self.ids, fields));
         }
     }
 }
@@ -340,7 +307,7 @@ macro_rules! span {
 
 /// Records event `$name`, building the field list — conversions,
 /// `to_string()` calls in field expressions, everything — only when a
-/// sink is installed:
+/// recorder is installed:
 /// `event!(names::CAMPAIGN_RETRY_EVENT, module = id.as_str(), attempt = n)`.
 /// The disabled path is a single relaxed atomic load with zero
 /// formatting or allocation, so it is safe in hot paths where the
@@ -370,6 +337,31 @@ macro_rules! histogram {
     }};
 }
 
+/// Adds `delta` to a per-call-site static [`hist::Counter`]:
+/// `counter!(rh_obs::names::DRAM_ROW_WRITE, 1)`. The name must be a
+/// constant expression. Disabled cost: one relaxed load; enabled, one
+/// relaxed RMW on the calling thread's shard.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr, $delta:expr) => {{
+        static __RH_OBS_COUNTER: $crate::hist::Counter = $crate::hist::Counter::new($name);
+        __RH_OBS_COUNTER.add($delta);
+    }};
+}
+
+/// Sets a per-call-site static [`hist::Gauge`] to `value` (an `f64`),
+/// last write wins: `gauge!(rh_obs::names::DRAM_ROWS_STORED, n as f64)`.
+/// The name must be a constant expression set from this one site (see
+/// [`hist::Gauge`]). Disabled cost: one relaxed load; enabled, one
+/// relaxed store.
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr, $value:expr) => {{
+        static __RH_OBS_GAUGE: $crate::hist::Gauge = $crate::hist::Gauge::new($name);
+        __RH_OBS_GAUGE.set($value);
+    }};
+}
+
 /// Starts a scoped timer recording elapsed nanoseconds into a
 /// per-call-site static [`hist::Histogram`] when the guard drops:
 /// `let _t = timer!(rh_obs::names::CAMPAIGN_MODULE_NS);`. Inert (no
@@ -382,9 +374,9 @@ macro_rules! timer {
     }};
 }
 
-/// The sink and histogram registry are process-global; unit tests
-/// that install a sink (which resets histograms) or read the registry
-/// must serialize on this lock.
+/// The recorder slot and the registry are process-global; unit tests
+/// that install a recorder (which resets the registry) or read the
+/// registry must serialize on this lock.
 #[cfg(test)]
 pub(crate) mod testlock {
     use std::sync::{Mutex, MutexGuard};
@@ -403,29 +395,31 @@ pub(crate) mod testlock {
 mod tests {
     use super::*;
     use crate::testlock::locked;
+    use std::time::Duration;
 
     #[test]
     fn disabled_is_inert() {
         let _l = locked();
         uninstall();
         assert!(!enabled());
-        counter("x", 1);
-        gauge("y", 2.0);
+        counter!("x", 1);
+        gauge!("y", 2.0);
         event("z", &[("a", 1u64.into())]);
         let mut s = span("w");
         s.set("k", "v");
         drop(s);
-        // Nothing to observe: just must not panic or leak.
+        assert!(!hist::counters_all().contains_key("x"), "a disabled counter! touched");
+        assert!(!hist::gauges_all().contains_key("y"), "a disabled gauge! touched");
     }
 
     #[test]
-    fn counters_events_spans_reach_the_sink() {
+    fn counters_events_spans_reach_the_recorder() {
         let _l = locked();
         let rec = Arc::new(Recorder::new());
         install(rec.clone());
-        counter("softmc.cmd", 3);
-        counter("softmc.cmd", 2);
-        gauge("temp_c", 85.0);
+        counter!("softmc.cmd", 3);
+        counter!("softmc.cmd", 2);
+        gauge!("temp_c", 85.0);
         event("campaign.retry", &[("attempt", 1u64.into()), ("module", "B-0".into())]);
         {
             let _s = span!("core.hc_first", row = 1024u32);
@@ -451,13 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn uninstall_returns_the_sink() {
+    fn uninstall_returns_the_recorder() {
         let _l = locked();
         let rec = Arc::new(Recorder::new());
-        install(rec);
-        counter("a", 1);
-        let got = uninstall().expect("sink was installed");
-        drop(got);
+        install(rec.clone());
+        counter!("a", 1);
+        let got = uninstall().expect("recorder was installed");
+        assert!(Arc::ptr_eq(&got, &rec));
         assert!(uninstall().is_none());
     }
 
@@ -537,8 +531,8 @@ mod tests {
             .find(|r| r.name == "test.lib.event_macro")
             .unwrap_or_else(|| panic!("event missing"))
             .fields;
-        assert_eq!(rec_fields[0], ("module".to_string(), FieldValue::Str("B-3".into())));
-        assert_eq!(rec_fields[1], ("attempt".to_string(), FieldValue::U64(2)));
+        assert_eq!(rec_fields[0], ("module", FieldValue::Str("B-3".into())));
+        assert_eq!(rec_fields[1], ("attempt", FieldValue::U64(2)));
     }
 
     #[test]

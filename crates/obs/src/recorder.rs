@@ -1,6 +1,13 @@
-//! The built-in [`Sink`]: an in-memory recorder with JSONL trace
-//! export, an optional streaming trace file, and an end-of-run
-//! metrics snapshot.
+//! The [`Recorder`]: the one destination of span and event records,
+//! with JSONL trace export, an optional streaming trace file, and an
+//! end-of-run metrics snapshot.
+//!
+//! Only spans and events take the recorder's mutex. Counters, gauges
+//! and histograms are lock-free statics in [`crate::hist`]; the
+//! recorder's readers ([`Recorder::counters`], [`Recorder::gauges`],
+//! [`Recorder::metrics_json`]) read that registry, which
+//! [`crate::install`] resets, so they describe the session since the
+//! last install, whichever recorder is asked.
 //!
 //! JSON is rendered by hand (this crate keeps third-party code out of
 //! the recording hot path); the output is plain RFC 8259 JSON, one
@@ -20,12 +27,12 @@
 //! anything the trace lost shows up as the `obs.dropped_records`
 //! counter in the metrics snapshot.
 
-use crate::{FieldValue, Sink, SpanIds};
+use crate::{hist, FieldValue, SpanIds};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -43,7 +50,7 @@ pub struct TraceRecord {
     /// `"event"` or `"span"`.
     pub kind: &'static str,
     /// Record name (e.g. `campaign.quarantine`).
-    pub name: String,
+    pub name: &'static str,
     /// Span duration; `None` for events.
     pub elapsed_us: Option<u64>,
     /// Emitting thread's [`crate::thread_ordinal`].
@@ -53,7 +60,7 @@ pub struct TraceRecord {
     /// strings in the JSONL output.
     pub trace: Option<SpanIds>,
     /// Attached fields, in emission order.
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 /// Aggregate timing for one span name.
@@ -69,18 +76,15 @@ pub struct SpanStat {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     spans: BTreeMap<&'static str, SpanStat>,
     records: Vec<TraceRecord>,
     writer: Option<BufWriter<File>>,
-    trace_path: Option<PathBuf>,
     dropped: u64,
 }
 
-/// In-memory sink collecting counters, gauges, span aggregates, and a
-/// bounded trace of events/spans. Thread-safe; share it as an `Arc`
-/// between [`crate::install`] and the exporter.
+/// Span aggregates and a bounded trace of events and spans, plus the
+/// readers of the registered counters and gauges. Thread-safe; share
+/// it as an `Arc` between [`crate::install`] and the exporter.
 pub struct Recorder {
     t0: Instant,
     inner: Mutex<Inner>,
@@ -114,11 +118,7 @@ impl Recorder {
     pub fn with_trace_file(path: &Path) -> io::Result<Self> {
         let file = File::create(path)?;
         let rec = Self::new();
-        {
-            let mut inner = rec.lock();
-            inner.writer = Some(BufWriter::new(file));
-            inner.trace_path = Some(path.to_path_buf());
-        }
+        rec.lock().writer = Some(BufWriter::new(file));
         Ok(rec)
     }
 
@@ -148,36 +148,34 @@ impl Recorder {
         }
     }
 
-    /// Current value of counter `name` (0 if never incremented).
-    /// `obs.dropped_records` reads the recorder's own drop tally.
+    /// Current value of counter `name` (0 if not touched since the
+    /// last [`crate::install`]).
     pub fn counter_value(&self, name: &str) -> u64 {
-        let inner = self.lock();
-        if name == crate::names::OBS_DROPPED_RECORDS {
-            return inner.dropped;
-        }
-        inner.counters.get(name).copied().unwrap_or(0)
+        self.counters().get(name).copied().unwrap_or(0)
     }
 
-    /// All counters, sorted by name. Includes `obs.dropped_records`
-    /// when any trace records were lost.
-    pub fn counters(&self) -> BTreeMap<String, u64> {
-        let inner = self.lock();
-        let mut out: BTreeMap<String, u64> =
-            inner.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        if inner.dropped > 0 {
-            out.insert(crate::names::OBS_DROPPED_RECORDS.to_string(), inner.dropped);
+    /// All counters touched since the last [`crate::install`], sorted
+    /// by name, plus `obs.dropped_records` (the recorder's own drop
+    /// tally) when any trace records were lost.
+    pub fn counters(&self) -> BTreeMap<&'static str, u64> {
+        let mut out = hist::counters_all();
+        let dropped = self.dropped_records();
+        if dropped > 0 {
+            out.insert(crate::names::OBS_DROPPED_RECORDS, dropped);
         }
         out
     }
 
-    /// Last value of gauge `name`.
+    /// Last value of gauge `name`, if set since the last
+    /// [`crate::install`].
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
+        self.gauges().get(name).copied()
     }
 
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> BTreeMap<String, f64> {
-        self.lock().gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// All gauges set since the last [`crate::install`], sorted by
+    /// name.
+    pub fn gauges(&self) -> BTreeMap<&'static str, f64> {
+        hist::gauges_all()
     }
 
     /// Microseconds since the recorder was created — the same clock
@@ -206,13 +204,6 @@ impl Recorder {
         self.lock().dropped
     }
 
-    /// Flushes the streaming trace writer, if any. A failed flush
-    /// counts one drop (the lost tail is at least one record).
-    pub fn flush(&self) {
-        let mut inner = self.lock();
-        flush_inner(&mut inner);
-    }
-
     /// Renders the trace as JSONL: one JSON object per line, in
     /// arrival order. Events look like
     /// `{"ts_us":12,"kind":"event","name":"campaign.retry","tid":0,"fields":{"attempt":2}}`
@@ -232,27 +223,17 @@ impl Recorder {
     /// totals. Flushes the streaming trace writer first, so taking a
     /// snapshot also makes the on-disk trace current.
     pub fn metrics_json(&self) -> String {
-        let mut inner = self.lock();
-        flush_inner(&mut inner);
+        flush_inner(&mut self.lock());
+        let (counters, gauges) = (self.counters(), self.gauges());
+        let inner = self.lock();
         let mut out = String::from("{\n  \"counters\": {");
-        let dropped_entry = if inner.dropped > 0 {
-            Some((crate::names::OBS_DROPPED_RECORDS, inner.dropped))
-        } else {
-            None
-        };
-        let counters = inner
-            .counters
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .chain(dropped_entry)
-            .collect::<BTreeMap<&str, u64>>();
         for (i, (k, v)) in counters.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             push_json_string(&mut out, k);
             let _ = write!(out, ": {v}");
         }
         out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in inner.gauges.iter().enumerate() {
+        for (i, (k, v)) in gauges.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             push_json_string(&mut out, k);
             if v.is_finite() {
@@ -272,7 +253,7 @@ impl Recorder {
             );
         }
         out.push_str("\n  },\n  \"histograms\": {");
-        for (i, h) in crate::hist::snapshot_all().iter().enumerate() {
+        for (i, h) in hist::snapshot_all().iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             push_json_string(&mut out, h.name);
             let _ = write!(
@@ -377,53 +358,43 @@ fn flush_inner(inner: &mut Inner) {
     }
 }
 
-impl Sink for Recorder {
-    fn counter(&self, name: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        let slot = inner.counters.entry(name).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    }
-
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.lock().gauges.insert(name, value);
-    }
-
-    fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        let ts_us = self.t0.elapsed().as_micros() as u64;
+impl Recorder {
+    /// Records event `name` with `fields` (what [`crate::event`]
+    /// forwards to when this recorder is installed).
+    pub fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
         let record = TraceRecord {
-            ts_us,
+            ts_us: self.elapsed_us(),
             kind: "event",
-            name: name.to_string(),
+            name,
             elapsed_us: None,
             tid: crate::thread_ordinal(),
             trace: None,
-            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            fields: fields.to_vec(),
         };
         let mut inner = self.lock();
         self.push_record(&mut inner, record);
     }
 
-    fn span_end(&self, name: &'static str, elapsed: Duration, fields: &[(&'static str, FieldValue)]) {
-        self.span_end_ids(name, elapsed, SpanIds::none(), fields);
-    }
-
-    fn span_end_ids(
+    /// Records a completed span of `elapsed` wall time and adds it to
+    /// the span aggregates; `ids` is its distributed-trace identity
+    /// ([`SpanIds::none`] for an untraced span). The fields move into
+    /// the record.
+    pub fn span_end(
         &self,
         name: &'static str,
         elapsed: Duration,
         ids: SpanIds,
-        fields: &[(&'static str, FieldValue)],
+        fields: Vec<(&'static str, FieldValue)>,
     ) {
-        let ts_us = self.t0.elapsed().as_micros() as u64;
         let elapsed_us = elapsed.as_micros() as u64;
         let record = TraceRecord {
-            ts_us,
+            ts_us: self.elapsed_us(),
             kind: "span",
-            name: name.to_string(),
+            name,
             elapsed_us: Some(elapsed_us),
             tid: crate::thread_ordinal(),
             trace: ids.is_traced().then_some(ids),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            fields,
         };
         let mut inner = self.lock();
         let stat = inner.spans.entry(name).or_default();
@@ -432,16 +403,12 @@ impl Sink for Recorder {
         stat.max_us = stat.max_us.max(elapsed_us);
         self.push_record(&mut inner, record);
     }
-
-    fn now_us(&self) -> Option<u64> {
-        Some(self.elapsed_us())
-    }
 }
 
 /// Renders one trace record as a JSON line (with trailing newline).
 fn render_record(out: &mut String, r: &TraceRecord) {
     let _ = write!(out, "{{\"ts_us\":{},\"kind\":\"{}\",\"name\":", r.ts_us, r.kind);
-    push_json_string(out, &r.name);
+    push_json_string(out, r.name);
     if let Some(e) = r.elapsed_us {
         let _ = write!(out, ",\"elapsed_us\":{e}");
     }
@@ -487,12 +454,19 @@ pub(crate) fn push_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testlock::locked;
+    use std::sync::Arc;
 
     #[test]
     fn jsonl_lines_are_well_formed() {
         let rec = Recorder::new();
         rec.event("a.b", &[("x", FieldValue::U64(1)), ("s", FieldValue::Str("q\"uote".into()))]);
-        rec.span_end("c.d", Duration::from_micros(42), &[("ok", FieldValue::Bool(true))]);
+        rec.span_end(
+            "c.d",
+            Duration::from_micros(42),
+            SpanIds::none(),
+            vec![("ok", FieldValue::Bool(true))],
+        );
         let jsonl = rec.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -507,11 +481,14 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_includes_all_kinds() {
-        let rec = Recorder::new();
-        rec.counter("n.c", 7);
-        rec.gauge("n.g", 1.5);
-        rec.span_end("n.s", Duration::from_micros(10), &[]);
-        rec.span_end("n.s", Duration::from_micros(30), &[]);
+        let _l = locked();
+        let rec = Arc::new(Recorder::new());
+        crate::install(rec.clone());
+        crate::counter!("n.c", 7);
+        crate::gauge!("n.g", 1.5);
+        crate::uninstall();
+        rec.span_end("n.s", Duration::from_micros(10), SpanIds::none(), Vec::new());
+        rec.span_end("n.s", Duration::from_micros(30), SpanIds::none(), Vec::new());
         let m = rec.metrics_json();
         assert!(m.contains("\"n.c\": 7"));
         assert!(m.contains("\"n.g\": 1.5"));
@@ -522,14 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_saturates_instead_of_overflowing() {
-        let rec = Recorder::new();
-        rec.counter("c", u64::MAX);
-        rec.counter("c", 5);
-        assert_eq!(rec.counter_value("c"), u64::MAX);
-    }
-
-    #[test]
     fn streaming_recorder_writes_and_flushes() {
         let dir = std::env::temp_dir().join(format!("rh-obs-stream-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
@@ -537,7 +506,7 @@ mod tests {
         {
             let rec = Recorder::with_trace_file(&path).unwrap_or_else(|e| panic!("{e}"));
             rec.event("s.one", &[]);
-            rec.span_end("s.two", Duration::from_micros(5), &[]);
+            rec.span_end("s.two", Duration::from_micros(5), SpanIds::none(), Vec::new());
             // metrics_json must flush, making the file current even
             // before the recorder drops.
             let _ = rec.metrics_json();
@@ -573,8 +542,8 @@ mod tests {
     fn span_trace_ids_render_as_padded_hex() {
         let rec = Recorder::new();
         let ids = SpanIds { trace_id: 0xabc, span_id: 0x17, parent_id: 0 };
-        rec.span_end_ids("t.s", Duration::from_micros(3), ids, &[]);
-        rec.span_end("t.p", Duration::from_micros(4), &[]);
+        rec.span_end("t.s", Duration::from_micros(3), ids, Vec::new());
+        rec.span_end("t.p", Duration::from_micros(4), SpanIds::none(), Vec::new());
         let jsonl = rec.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(lines[0].contains("\"trace_id\":\"00000000000000000000000000000abc\""));
@@ -590,10 +559,10 @@ mod tests {
         let tid = crate::thread_ordinal();
         let mine = SpanIds { trace_id: 5, span_id: 1, parent_id: 0 };
         let other = SpanIds { trace_id: 9, span_id: 2, parent_id: 0 };
-        rec.span_end_ids("seg.mine", Duration::from_micros(1), mine, &[]);
-        rec.span_end_ids("seg.other", Duration::from_micros(1), other, &[]);
+        rec.span_end("seg.mine", Duration::from_micros(1), mine, Vec::new());
+        rec.span_end("seg.other", Duration::from_micros(1), other, Vec::new());
         rec.event("seg.event", &[]);
-        rec.span_end("seg.untraced", Duration::from_micros(1), &[]);
+        rec.span_end("seg.untraced", Duration::from_micros(1), SpanIds::none(), Vec::new());
         let (segment, shed) = rec.trace_segment(5, tid, 64 * 1024);
         assert_eq!(shed, 0);
         assert!(segment.contains("seg.mine"));

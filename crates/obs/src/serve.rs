@@ -119,7 +119,7 @@ impl HttpResponse {
     /// accept.
     #[must_use]
     pub fn method_not_allowed(allow: &'static str) -> Self {
-        crate::counter(names::OBS_HTTP_METHOD_NOT_ALLOWED, 1);
+        crate::counter!(names::OBS_HTTP_METHOD_NOT_ALLOWED, 1);
         Self::text(405, "method not allowed\n").with_header("Allow", allow)
     }
 }
@@ -286,11 +286,11 @@ pub fn serve_with(
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    crate::counter(names::OBS_HTTP_REQUESTS, 1);
+                    crate::counter!(names::OBS_HTTP_REQUESTS, 1);
                     match tx.try_send(stream) {
                         Ok(()) => {}
                         Err(TrySendError::Full(stream)) => {
-                            crate::counter(names::OBS_HTTP_REJECTED, 1);
+                            crate::counter!(names::OBS_HTTP_REJECTED, 1);
                             reject_overloaded(stream, io_timeout, retry_after_secs);
                         }
                         Err(TrySendError::Disconnected(_)) => break,
@@ -918,7 +918,7 @@ mod tests {
         assert!(response.contains("\"traceparent\":\"none\""), "got {response:?}");
 
         // Client side: a thread with a live context injects the header
-        // on its own (no sink required — context is thread-local).
+        // on its own (no recorder required — context is thread-local).
         let ctx = crate::trace::TraceContext { trace_id: 0xab, span_id: 0xcd };
         crate::trace::set_remote_parent(ctx);
         let reply = crate::client::http_get(

@@ -265,7 +265,7 @@ struct RingInner {
 /// Bounded per-worker event buffer with monotone seq assignment and a
 /// bounded long-poll read side. This is wire-protocol state, not
 /// observability: it exists (and fills) whether or not the `rh-obs`
-/// sink is installed, so the disabled-observability fast path stays a
+/// recorder is installed, so the disabled-observability fast path stays a
 /// single relaxed load.
 #[derive(Debug)]
 pub struct EventRing {
@@ -343,9 +343,9 @@ impl EventRing {
         drop(inner);
         self.cv.notify_all();
         if crate::enabled() {
-            crate::counter(names::WORKER_EVENTS_EMITTED, 1);
+            crate::counter!(names::WORKER_EVENTS_EMITTED, 1);
             if evicted > 0 {
-                crate::counter(names::WORKER_EVENTS_DROPPED, evicted);
+                crate::counter!(names::WORKER_EVENTS_DROPPED, evicted);
             }
         }
         ev

@@ -1,8 +1,9 @@
-//! The disabled-observability contract: with no sink installed, every
-//! `rh-obs` entry point costs one relaxed atomic load and a branch, so
-//! instrumentation can stay in the hot paths of the product build.
+//! The disabled-observability contract: with no recorder installed,
+//! every `rh-obs` entry point costs one relaxed atomic load and a
+//! branch, so instrumentation can stay in the hot paths of the product
+//! build.
 //!
-//! This file is its own test binary and never installs a sink, so no
+//! This file is its own test binary and never installs a recorder, so no
 //! test here can be pushed onto the enabled path by another. The
 //! timing bound only means something in an optimized build:
 //!
@@ -46,6 +47,12 @@ fn disabled_entry_points_cost_one_relaxed_load() {
     let record = ns_per_op(|i| {
         rh_obs::histogram!("bench.disabled.overhead_ns", black_box(i));
     });
+    let counter = ns_per_op(|i| {
+        rh_obs::counter!("bench.disabled.counter", black_box(i));
+    });
+    let gauge = ns_per_op(|i| {
+        rh_obs::gauge!("bench.disabled.gauge", black_box(i) as f64);
+    });
     let event = ns_per_op(|i| {
         rh_obs::event!(
             "bench.disabled.event",
@@ -61,6 +68,8 @@ fn disabled_entry_points_cost_one_relaxed_load() {
 
     for (what, ns) in [
         ("histogram record", record),
+        ("counter add", counter),
+        ("gauge set", gauge),
         ("event with formatted fields", event),
         ("span guard with ID propagation", span),
     ] {

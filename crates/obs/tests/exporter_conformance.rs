@@ -8,6 +8,7 @@
 //! `+Inf` bucket == `_count`).
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -15,7 +16,22 @@ use rh_obs::export::{
     escape_label_value, render_histogram, render_prometheus, sanitize_metric_name,
 };
 use rh_obs::hist::bucket_of;
-use rh_obs::{HistSnapshot, Recorder, Sink as _};
+use rh_obs::{Counter, Gauge, HistSnapshot, Recorder, SpanIds};
+
+/// Counters and gauges are process-global statics and `install`
+/// resets them: tests that record serialize on this lock.
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn registry_lock() -> MutexGuard<'static, ()> {
+    REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Installs a fresh recorder, which resets every counter and gauge.
+fn session() -> Arc<Recorder> {
+    let rec = Arc::new(Recorder::new());
+    rh_obs::install(rec.clone());
+    rec
+}
 
 // ---------------------------------------------------------------------------
 // Mini exposition parser + validator
@@ -289,14 +305,16 @@ fn parse_and_validate(text: &str) -> Result<Vec<Family>, String> {
 /// payload prefix.
 #[test]
 fn golden_recorder_exposition() {
-    let rec = Recorder::new();
-    rec.counter("dram.flip", 7);
-    rec.counter("softmc.cmd", 3);
-    rec.counter("dram.flip", 4);
-    rec.gauge("executor.queue_depth", 4.0);
-    rec.gauge("bad.gauge", f64::NAN);
-    rec.span_end("campaign.module", Duration::from_micros(150), &[]);
-    rec.span_end("campaign.module", Duration::from_micros(90), &[]);
+    let _l = registry_lock();
+    let rec = session();
+    rh_obs::counter!("dram.flip", 7);
+    rh_obs::counter!("softmc.cmd", 3);
+    rh_obs::counter!("dram.flip", 4);
+    rh_obs::gauge!("executor.queue_depth", 4.0);
+    rh_obs::gauge!("bad.gauge", f64::NAN);
+    rh_obs::uninstall();
+    rec.span_end("campaign.module", Duration::from_micros(150), SpanIds::none(), Vec::new());
+    rec.span_end("campaign.module", Duration::from_micros(90), SpanIds::none(), Vec::new());
 
     let expected = "\
 # HELP dram_flip Monotonic counter `dram.flip`.
@@ -413,6 +431,14 @@ fn label_escaping_round_trips_golden() {
 const COUNTER_NAMES: [&str; 4] = ["dram.flip", "softmc.cmd", "9 weird counter!", "rate::flips"];
 const GAUGE_NAMES: [&str; 3] = ["executor.queue_depth", "campaign.eta_ms", "temp.°celsius"];
 const SPAN_NAMES: [&str; 2] = ["campaign.module", "softmc.batch"];
+static COUNTERS: [Counter; 4] = [
+    Counter::new(COUNTER_NAMES[0]),
+    Counter::new(COUNTER_NAMES[1]),
+    Counter::new(COUNTER_NAMES[2]),
+    Counter::new(COUNTER_NAMES[3]),
+];
+static GAUGES: [Gauge; 3] =
+    [Gauge::new(GAUGE_NAMES[0]), Gauge::new(GAUGE_NAMES[1]), Gauge::new(GAUGE_NAMES[2])];
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -500,20 +526,22 @@ proptest! {
     // cumulative counter semantics survive the round trip.
     #[test]
     fn recorder_payloads_are_always_conformant(ops in Ops) {
-        let rec = Recorder::new();
+        let _l = registry_lock();
+        let rec = session();
         let mut expected_counts = std::collections::BTreeMap::new();
         for op in &ops {
             match *op {
                 Op::Counter(i, d) => {
-                    rec.counter(COUNTER_NAMES[i], d);
+                    COUNTERS[i].add(d);
                     *expected_counts.entry(COUNTER_NAMES[i]).or_insert(0u64) += d;
                 }
-                Op::Gauge(i, v) => rec.gauge(GAUGE_NAMES[i], v),
+                Op::Gauge(i, v) => GAUGES[i].set(v),
                 Op::Span(i, us) => {
-                    rec.span_end(SPAN_NAMES[i], Duration::from_micros(us), &[]);
+                    rec.span_end(SPAN_NAMES[i], Duration::from_micros(us), SpanIds::none(), Vec::new());
                 }
             }
         }
+        rh_obs::uninstall();
         let text = render_prometheus(&rec);
         let families = parse_and_validate(&text);
         prop_assert!(families.is_ok(), "{:?}:\n{text}", families.as_ref().err());

@@ -11,9 +11,10 @@ use rh_dram::{
 use rh_obs::names;
 use serde::{Deserialize, Serialize};
 
-/// Per-opcode issue-latency histograms, indexed by [`opcode_index`].
-/// A shared array (instead of a `timer!` per match arm) keeps the
-/// opcode dispatch in data rather than in seven copies of the code.
+/// Per-opcode issue-latency histograms and command counters, indexed
+/// by [`opcode_index`]. Shared arrays (instead of a `timer!` and a
+/// `counter!` per match arm) keep the opcode dispatch in data rather
+/// than in seven copies of the code.
 static ISSUE_NS: [rh_obs::Histogram; 7] = [
     rh_obs::Histogram::new(names::SOFTMC_ISSUE_ACT_NS),
     rh_obs::Histogram::new(names::SOFTMC_ISSUE_PRE_NS),
@@ -22,6 +23,15 @@ static ISSUE_NS: [rh_obs::Histogram; 7] = [
     rh_obs::Histogram::new(names::SOFTMC_ISSUE_WR_NS),
     rh_obs::Histogram::new(names::SOFTMC_ISSUE_REF_NS),
     rh_obs::Histogram::new(names::SOFTMC_ISSUE_NOP_NS),
+];
+static CMD_COUNT: [rh_obs::Counter; 7] = [
+    rh_obs::Counter::new(names::SOFTMC_CMD_ACT),
+    rh_obs::Counter::new(names::SOFTMC_CMD_PRE),
+    rh_obs::Counter::new(names::SOFTMC_CMD_PRE_ALL),
+    rh_obs::Counter::new(names::SOFTMC_CMD_RD),
+    rh_obs::Counter::new(names::SOFTMC_CMD_WR),
+    rh_obs::Counter::new(names::SOFTMC_CMD_REF),
+    rh_obs::Counter::new(names::SOFTMC_CMD_NOP),
 ];
 
 /// The result of executing one program.
@@ -176,10 +186,8 @@ impl SoftMcController {
         cmd: Command,
         result: &mut ExecResult,
     ) -> Result<Option<[u8; 8]>, SoftMcError> {
-        if rh_obs::enabled() {
-            rh_obs::counter(names::SOFTMC_CMD, 1);
-            rh_obs::counter(command_counter(&cmd), 1);
-        }
+        rh_obs::counter!(names::SOFTMC_CMD, 1);
+        CMD_COUNT[opcode_index(&cmd)].add(1);
         // Inert (no clock read) when observability is disabled; drops
         // at the end of `issue`, so it times the full device hand-off.
         let _issue_timer = ISSUE_NS[opcode_index(&cmd)].timer();
@@ -208,7 +216,7 @@ impl SoftMcController {
         t_on: Picos,
         t_off: Picos,
     ) -> Result<(), SoftMcError> {
-        rh_obs::counter(names::SOFTMC_HAMMER_BULK, 1);
+        rh_obs::counter!(names::SOFTMC_HAMMER_BULK, 1);
         // An earlier revision hammered `left` for the whole burst and
         // then `right`, which let the aggressors' mutual distance-2
         // disturbance accumulate unrestored — the alternating program
@@ -231,26 +239,13 @@ impl SoftMcController {
         t_on: Picos,
         t_off: Picos,
     ) -> Result<(), SoftMcError> {
-        rh_obs::counter(names::SOFTMC_HAMMER_BULK, 1);
+        rh_obs::counter!(names::SOFTMC_HAMMER_BULK, 1);
         self.module.hammer_direct(bank, aggressor, count, t_on, t_off)?;
         Ok(())
     }
 }
 
-/// The per-kind counter name of one DRAM command.
-fn command_counter(cmd: &Command) -> &'static str {
-    match cmd {
-        Command::Act { .. } => names::SOFTMC_CMD_ACT,
-        Command::Pre { .. } => names::SOFTMC_CMD_PRE,
-        Command::PreAll => names::SOFTMC_CMD_PRE_ALL,
-        Command::Rd { .. } => names::SOFTMC_CMD_RD,
-        Command::Wr { .. } => names::SOFTMC_CMD_WR,
-        Command::Ref => names::SOFTMC_CMD_REF,
-        Command::Nop => names::SOFTMC_CMD_NOP,
-    }
-}
-
-/// Index of one DRAM command's slot in [`ISSUE_NS`].
+/// Index of one DRAM command's slot in [`ISSUE_NS`] and [`CMD_COUNT`].
 fn opcode_index(cmd: &Command) -> usize {
     match cmd {
         Command::Act { .. } => 0,

@@ -108,7 +108,7 @@ impl TestBench {
     pub fn check_cancelled(&self, op: &str) -> Result<(), SoftMcError> {
         match &self.cancel {
             Some(t) if t.is_cancelled() => {
-                rh_obs::counter(names::SOFTMC_CANCELLED, 1);
+                rh_obs::counter!(names::SOFTMC_CANCELLED, 1);
                 Err(SoftMcError::Cancelled { op: op.to_string() })
             }
             _ => Ok(()),
@@ -121,7 +121,7 @@ impl TestBench {
     /// `Unresponsive` so unsupervised callers cannot deadlock.
     fn hang(&self, op: &str) -> SoftMcError {
         let after_ops = self.faults.as_ref().map_or(0, |f| f.ops());
-        rh_obs::counter(names::SOFTMC_FAULT_HANG, 1);
+        rh_obs::counter!(names::SOFTMC_FAULT_HANG, 1);
         rh_obs::event!(names::SOFTMC_HANG_EVENT, op = op, after_ops = after_ops);
         match &self.cancel {
             Some(token) => {
@@ -335,7 +335,7 @@ impl TestBench {
 /// Records one fired infrastructure fault: where it was intercepted,
 /// the operation it dropped, and the surfaced error.
 fn note_injected_fault(stage: &'static str, op: &str, err: &SoftMcError) {
-    rh_obs::counter(names::SOFTMC_FAULT_INJECTED, 1);
+    rh_obs::counter!(names::SOFTMC_FAULT_INJECTED, 1);
     rh_obs::event!(names::SOFTMC_FAULT_EVENT, stage = stage, op = op, error = err.to_string());
 }
 
