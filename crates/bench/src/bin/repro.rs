@@ -105,10 +105,16 @@
 //! rerunning with `--resume` skips already-completed modules, while
 //! without it any stale checkpoint files are removed first.
 //!
-//! `--max-workers` bounds the campaign worker pool (default: one per
-//! core); `--deadline-ms` arms the watchdog that quarantines modules
-//! overrunning their wall-clock budget; `--fail-fast` cancels the rest
-//! of a campaign on its first quarantine or timeout.
+//! Targets run concurrently and print in request order. `--max-workers`
+//! is the width of the one worker budget every target shares (default:
+//! one per core): a campaign module or a non-campaign target holds one
+//! slot while it runs, and a target waiting for its modules or for
+//! another target's shared experiment holds none, so at most that many
+//! run at once; width 1 runs them one at a time. The first failing
+//! target stops the run: nothing after it prints. `--deadline-ms` arms
+//! the watchdog that quarantines modules overrunning their wall-clock
+//! budget, counted from when the module holds its slot; `--fail-fast`
+//! cancels the rest of a campaign on its first quarantine or timeout.
 //!
 //! SIGINT/SIGTERM cancel the run cooperatively: in-flight modules
 //! unwind at their next command boundary, the checkpoint and any
@@ -117,11 +123,10 @@
 //! whenever any campaign reports quarantined, timed-out, or cancelled
 //! modules.
 
-use rh_bench::{run_soak_tracked, run_target, targets, ObsSetup, RunConfig};
-use rh_core::Scale;
+use rh_bench::{run_soak_tracked, run_targets, targets, ObsSetup, RunConfig};
+use rh_core::{CharError, ExecutorConfig, Scale};
 use rh_obs::analyze;
 use rh_softmc::FaultPlan;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -632,6 +637,30 @@ mod interrupt {
     }
 }
 
+/// glibc's malloc gives each thread that allocates an arena of its own,
+/// up to 8 per core, and an arena keeps the memory its threads free.
+/// Concurrent targets run on many short-lived threads, which spread a
+/// run's allocations over a dozen arenas and raise its peak RSS by up to
+/// a tenth; one arena per worker slot, plus the main thread's, keeps it
+/// at the serial run's.
+mod malloc {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    pub fn cap_arenas(arenas: usize) {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        /// glibc's `M_ARENA_MAX` parameter.
+        const M_ARENA_MAX: i32 = -8;
+        // Sets one allocator parameter; no memory is touched.
+        unsafe {
+            mallopt(M_ARENA_MAX, i32::try_from(arenas).unwrap_or(i32::MAX));
+        }
+    }
+
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    pub fn cap_arenas(_arenas: usize) {}
+}
+
 /// The value of `--scale`: `smoke`, `default` or `paper`.
 fn parse_scale(arg: Option<String>) -> Scale {
     match arg.as_deref() {
@@ -794,65 +823,59 @@ fn main() -> ExitCode {
     let obs = ObsSetup::new(trace_out, metrics_out);
     cfg.progress = obs.progress();
     let mut code = ExitCode::SUCCESS;
-    for t in &wanted {
-        // Contain panics so an aborted target still flushes the trace,
-        // metrics, and any checkpoints written so far.
-        let ran = catch_unwind(AssertUnwindSafe(|| run_target(t, &cfg)));
-        match ran {
-            Ok(Ok(out)) => {
-                if let Some(dir) = &out_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir)
-                        .and_then(|_| std::fs::write(dir.join(format!("{t}.txt")), &out.text))
-                        .and_then(|_| {
-                            std::fs::write(
-                                dir.join(format!("{t}.json")),
-                                serde_json::to_vec_pretty(&out.data).unwrap_or_default(),
-                            )
-                        })
-                    {
-                        eprintln!("repro {t}: failed to write output files: {e}");
-                        code = ExitCode::FAILURE;
-                        break;
-                    }
-                }
-                if json {
-                    println!(
-                        "{}",
-                        serde_json::json!({"target": out.target, "data": out.data})
-                    );
-                } else {
-                    println!("==== {} ====", out.target);
-                    println!("{}", out.text);
-                }
-                // Exit-code hygiene: a "successful" run with
-                // quarantined, timed-out, or cancelled modules is not a
-                // clean reproduction.
-                if let Some(report) = &out.report {
-                    if !report.is_clean() {
-                        eprintln!("repro {t}: campaign not clean ({})", report.summary_line());
-                        code = ExitCode::FAILURE;
-                    }
-                }
-            }
-            Ok(Err(e)) => {
-                eprintln!("repro {t}: {e}");
-                code = ExitCode::FAILURE;
-                break;
-            }
-            Err(_panic) => {
+    let wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
+    let width = cfg.max_workers.unwrap_or_else(|| ExecutorConfig::default().max_workers);
+    malloc::cap_arenas(width + 1);
+    run_targets(&wanted, &cfg, |t, ran| {
+        let out = match ran {
+            Ok(out) => out,
+            Err(CharError::WorkerPanicked { .. }) => {
                 eprintln!("repro {t}: panicked; flushing trace and exiting");
                 code = ExitCode::FAILURE;
-                break;
+                return false;
+            }
+            Err(e) => {
+                eprintln!("repro {t}: {e}");
+                code = ExitCode::FAILURE;
+                return false;
+            }
+        };
+        if let Some(dir) = &out_dir {
+            if let Err(e) = std::fs::create_dir_all(dir)
+                .and_then(|_| std::fs::write(dir.join(format!("{t}.txt")), &out.text))
+                .and_then(|_| {
+                    std::fs::write(
+                        dir.join(format!("{t}.json")),
+                        serde_json::to_vec_pretty(&out.data).unwrap_or_default(),
+                    )
+                })
+            {
+                eprintln!("repro {t}: failed to write output files: {e}");
+                code = ExitCode::FAILURE;
+                return false;
+            }
+        }
+        if json {
+            println!("{}", serde_json::json!({"target": out.target, "data": out.data}));
+        } else {
+            println!("==== {} ====", out.target);
+            println!("{}", out.text);
+        }
+        // Exit-code hygiene: a "successful" run with quarantined,
+        // timed-out, or cancelled modules is not a clean reproduction.
+        if let Some(report) = &out.report {
+            if !report.is_clean() {
+                eprintln!("repro {t}: campaign not clean ({})", report.summary_line());
+                code = ExitCode::FAILURE;
             }
         }
         if interrupt::FIRED.load(Ordering::SeqCst) {
-            eprintln!(
-                "repro: interrupted — checkpoints flushed; rerun with --resume to continue"
-            );
+            eprintln!("repro: interrupted — checkpoints flushed; rerun with --resume to continue");
             code = ExitCode::FAILURE;
-            break;
+            return false;
         }
-    }
+        true
+    });
     // Export even a failed run's partial trace — that's the run most
     // worth diagnosing.
     if let Err(e) = obs.finish() {

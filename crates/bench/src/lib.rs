@@ -15,7 +15,7 @@ pub use fleet::{fleet_text, run_fleet, run_fleet_local, FleetConfig};
 pub use worker::{execute_payload, fleet_module_id, run_worker, JobSpec, WorkerConfig};
 
 pub use runners::{
-    experiment, run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput,
-    EXPERIMENTS,
+    experiment, run_defense_matrix, run_target, run_targets, targets, ObsSetup, RunConfig,
+    RunOutput, EXPERIMENTS,
 };
 pub use soak::{run_soak_tracked, soak_one_tracked, SoakReport, SoakScenario, SoakStats};

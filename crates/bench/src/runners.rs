@@ -4,7 +4,7 @@ use rh_attack::{long_open_study, temperature_aware_study, trigger};
 use rh_core::experiments::{dose, rowactive, spatial, temperature};
 use rh_core::{
     module_id, observations as obs, report, CampaignReport, CampaignRunner, CharError,
-    Characterizer, ModuleTask, ProgressTracker, RetryPolicy, Scale,
+    Characterizer, ModuleTask, ProgressTracker, RetryPolicy, Scale, WorkerBudget,
 };
 use rh_defense::{
     blockhammer_area_pct, cooling, cost, ecc, graphene_area_pct, profiling, retire, scheduler,
@@ -15,8 +15,10 @@ use rh_dram::{ddr4_modules_of, BankId, Manufacturer, RowAddr};
 use rh_softmc::{CancelToken, FaultPlan, Program, TestBench};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use rh_obs::names;
 
@@ -39,8 +41,9 @@ pub struct RunConfig {
     /// Checkpoint path prefix: each campaign target persists partial
     /// results to `<prefix>-<target>.json` and resumes from it.
     pub checkpoint: Option<PathBuf>,
-    /// Worker-pool width of campaign-backed targets (`None` = one
-    /// worker per available core).
+    /// Slots of the run's worker budget: how many campaign modules and
+    /// other target bodies run at once (`None` = one per available
+    /// core).
     pub max_workers: Option<usize>,
     /// Per-module wall-clock deadline in milliseconds; overrunning
     /// modules are marked `TimedOut` by the watchdog (`None` = no
@@ -57,10 +60,10 @@ pub struct RunConfig {
     /// `campaign.progress.*` gauges of a run spanning several targets
     /// count it as one aggregate (`None` = no tracking).
     pub progress: Option<Arc<ProgressTracker>>,
-    /// Clean campaigns already run under this config, shared by all its
-    /// clones, so targets that render one experiment (table3/fig3,
-    /// fig7–10, fig12/13, fig14/15) run its campaign once. A fresh
-    /// config starts empty.
+    /// Clean campaigns already run under this config, and those being
+    /// run, shared by all its clones, so targets that render one
+    /// experiment (table3/fig3, fig7–10, fig12/13, fig14/15) run its
+    /// campaign once. A fresh config starts empty.
     pub experiments: ExperimentRegistry,
 }
 
@@ -238,17 +241,20 @@ pub(crate) fn campaign_module_id(mfr: Manufacturer, cfg: &RunConfig, index: usiz
     format!("{}#{}", module_id(mfr, module_identity(mfr, cfg, index)), index)
 }
 
-fn campaign_runner(cfg: &RunConfig, target: &str) -> CampaignRunner {
-    let mut executor = match cfg.max_workers {
-        Some(n) => ExecutorConfig::with_workers(n),
-        None => ExecutorConfig::default(),
+/// The worker budget of a run under `cfg`.
+fn budget(cfg: &RunConfig) -> WorkerBudget {
+    WorkerBudget::new(cfg.max_workers.unwrap_or_else(|| ExecutorConfig::default().max_workers))
+}
+
+fn campaign_runner(cfg: &RunConfig, budget: &WorkerBudget, target: &str) -> CampaignRunner {
+    let executor = ExecutorConfig {
+        max_workers: budget.width(),
+        module_deadline: cfg.deadline_ms.map(Duration::from_millis),
     };
-    if let Some(ms) = cfg.deadline_ms {
-        executor = executor.with_deadline(Duration::from_millis(ms));
-    }
     let mut runner = CampaignRunner::new()
         .with_policy(cfg.retry.clone())
         .with_executor(executor)
+        .with_budget(budget.clone())
         .with_cancel(cfg.cancel.clone())
         .with_fail_fast(cfg.fail_fast);
     if let Some(prefix) = &cfg.checkpoint {
@@ -349,7 +355,7 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
 }
 
 /// Everything that can change a campaign's result.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct ExperimentKey {
     experiment: &'static str,
     scale: Scale,
@@ -366,24 +372,99 @@ struct ExperimentKey {
 type Campaign = Arc<(Vec<(Manufacturer, usize, Value)>, CampaignReport)>;
 
 /// The in-process experiment registry of a [`RunConfig`] and its
-/// clones. It holds only clean campaigns: a quarantined, timed-out or
-/// cancelled one is recomputed by the next target that needs it.
+/// clones. It holds clean campaigns, and marks the one a target is
+/// running as in flight: a target that needs it waits for that run
+/// instead of starting its own. A quarantined, timed-out or cancelled
+/// campaign is not kept, so the next target that needs it recomputes
+/// it, one claimant at a time.
 #[derive(Clone, Default)]
-pub struct ExperimentRegistry(Arc<Mutex<Vec<(ExperimentKey, Campaign)>>>);
+pub struct ExperimentRegistry(Arc<(Mutex<Entries>, Condvar)>);
+
+/// Every experiment of a registry: its clean campaign, or `None` while
+/// a target runs it.
+type Entries = Vec<(ExperimentKey, Option<Campaign>)>;
 
 impl std::fmt::Debug for ExperimentRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.0.lock().unwrap_or_else(PoisonError::into_inner).len();
+        let held = self.entries().iter().filter(|(_, c)| c.is_some()).count();
         write!(f, "ExperimentRegistry({held} campaign(s))")
     }
 }
 
+/// What a target finds in the registry for its experiment.
+enum Lookup<'a> {
+    /// A clean campaign an earlier target ran.
+    Hit(Campaign),
+    /// Nothing: the caller runs the campaign, marked in flight until the
+    /// claim drops.
+    Claimed(Box<Claim<'a>>),
+    /// The config is cancelled: the caller runs it without the registry,
+    /// so it reports the cancellation as a fresh run would.
+    Bypass,
+}
+
+impl ExperimentRegistry {
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.0 .0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks `key` up, waiting while another target runs it. Calls
+    /// `settled` once the outcome is known or the wait begins.
+    fn lookup(&self, key: ExperimentKey, cancel: &CancelToken, settled: &dyn Fn()) -> Lookup<'_> {
+        let mut held = self.entries();
+        loop {
+            if cancel.is_cancelled() {
+                settled();
+                return Lookup::Bypass;
+            }
+            match held.iter().find(|(k, _)| *k == key) {
+                Some((_, Some(hit))) => {
+                    settled();
+                    return Lookup::Hit(Arc::clone(hit));
+                }
+                Some((_, None)) => {
+                    settled();
+                    held = self.0 .1.wait(held).unwrap_or_else(PoisonError::into_inner);
+                }
+                None => {
+                    held.push((key.clone(), None));
+                    settled();
+                    return Lookup::Claimed(Box::new(Claim { registry: self, key, clean: None }));
+                }
+            }
+        }
+    }
+}
+
+/// A claim on an in-flight experiment. Dropping it stores the campaign
+/// if it came out clean and drops the entry otherwise (also when the
+/// run failed or panicked), then wakes the waiters.
+struct Claim<'a> {
+    registry: &'a ExperimentRegistry,
+    key: ExperimentKey,
+    clean: Option<Campaign>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut held = self.registry.entries();
+        if let Some(at) = held.iter().position(|(k, c)| c.is_none() && *k == self.key) {
+            match self.clean.take() {
+                Some(ran) => held[at].1 = Some(ran),
+                None => drop(held.remove(at)),
+            }
+        }
+        self.registry.0 .1.notify_all();
+    }
+}
+
 /// Runs `experiment` over `modules_per_mfr` modules of every
-/// manufacturer as one campaign, or hands back the clean campaign an
-/// earlier target of this config already ran. A cancelled config skips
-/// the registry, so it reports the cancellation as a fresh one would.
+/// manufacturer as one campaign on the lane's budget, or hands back the
+/// clean campaign another target of this config ran, waiting for it if
+/// that target is still running it.
 fn run_campaign(
     cfg: &RunConfig,
+    lane: &Lane<'_>,
     target: &str,
     (name, run): &Experiment,
     modules_per_mfr: usize,
@@ -397,13 +478,15 @@ fn run_campaign(
         retry: cfg.retry.clone(),
         deadline_ms: cfg.deadline_ms,
     };
-    let registry = &cfg.experiments.0;
-    if !cfg.cancel.is_cancelled() {
-        let held = registry.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, hit)) = held.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(hit));
-        }
-    }
+    // Wait for a turn at the budget before settling, like any target,
+    // so targets get under way in request order as slots free up; the
+    // modules hold the slots.
+    drop(lane.budget.acquire());
+    let mut claim = match cfg.experiments.lookup(key, &cfg.cancel, lane.settled) {
+        Lookup::Hit(ran) => return Ok(ran),
+        Lookup::Claimed(claim) => Some(claim),
+        Lookup::Bypass => None,
+    };
     let mut meta: Vec<(String, Manufacturer, usize)> = Vec::new();
     let mut tasks: Vec<ModuleTask<'_>> = Vec::new();
     for mfr in Manufacturer::ALL {
@@ -415,7 +498,7 @@ fn run_campaign(
             }));
         }
     }
-    let out = campaign_runner(cfg, target).run(tasks, run)?;
+    let out = campaign_runner(cfg, lane.budget, target).run(tasks, run)?;
     let results = out
         .results
         .into_iter()
@@ -429,8 +512,8 @@ fn run_campaign(
         })
         .collect::<Result<Vec<_>, _>>()?;
     let ran = Arc::new((results, out.report));
-    if ran.1.is_clean() {
-        registry.lock().unwrap_or_else(PoisonError::into_inner).push((key, ran.clone()));
+    if let Some(claim) = claim.as_mut().filter(|_| ran.1.is_clean()) {
+        claim.clean = Some(Arc::clone(&ran));
     }
     Ok(ran)
 }
@@ -455,8 +538,12 @@ fn run_table2() -> RunOutput {
     RunOutput { target: "table2", text: report::table2(), data, report: None }
 }
 
-fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, &TEMP_RANGES, 1)?;
+fn run_temp_ranges(
+    cfg: &RunConfig,
+    lane: &Lane<'_>,
+    target: &'static str,
+) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, target, &TEMP_RANGES, 1)?;
     let results: Vec<(_, _, temperature::TempRangeAnalysis)> = decode(&ran)?;
     let mut text = String::new();
     if target == "table3" {
@@ -476,8 +563,8 @@ fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, C
     Ok(campaign_output(target, text, by_mfr(&results), &ran.1))
 }
 
-fn run_fig4(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "fig4", &BER_VS_TEMPERATURE, 1)?;
+fn run_fig4(cfg: &RunConfig, lane: &Lane<'_>) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, "fig4", &BER_VS_TEMPERATURE, 1)?;
     let results: Vec<(_, _, temperature::BerVsTemperature)> = decode(&ran)?;
     let mut text = String::new();
     for (m, _, f) in &results {
@@ -490,8 +577,8 @@ fn run_fig4(cfg: &RunConfig) -> Result<RunOutput, CharError> {
     Ok(campaign_output("fig4", text, by_mfr(&results), &ran.1))
 }
 
-fn run_fig5(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "fig5", &HCFIRST_VS_TEMPERATURE, 1)?;
+fn run_fig5(cfg: &RunConfig, lane: &Lane<'_>) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, "fig5", &HCFIRST_VS_TEMPERATURE, 1)?;
     let results: Vec<(_, _, temperature::HcFirstVsTemperature)> = decode(&ran)?;
     let mut text = String::new();
     for (m, _, f) in &results {
@@ -522,8 +609,12 @@ fn run_fig6() -> Result<RunOutput, CharError> {
     Ok(RunOutput { target: "fig6", text, data: json!({}), report: None })
 }
 
-fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, &ROW_ACTIVE_ANALYSIS, 1)?;
+fn run_rowactive(
+    cfg: &RunConfig,
+    lane: &Lane<'_>,
+    target: &'static str,
+) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, target, &ROW_ACTIVE_ANALYSIS, 1)?;
     let results: Vec<(_, _, rowactive::RowActiveAnalysis)> = decode(&ran)?;
     let mut text = String::new();
     for (m, _, a) in &results {
@@ -545,8 +636,8 @@ fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Cha
     Ok(campaign_output(target, text, by_mfr(&results), &ran.1))
 }
 
-fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "fig11", &ROW_VARIATION, cfg.modules_per_mfr)?;
+fn run_fig11(cfg: &RunConfig, lane: &Lane<'_>) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, "fig11", &ROW_VARIATION, cfg.modules_per_mfr)?;
     let results: Vec<(_, _, spatial::RowVariation)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
@@ -564,8 +655,12 @@ fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
     Ok(campaign_output("fig11", text, data, &ran.1))
 }
 
-fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, target, &COLUMN_MAP, 1)?;
+fn run_fig12_13(
+    cfg: &RunConfig,
+    lane: &Lane<'_>,
+    target: &'static str,
+) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, target, &COLUMN_MAP, 1)?;
     let results: Vec<(_, _, spatial::ColumnMap)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
@@ -590,11 +685,15 @@ fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, Char
     Ok(campaign_output(target, text, data, &ran.1))
 }
 
-fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
+fn run_fig14_15(
+    cfg: &RunConfig,
+    lane: &Lane<'_>,
+    target: &'static str,
+) -> Result<RunOutput, CharError> {
     // The subarray regression and similarity studies need several
     // modules per manufacturer for a stable picture.
     let modules = cfg.modules_per_mfr.max(3);
-    let ran = run_campaign(cfg, target, &SUBARRAY_HCFIRST, modules)?;
+    let ran = run_campaign(cfg, lane, target, &SUBARRAY_HCFIRST, modules)?;
     let results: Vec<(_, _, Vec<spatial::SubarrayPoint>)> = decode(&ran)?;
     let mut text = String::new();
     let mut data = Vec::new();
@@ -1110,8 +1209,8 @@ fn run_memctl() -> Result<RunOutput, CharError> {
 
 /// BER-vs-hammer-count dose response (the basis of the paper's 150 K
 /// choice, §4.2 footnote 3).
-fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let ran = run_campaign(cfg, "hcsweep", &DOSE_RESPONSE, 1)?;
+fn run_hcsweep(cfg: &RunConfig, lane: &Lane<'_>) -> Result<RunOutput, CharError> {
+    let ran = run_campaign(cfg, lane, "hcsweep", &DOSE_RESPONSE, 1)?;
     let results: Vec<(_, _, dose::DoseResponse)> = decode(&ran)?;
     let mut text = String::from("BER vs hammer count (75C, WCDP)\n");
     for (m, _, d) in &results {
@@ -1244,31 +1343,60 @@ pub fn run_defense_matrix(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
     })
 }
 
-/// Runs one named target.
+/// Where a target runs: the worker budget its work draws on, and the
+/// hook it calls once it has settled (holds its slot, or has found,
+/// claimed or begun waiting for its experiment), after which
+/// [`run_targets`] starts the next target.
+struct Lane<'a> {
+    budget: &'a WorkerBudget,
+    settled: &'a dyn Fn(),
+}
+
+/// Runs one named target on a worker budget of its own.
 ///
 /// # Errors
 ///
 /// Unknown targets are rejected; experiment errors propagate.
 pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError> {
+    run_target_on(target, cfg, &Lane { budget: &budget(cfg), settled: &|| {} })
+}
+
+/// Runs one target on `lane`. Every target first waits for a turn at
+/// the budget. A campaign target then holds no slot itself: its modules
+/// do, while it waits for them. Any other target keeps its slot for its
+/// body.
+fn run_target_on(target: &str, cfg: &RunConfig, lane: &Lane<'_>) -> Result<RunOutput, CharError> {
     let mut span = rh_obs::span(names::BENCH_TARGET);
     span.set("target", target);
     match target {
+        "table3" => run_temp_ranges(cfg, lane, "table3"),
+        "fig3" => run_temp_ranges(cfg, lane, "fig3"),
+        "fig4" => run_fig4(cfg, lane),
+        "fig5" => run_fig5(cfg, lane),
+        "fig7" => run_rowactive(cfg, lane, "fig7"),
+        "fig8" => run_rowactive(cfg, lane, "fig8"),
+        "fig9" => run_rowactive(cfg, lane, "fig9"),
+        "fig10" => run_rowactive(cfg, lane, "fig10"),
+        "fig11" => run_fig11(cfg, lane),
+        "fig12" => run_fig12_13(cfg, lane, "fig12"),
+        "fig13" => run_fig12_13(cfg, lane, "fig13"),
+        "fig14" => run_fig14_15(cfg, lane, "fig14"),
+        "fig15" => run_fig14_15(cfg, lane, "fig15"),
+        "hcsweep" => run_hcsweep(cfg, lane),
+        other => {
+            let _slot = lane.budget.acquire();
+            (lane.settled)();
+            run_unmanaged(other, cfg)
+        }
+    }
+}
+
+/// The targets that run no campaign.
+fn run_unmanaged(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError> {
+    match target {
         "table1" => Ok(run_table1()),
         "table2" => Ok(run_table2()),
-        "table3" => run_temp_ranges(cfg, "table3"),
-        "fig3" => run_temp_ranges(cfg, "fig3"),
-        "fig4" => run_fig4(cfg),
-        "fig5" => run_fig5(cfg),
         "fig6" => run_fig6(),
-        "fig7" => run_rowactive(cfg, "fig7"),
-        "fig8" => run_rowactive(cfg, "fig8"),
-        "fig9" => run_rowactive(cfg, "fig9"),
-        "fig10" => run_rowactive(cfg, "fig10"),
-        "fig11" => run_fig11(cfg),
-        "fig12" => run_fig12_13(cfg, "fig12"),
-        "fig13" => run_fig12_13(cfg, "fig13"),
-        "fig14" => run_fig14_15(cfg, "fig14"),
-        "fig15" => run_fig14_15(cfg, "fig15"),
         "observations" => run_observations(cfg),
         "attack1" => run_attack(cfg, "attack1"),
         "attack2" => run_attack(cfg, "attack2"),
@@ -1281,7 +1409,6 @@ pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError>
         "defense6" => run_defense(cfg, "defense6"),
         "ddr3" => run_ddr3(cfg),
         "overhead" => Ok(run_overhead()),
-        "hcsweep" => run_hcsweep(cfg),
         "memctl" => run_memctl(),
         "patterns" => run_patterns(cfg),
         "trrespass" => run_trrespass(cfg),
@@ -1290,6 +1417,88 @@ pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError>
         "defense-matrix" => run_defense_matrix(cfg),
         other => Err(CharError::InvalidInput { detail: format!("unknown repro target '{other}'") }),
     }
+}
+
+/// Runs the `wanted` targets concurrently on one worker budget of
+/// `cfg`'s width and hands each result to `emit` in request order, as
+/// soon as every result before it is out. Outputs do not depend on the
+/// width or on the order.
+///
+/// Each distinct target runs once, on a thread of its own (a repeated
+/// target is emitted again from that one run). Targets start in
+/// request order, each once the one before has settled, so the first
+/// target of a sharing group is the one that claims its experiment.
+/// Free slots go to the earliest-requested target waiting for one.
+///
+/// The run stops after the first error or panic, which is emitted as
+/// an `Err`, or when `emit` returns `false`: nothing later is emitted,
+/// targets not yet started never start, and campaigns in flight are
+/// cancelled (through a child of `cfg.cancel`, which stays as it was).
+pub fn run_targets(
+    wanted: &[&str],
+    cfg: &RunConfig,
+    mut emit: impl FnMut(&str, Result<&RunOutput, &CharError>) -> bool,
+) {
+    let mut distinct: Vec<&str> = Vec::new();
+    let runs: Vec<usize> = wanted
+        .iter()
+        .map(|&t| {
+            distinct.iter().position(|&d| d == t).unwrap_or_else(|| {
+                distinct.push(t);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let last_use = |i: usize| runs.iter().rposition(|&r| r == i);
+    let cfg = &RunConfig { cancel: cfg.cancel.child(), ..cfg.clone() };
+    let budget = &budget(cfg);
+    let mut outputs: Vec<Option<Result<RunOutput, CharError>>> =
+        distinct.iter().map(|_| None).collect();
+    // `(i, None)`: target `i` has settled (sent once); `(i, Some(result))`:
+    // it is done.
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let start = |i: usize| {
+            let (tx, target, budget) = (tx.clone(), distinct[i], budget.ranked(i));
+            s.spawn(move || {
+                let once = Cell::new(false);
+                let settled = || {
+                    if !once.replace(true) {
+                        let _ = tx.send((i, None));
+                    }
+                };
+                let lane = Lane { budget: &budget, settled: &settled };
+                let ran = catch_unwind(AssertUnwindSafe(|| run_target_on(target, cfg, &lane)))
+                    .unwrap_or_else(|p| Err(CharError::from_panic(p)));
+                settled();
+                let _ = tx.send((i, Some(ran)));
+            });
+        };
+        if !distinct.is_empty() {
+            start(0);
+        }
+        let mut next = 0;
+        while next < wanted.len() {
+            let Ok((i, ran)) = rx.recv() else { return };
+            match ran {
+                None if i + 1 < distinct.len() => start(i + 1),
+                None => {}
+                Some(ran) => outputs[i] = Some(ran),
+            }
+            while let Some(&i) = runs.get(next) {
+                let Some(ran) = &outputs[i] else { break };
+                let go = emit(wanted[next], ran.as_ref());
+                if !go || ran.is_err() {
+                    cfg.cancel.cancel();
+                    return;
+                }
+                if last_use(i) == Some(next) {
+                    outputs[i] = None;
+                }
+                next += 1;
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1328,7 +1537,56 @@ mod tests {
     ];
 
     fn held_campaigns(cfg: &RunConfig) -> usize {
-        cfg.experiments.0.lock().unwrap().len()
+        cfg.experiments.entries().iter().filter(|(_, c)| c.is_some()).count()
+    }
+
+    /// `(target, text, data)` of every result `run_targets` emits.
+    fn run_all(wanted: &[&str], cfg: &RunConfig) -> Vec<(String, String, Value)> {
+        let mut got = Vec::new();
+        run_targets(wanted, cfg, |t, ran| {
+            let out = ran.unwrap_or_else(|e| panic!("{t}: {e}"));
+            got.push((t.to_string(), out.text.clone(), out.data.clone()));
+            true
+        });
+        got
+    }
+
+    #[test]
+    fn run_targets_matches_serial_targets_at_every_width() {
+        let all: Vec<&str> = targets().into_iter().chain(["defense-matrix"]).collect();
+        let serial_cfg = smoke();
+        let serial: Vec<(String, String, Value)> = all
+            .iter()
+            .map(|&t| {
+                let out = run_target(t, &serial_cfg).unwrap();
+                (t.to_string(), out.text, out.data)
+            })
+            .collect();
+        let reversed: Vec<&str> = all.iter().rev().copied().collect();
+        for width in 1..=3 {
+            let mut got = run_all(&reversed, &RunConfig { max_workers: Some(width), ..smoke() });
+            got.reverse();
+            assert_eq!(got.len(), serial.len(), "width {width}");
+            for (got, want) in got.iter().zip(&serial) {
+                assert_eq!(got, want, "{} at width {width}", want.0);
+            }
+        }
+    }
+
+    #[test]
+    fn unclean_campaigns_render_the_same_concurrently() {
+        let serial_cfg = faulty_cfg();
+        let serial: Vec<_> = ["fig7", "fig8"]
+            .map(|t| {
+                let out = run_target(t, &serial_cfg).unwrap();
+                let clean = out.report.as_ref().unwrap().is_clean();
+                assert!(!clean, "{t}: the plan must leave it unclean");
+                (t.to_string(), out.text, out.data)
+            })
+            .into();
+        let cfg = RunConfig { max_workers: Some(2), ..faulty_cfg() };
+        assert_eq!(run_all(&["fig7", "fig8"], &cfg), serial);
+        assert_eq!(held_campaigns(&cfg), 0);
     }
 
     #[test]
@@ -1352,7 +1610,8 @@ mod tests {
     fn fleet_jobs_commit_what_campaigns_hold() {
         let cfg = RunConfig { modules_per_mfr: 1, ..smoke() };
         for experiment @ (name, _) in &EXPERIMENTS {
-            let ran = run_campaign(&cfg, "oracle", experiment, 1).unwrap();
+            let lane = Lane { budget: &budget(&cfg), settled: &|| {} };
+            let ran = run_campaign(&cfg, &lane, "oracle", experiment, 1).unwrap();
             let fleet = crate::run_fleet_local(&crate::FleetConfig {
                 seed: cfg.seed,
                 scale: cfg.scale,

@@ -22,14 +22,16 @@
 //! format; resuming skips finished modules and reproduces the same
 //! final report.
 //!
-//! The runner itself is a bounded worker pool: `max_workers` scoped
-//! threads take modules in order from one cursor, an optional watchdog
-//! times out modules past their wall-clock deadline, and cancellation
-//! (the caller's token on SIGINT, or fail-fast) resolves queued modules
-//! without running them. A module's terminal outcome is decided only
-//! under the table's lock, by whichever of worker, watchdog or
-//! cancellation gets there first; the runner adds the `campaign.*`
-//! telemetry, progress and fail-fast.
+//! The runner itself is a worker pool on a [`WorkerBudget`]: scoped
+//! threads take modules in order from one cursor, and each module holds
+//! one slot of the budget while it runs, so campaigns that share a
+//! budget never run more modules at once than it has slots. An
+//! optional watchdog times out modules past their wall-clock deadline,
+//! and cancellation (the caller's token on SIGINT, or fail-fast)
+//! resolves queued modules without running them. A module's terminal
+//! outcome is decided only under the table's lock, by whichever of
+//! worker, watchdog or cancellation gets there first; the runner adds
+//! the `campaign.*` telemetry, progress and fail-fast.
 
 use crate::error::CharError;
 use crate::fleet::{fnv1a64, splitmix64, CommitOutcome, FailOutcome, FleetPolicy, JobTable};
@@ -37,10 +39,11 @@ use crate::progress::ProgressTracker;
 use crate::Characterizer;
 use rh_softmc::CancelToken;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use rh_obs::names;
 
@@ -52,8 +55,9 @@ const WATCHDOG_INTERVAL: Duration = Duration::from_millis(5);
 /// Worker-pool width and per-module deadline of a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorConfig {
-    /// Worker threads in the pool (clamped to ≥ 1 and to the number of
-    /// modules). Defaults to the host's available parallelism.
+    /// Slots of the campaign's own [`WorkerBudget`] (clamped to ≥ 1),
+    /// used when the runner is given no shared budget. Defaults to the
+    /// host's available parallelism.
     pub max_workers: usize,
     /// Wall-clock budget per module; `None` disables the watchdog.
     pub module_deadline: Option<Duration>,
@@ -87,6 +91,95 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A budget of worker slots: each unit of simulation work holds one
+/// while it runs, so work drawing on one budget never runs wider than
+/// its slot count. `repro` gives every target and campaign of a run the
+/// same budget. A thread holds no slot while it waits for one, or for
+/// anything else, so blocking never starves the budget. Clones share
+/// the slots.
+///
+/// Free slots go to waiters in rank order, and in arrival order within
+/// a rank. A handle's rank is 0 unless set with
+/// [`ranked`](Self::ranked).
+#[derive(Debug, Clone)]
+pub struct WorkerBudget {
+    slots: Arc<BudgetSlots>,
+    rank: usize,
+}
+
+#[derive(Debug)]
+struct BudgetSlots {
+    width: usize,
+    state: Mutex<BudgetState>,
+    freed: Condvar,
+}
+
+#[derive(Debug)]
+struct BudgetState {
+    free: usize,
+    /// `(rank, ticket)` of every waiting thread; the first is served next.
+    waiting: BTreeSet<(usize, u64)>,
+    tickets: u64,
+}
+
+impl WorkerBudget {
+    /// A budget of `width` slots, clamped to ≥ 1.
+    pub fn new(width: usize) -> Self {
+        let width = width.max(1);
+        let state = BudgetState { free: width, waiting: BTreeSet::new(), tickets: 0 };
+        let slots = BudgetSlots { width, state: Mutex::new(state), freed: Condvar::new() };
+        Self { slots: Arc::new(slots), rank: 0 }
+    }
+
+    /// A handle on the same slots whose waits are served after those of
+    /// every lower rank: `repro` ranks a target's work by the target's
+    /// place in the request, so earlier targets finish first.
+    #[must_use]
+    pub fn ranked(&self, rank: usize) -> Self {
+        Self { slots: Arc::clone(&self.slots), rank }
+    }
+
+    /// The number of slots.
+    pub fn width(&self) -> usize {
+        self.slots.width
+    }
+
+    /// Blocks until a slot is free and this thread is the first waiter,
+    /// and holds the slot until the returned guard drops. Each grant
+    /// sets `executor.queue_depth` to the threads still waiting, under
+    /// the budget's lock, so a finished run leaves it at 0 whatever its
+    /// width.
+    pub fn acquire(&self) -> WorkerSlot<'_> {
+        let slots = &*self.slots;
+        let mut state = lock(&slots.state);
+        let me = (self.rank, state.tickets);
+        state.tickets += 1;
+        state.waiting.insert(me);
+        while state.free == 0 || state.waiting.first() != Some(&me) {
+            state = slots.freed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.waiting.remove(&me);
+        state.free -= 1;
+        rh_obs::gauge!(names::EXECUTOR_QUEUE_DEPTH, state.waiting.len() as f64);
+        if state.free > 0 && !state.waiting.is_empty() {
+            slots.freed.notify_all();
+        }
+        WorkerSlot(self)
+    }
+}
+
+/// A held slot of a [`WorkerBudget`]; dropping it frees the slot.
+#[derive(Debug)]
+pub struct WorkerSlot<'a>(&'a WorkerBudget);
+
+impl Drop for WorkerSlot<'_> {
+    fn drop(&mut self) {
+        let slots = &*self.0.slots;
+        lock(&slots.state).free += 1;
+        slots.freed.notify_all();
+    }
+}
+
 /// What the pool shares under one lock: the job table, which decides
 /// every outcome, and which modules are running undecided.
 struct Board {
@@ -98,17 +191,6 @@ struct Board {
     started: Vec<Option<Instant>>,
     /// Modules decided so far; the watchdog stops when all are.
     decided: usize,
-}
-
-/// Turns a caught panic payload into a readable detail string.
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Bounded-retry policy with deterministic exponential backoff.
@@ -345,6 +427,7 @@ pub struct CampaignRunner {
     cancel: CancelToken,
     fail_fast: bool,
     progress: Option<Arc<ProgressTracker>>,
+    budget: Option<WorkerBudget>,
 }
 
 impl CampaignRunner {
@@ -400,15 +483,27 @@ impl CampaignRunner {
         self
     }
 
+    /// Runs the campaign's modules on `budget`'s slots, shared with
+    /// whatever else draws on it, instead of on a budget of its own
+    /// with [`ExecutorConfig::max_workers`] slots.
+    pub fn with_budget(mut self, budget: WorkerBudget) -> Self {
+        self.budget = Some(budget);
+        self
+    }
+
     /// The active retry policy.
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
     }
 
-    /// Runs `f` once per module (retrying per policy) on the bounded
-    /// worker pool and collects every outcome. A quarantined, timed-out
-    /// or cancelled module consumes its slot in the report but not in
+    /// Runs `f` once per module (retrying per policy) on the worker
+    /// pool and collects every outcome. A quarantined, timed-out or
+    /// cancelled module consumes its slot in the report but not in
     /// `results`.
+    ///
+    /// A module holds a budget slot from before its first characterizer
+    /// is built until its worker returns. Its deadline clock starts
+    /// once the slot is held, so waiting for one never times it out.
     ///
     /// # Errors
     ///
@@ -459,24 +554,27 @@ impl CampaignRunner {
         };
 
         // Every module is known before the pool starts: a worker takes
-        // the next one by bumping the cursor, and its queue wait is
-        // simply take time minus pool start. The cursor publishes no
-        // other data (the board has its lock), so it is `Relaxed`.
+        // the next one by bumping the cursor, then waits for a slot, and
+        // its queue wait is slot time minus pool start. The cursor
+        // publishes no other data (the board has its lock), so it is
+        // `Relaxed`.
+        let budget =
+            self.budget.clone().unwrap_or_else(|| WorkerBudget::new(self.executor.max_workers));
         let next = AtomicUsize::new(0);
         let pool_start = Instant::now();
         std::thread::scope(|s| {
-            for _ in 0..self.executor.max_workers.min(n).max(1) {
+            for _ in 0..budget.width().min(n).max(1) {
                 s.spawn(|| loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     if idx >= n {
                         break;
                     }
+                    let _slot = budget.acquire();
                     if rh_obs::enabled() {
                         let wait_ns =
                             u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
                     }
-                    rh_obs::gauge!(names::EXECUTOR_QUEUE_DEPTH, (n - idx - 1) as f64);
                     let task = &tasks[idx];
                     if campaign_token.is_cancelled() {
                         // Cancelled while still queued: never runs.
@@ -608,9 +706,8 @@ impl CampaignRunner {
                 attempt_span.set("module", task.id.as_str());
                 attempt_span.set("attempt", attempt);
                 (task.build)(attempt, token).and_then(|mut ch| {
-                    catch_unwind(AssertUnwindSafe(|| f(&mut ch))).unwrap_or_else(|p| {
-                        Err(CharError::WorkerPanicked { detail: panic_detail(p) })
-                    })
+                    catch_unwind(AssertUnwindSafe(|| f(&mut ch)))
+                        .unwrap_or_else(|p| Err(CharError::from_panic(p)))
                 })
             };
             let err = match attempt_result {
@@ -709,22 +806,71 @@ mod tests {
     fn live_modules_never_exceed_max_workers() {
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let tasks = (0..100)
-            .map(|i| {
-                probe_task(i, || {
-                    peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(1));
-                    live.fetch_sub(1, Ordering::SeqCst);
+        let probes = |first: u64| -> Vec<ModuleTask<'_>> {
+            (first..first + 100)
+                .map(|i| {
+                    probe_task(i, || {
+                        peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(1));
+                        live.fetch_sub(1, Ordering::SeqCst);
+                    })
                 })
-            })
-            .collect();
+                .collect()
+        };
         let out: CampaignOutput<u64> = CampaignRunner::new()
             .with_executor(ExecutorConfig::with_workers(4))
-            .run(tasks, |_| panic!("a probe module never builds"))
+            .run(probes(0), |_| panic!("a probe module never builds"))
             .unwrap();
         assert_eq!(out.report.quarantined, 100);
-        let peak = peak.load(Ordering::SeqCst);
-        assert!((1..=4).contains(&peak), "{peak} modules live at once with max_workers=4");
+        let solo = peak.swap(0, Ordering::SeqCst);
+        assert!((1..=4).contains(&solo), "{solo} modules live at once with max_workers=4");
+
+        // Two campaigns at once on one budget of 3: each would run 3
+        // modules at a time on a pool of its own.
+        let budget = WorkerBudget::new(3);
+        std::thread::scope(|s| {
+            let runs: Vec<_> = [0, 100]
+                .map(|first| {
+                    let (budget, probes) = (budget.clone(), &probes);
+                    s.spawn(move || {
+                        CampaignRunner::new()
+                            .with_budget(budget)
+                            .run::<u64, _>(probes(first), |_| panic!("a probe module never builds"))
+                            .unwrap()
+                    })
+                })
+                .into_iter()
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap().report.quarantined, 100);
+            }
+        });
+        let shared = peak.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&shared), "{shared} modules live at once on a budget of 3");
+    }
+
+    #[test]
+    fn waiting_for_a_slot_does_not_count_against_the_deadline() {
+        // The only slot is held for 6 deadlines before the campaign may
+        // start its module, which then fails at once for keeps.
+        let budget = WorkerBudget::new(1);
+        let held = budget.acquire();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| {
+                CampaignRunner::new()
+                    .with_budget(budget.clone())
+                    .with_executor(
+                        ExecutorConfig::with_workers(1).with_deadline(Duration::from_millis(50)),
+                    )
+                    .run::<u64, _>(vec![probe_task(0, || {})], |_| panic!("never builds"))
+                    .unwrap()
+            });
+            std::thread::sleep(Duration::from_millis(300));
+            drop(held);
+            let out = run.join().unwrap();
+            let status = &out.report.outcomes[0].status;
+            assert!(matches!(status, ModuleStatus::Quarantined { attempts: 1, .. }), "{status:?}");
+        });
     }
 
     #[test]

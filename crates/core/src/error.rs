@@ -62,6 +62,19 @@ pub enum CharError {
 }
 
 impl CharError {
+    /// The [`WorkerPanicked`](CharError::WorkerPanicked) error of a
+    /// caught panic, with its payload if that was a string.
+    pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        CharError::WorkerPanicked { detail }
+    }
+
     /// Whether a retry against a fresh bench could plausibly succeed.
     /// The campaign runner quarantines a module early when its error is
     /// not transient.

@@ -64,7 +64,7 @@ pub mod wcdp;
 
 pub use campaign::{
     module_id, verify_checkpoint, CampaignOutput, CampaignReport, CampaignRunner,
-    ExecutorConfig, ModuleOutcome, ModuleStatus, ModuleTask, RetryPolicy,
+    ExecutorConfig, ModuleOutcome, ModuleStatus, ModuleTask, RetryPolicy, WorkerBudget,
 };
 pub use config::{Scale, TestPlan};
 pub use error::CharError;

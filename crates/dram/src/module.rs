@@ -485,10 +485,13 @@ impl DramModule {
     }
 
     /// The bookkeeping of every full-row write: the write counter, the
-    /// stored-rows gauge, and the restore the model sees.
+    /// stored-rows gauge (the most rows any one module has held), and
+    /// the restore the model sees.
     fn restore_written(&mut self, bank: BankId, phys: RowAddr) {
+        static ROWS_STORED: rh_obs::hist::Gauge =
+            rh_obs::hist::Gauge::new(names::DRAM_ROWS_STORED);
         rh_obs::counter!(names::DRAM_ROW_WRITE, 1);
-        rh_obs::gauge!(names::DRAM_ROWS_STORED, self.storage.len() as f64);
+        ROWS_STORED.set_max(self.storage.len() as f64);
         let now = self.now;
         self.model.on_restore(bank, phys, now);
     }

@@ -44,12 +44,16 @@ pub enum EvalMode {
 /// row)`.
 type RowKey = (u64, u32, u32);
 
+/// A row's cell table, or the build of it under way: the first miss
+/// inserts it empty and fills it, and later lookups wait for that fill.
+type CellEntry = Arc<OnceLock<Arc<CellTable>>>;
+
 /// Cell tables, shared by every model instance in the process. Sweeps
 /// and benches construct a fresh [`RowHammerModel`] per repetition, and
 /// every derivation is a pure function of `(profile, seed, geometry,
 /// bank, row)`; the salt in each key folds all of those but the
 /// coordinates, so distinct modules never alias.
-static CELLS: OnceLock<Mutex<LruCache<RowKey, Arc<CellTable>>>> = OnceLock::new();
+static CELLS: OnceLock<Mutex<LruCache<RowKey, CellEntry>>> = OnceLock::new();
 
 /// The calibrated RowHammer fault model of one DRAM module.
 ///
@@ -269,34 +273,42 @@ impl RowHammerModel {
 
     /// The row's shared cell table, and whether this call built it.
     ///
-    /// A miss derives and sorts the row outside the lock (a racing
-    /// duplicate build is identical, so either copy may stay) and counts
-    /// one `faultmodel.row.derive` and one `faultmodel.surface.build`,
-    /// plus one `faultmodel.cache.evict` if the insert evicts. A hit
-    /// records nothing.
+    /// A miss inserts a pending entry (counting one
+    /// `faultmodel.cache.evict` if that evicts), then derives and sorts
+    /// the row outside the lock, counting one `faultmodel.row.derive`
+    /// and one `faultmodel.surface.build`. A concurrent miss on the same
+    /// row waits for that one build rather than deriving a copy, so
+    /// both counters equal the rows derived whatever the interleaving.
+    /// A hit records nothing.
     fn table(&mut self, bank: BankId, row: RowAddr) -> (Arc<CellTable>, bool) {
         let key = (self.derivation_salt, bank.0, row.0);
-        let lock = || {
-            CELLS
+        let entry = {
+            let mut cache = CELLS
                 .get_or_init(|| Mutex::new(LruCache::new(CELLS_CACHE_CAP)))
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner);
+            match cache.get(&key) {
+                Some(entry) => Arc::clone(entry),
+                None => {
+                    let entry = CellEntry::default();
+                    let evicted = cache.evictions();
+                    cache.insert(key, Arc::clone(&entry));
+                    if cache.evictions() > evicted {
+                        rh_obs::counter!(names::FAULTMODEL_CACHE_EVICT, 1);
+                    }
+                    entry
+                }
+            }
         };
-        let hit = lock().get(&key).map(Arc::clone);
-        if let Some(table) = hit {
-            return (table, false);
-        }
-        let cells = self.derive(bank, row);
-        let table = Arc::new(CellTable::new(&self.profile, self.module_seed, cells));
-        rh_obs::counter!(names::FAULTMODEL_ROW_DERIVE, 1);
-        rh_obs::counter!(names::FAULTMODEL_SURFACE_BUILD, 1);
-        let mut cache = lock();
-        let evicted = cache.evictions();
-        cache.insert(key, Arc::clone(&table));
-        if cache.evictions() > evicted {
-            rh_obs::counter!(names::FAULTMODEL_CACHE_EVICT, 1);
-        }
-        (table, true)
+        let mut built = false;
+        let table = entry.get_or_init(|| {
+            built = true;
+            rh_obs::counter!(names::FAULTMODEL_ROW_DERIVE, 1);
+            rh_obs::counter!(names::FAULTMODEL_SURFACE_BUILD, 1);
+            let cells = self.derive(bank, row);
+            Arc::new(CellTable::new(&self.profile, self.module_seed, cells))
+        });
+        (Arc::clone(table), built)
     }
 
     /// Derives the row's cells, with the model's column-weight memo.
@@ -826,6 +838,27 @@ mod tests {
         let cc = c.row_cells(BankId(0), RowAddr(123));
         assert!(!Arc::ptr_eq(&ca, &cc));
         assert!(ca.cells().ne(cc.cells()));
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_cold_row_derive_it_once() {
+        // A module seed no other test uses, so the row starts cold.
+        let threads = 8;
+        let start = std::sync::Barrier::new(threads);
+        let got: Vec<(Arc<CellTable>, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut m = RowHammerModel::new(Manufacturer::B, 0x5eed_0c01d);
+                        start.wait();
+                        m.table(BankId(2), RowAddr(321))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got.iter().filter(|(_, built)| *built).count(), 1, "one derivation");
+        assert!(got.iter().all(|(t, _)| Arc::ptr_eq(t, &got[0].0)), "one shared table");
     }
 
     /// Every row's dose (as bit patterns) and restore time, and

@@ -341,6 +341,23 @@ impl Gauge {
         self.presence.touch(|| registry().gauges.push(self));
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
+
+    /// Raises the gauge to `v` if that is above its value, so it holds
+    /// the high-water mark since the last reset whatever the order of
+    /// the writers. For non-negative `v` only: their bits order as the
+    /// values do. Disabled cost as [`set`](Self::set).
+    #[inline]
+    pub fn set_max(&'static self, v: f64) {
+        if crate::enabled() {
+            self.set_max_enabled(v);
+        }
+    }
+
+    #[inline(never)]
+    fn set_max_enabled(&'static self, v: f64) {
+        self.presence.touch(|| registry().gauges.push(self));
+        self.bits.fetch_max(v.to_bits(), Ordering::Relaxed);
+    }
 }
 
 /// Every counter touched since the last [`reset_all`], summed
@@ -669,5 +686,27 @@ mod tests {
         }
         crate::uninstall();
         assert_eq!(second.counter_value("test.hist.reset_again"), 2);
+    }
+
+    #[test]
+    fn gauge_set_max_keeps_the_high_water_mark() {
+        static PEAK: Gauge = Gauge::new("test.hist.peak");
+        let _l = locked();
+        let rec = session();
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                s.spawn(move || {
+                    for v in (0..1_000u32).map(|i| (i * 7 + t * 13) % 977) {
+                        PEAK.set_max(f64::from(v));
+                    }
+                });
+            }
+        });
+        crate::uninstall();
+        assert_eq!(rec.gauge_value("test.hist.peak"), Some(976.0));
+        session();
+        PEAK.set_max(0.0);
+        crate::uninstall();
+        assert_eq!(rec.gauge_value("test.hist.peak"), Some(0.0), "install resets the mark");
     }
 }

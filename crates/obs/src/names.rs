@@ -67,7 +67,8 @@ pub const DRAM_HAMMER_FLUSHED: &str = "dram.hammer.flushed";
 pub const DRAM_ROW_WRITE: &str = "dram.row.write";
 /// Full-row reads through the direct interface.
 pub const DRAM_ROW_READ: &str = "dram.row.read";
-/// Gauge: rows currently materialized in module storage.
+/// Gauge: the most rows one module has held in storage since the
+/// recorder was installed (a high-water mark across modules).
 pub const DRAM_ROWS_STORED: &str = "dram.rows_stored";
 /// Timing-constraint violations (counter and event share the name).
 pub const DRAM_TIMING_VIOLATION: &str = "dram.timing_violation";
@@ -151,11 +152,13 @@ pub const CAMPAIGN_PROGRESS_RUNNING: &str = "campaign.progress.running";
 /// Gauge: throughput-based estimate of remaining campaign wall time.
 pub const CAMPAIGN_ETA_MS: &str = "campaign.eta_ms";
 
-/// Gauge: tasks still queued in the supervised pool.
+/// Gauge: threads still waiting for a worker-budget slot when one was
+/// last granted (0 once a run has finished).
 pub const EXECUTOR_QUEUE_DEPTH: &str = "executor.queue_depth";
 /// Span: the watchdog thread's whole patrol.
 pub const EXECUTOR_WATCHDOG: &str = "executor.watchdog";
-/// Histogram: time a task waited in the queue before starting (ns).
+/// Histogram: time a campaign module waited, from its pool's start
+/// until it held a worker-budget slot (ns).
 pub const EXECUTOR_QUEUE_WAIT_NS: &str = "executor.queue_wait.ns";
 
 /// Rows refreshed by a defense.
